@@ -27,7 +27,7 @@ are immutable and the min/max scans are pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from math import ceil
@@ -405,6 +405,11 @@ class WeightScheme:
     role (j, b): u(X,Y,i) = a(k,j,b) * w and v(X,Y,i) = w / a(k,j,b); when Y
     holds the position the factors swap.  The randomized scheme has a = 1,
     i.e. u = v = w.
+
+    The multiplier depends on (k, j, b) only through the survival
+    s = j - k + b, and (u, v) only through (w, s, which walk holds the
+    position); both are memoized on those keys, so equal inputs share one
+    Surd object.
     """
 
     kind: str
@@ -412,6 +417,8 @@ class WeightScheme:
     relation: Relation
     w: dict
     diverge: dict
+    _pair_memo: dict = field(default_factory=dict, compare=False, repr=False)
+    _uv_memo: dict = field(default_factory=dict, compare=False, repr=False)
 
     def multiplier(self, k: int, j: int, b: int) -> Surd:
         if self.kind == RANDOMIZED:
@@ -422,22 +429,28 @@ class WeightScheme:
 
     def multiplier_pair(self, k: int, j: int, b: int) -> tuple[Surd, Surd]:
         """The scaling factor and its exact reciprocal."""
-        a = self.multiplier(k, j, b)
-        return a, _reciprocal(a)
+        s = _survival(k, j, b)
+        hit = self._pair_memo.get(s)
+        if hit is None:
+            a = self.multiplier(k, j, b)
+            hit = self._pair_memo[s] = (a, _reciprocal(a))
+        return hit
 
     def uv(self, pair: tuple[int, int], pos: Vertex) -> tuple[Surd, Surd]:
         """(u, v) at a differing position of the pair."""
         ix, iy = pair
         x, y = self.family.walks[ix], self.family.walks[iy]
         k = self.diverge[pair]
-        wxy = Surd.of(self.w[pair])
-        if pos in x.point_set:
-            j, b = x.role[pos]
+        x_holds = pos in x.point_set
+        j, b = (x if x_holds else y).role[pos]
+        key = (self.w[pair], _survival(k, j, b), x_holds)
+        hit = self._uv_memo.get(key)
+        if hit is None:
+            wxy = Surd.of(self.w[pair])
             a, a_inv = self.multiplier_pair(k, j, b)
-            return wxy * a, wxy * a_inv
-        j, b = y.role[pos]
-        a, a_inv = self.multiplier_pair(k, j, b)
-        return wxy * a_inv, wxy * a
+            hit = (wxy * a, wxy * a_inv) if x_holds else (wxy * a_inv, wxy * a)
+            self._uv_memo[key] = hit
+        return hit
 
 
 def build_scheme(kind: str, family: PathFamily, relation: Relation) -> WeightScheme:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from operator import sub
 from typing import Iterator
 
 from .errors import BudgetExceeded
@@ -45,7 +46,7 @@ class GridShape:
         return self.k ** self.l
 
     def contains(self, v: Vertex) -> bool:
-        return len(v) == self.l and all(1 <= c <= self.k for c in v)
+        return len(v) == self.l and 1 <= min(v) and max(v) <= self.k
 
     def require(self, v: Vertex) -> None:
         if not self.contains(v):
@@ -67,11 +68,16 @@ def neighbors(shape: GridShape, v: Vertex) -> list[Vertex]:
     Degree ranges from l at a corner to 2l in the interior.
     """
     shape.require(v)
+    return _neighbors(shape.k, v)
+
+
+def _neighbors(k: int, v: Vertex) -> list[Vertex]:
+    # trusts v to lie in [k]^len(v)
     out: list[Vertex] = []
     for i, c in enumerate(v):
         if c > 1:
             out.append(v[:i] + (c - 1,) + v[i + 1 :])
-        if c < shape.k:
+        if c < k:
             out.append(v[:i] + (c + 1,) + v[i + 1 :])
     return out
 
@@ -80,7 +86,7 @@ def l1_distance(u: Vertex, v: Vertex) -> int:
     """Sum of per-coordinate absolute differences; Hamming distance when k=2."""
     if len(u) != len(v):
         raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")
-    return sum(abs(a - b) for a, b in zip(u, v))
+    return sum(map(abs, map(sub, u, v)))
 
 
 def snake_rank(shape: GridShape, v: Vertex) -> int:
@@ -89,11 +95,15 @@ def snake_rank(shape: GridShape, v: Vertex) -> int:
     Bijection onto [1..N]; inverse of snake_unrank.
     """
     shape.require(v)
-    k = shape.k
+    return _snake_rank(shape.k, v)
+
+
+def _snake_rank(k: int, v: Vertex) -> int:
+    # trusts v to lie in [k]^len(v)
     r = v[0] - 1  # 0-based rank within the innermost line
     size = k
-    for i in range(1, shape.l):
-        c = v[i] - 1
+    for c in v[1:]:
+        c -= 1
         # odd 0-based digit means the lower levels are traversed in reverse
         r = c * size + (r if c % 2 == 0 else size - 1 - r)
         size *= k

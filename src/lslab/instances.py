@@ -33,14 +33,15 @@ import json
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import BudgetExceeded, InstanceFormatError
 from .grid import (
     DEFAULT_SCAN_LIMIT,
     GridShape,
     Vertex,
+    _snake_rank,
     l1_distance,
-    snake_rank,
     snake_successor,
     snake_unrank,
 )
@@ -138,11 +139,11 @@ class WalkInstance:
             raise ValueError("no walk/clock split for this family")
         return self.m
 
-    @property
+    @cached_property
     def clock_shape(self) -> GridShape:
         return GridShape(self.shape.k, self.shape.l - self.walk_dims)
 
-    @property
+    @cached_property
     def max_on_path_value(self) -> int:
         if self.family == BLOCKS:
             assert self.block is not None
@@ -167,6 +168,11 @@ def _build_walk_instance(
     seed: int | None,
 ) -> WalkInstance:
     clock_shape = GridShape(shape.k, shape.l - m)
+    if len(steps) != clock_shape.vertex_count:
+        raise InstanceFormatError(
+            f"walk needs one step per clock tick ({clock_shape.vertex_count}), "
+            f"got {len(steps)}"
+        )
     T = len(steps) - 1
     positions = [start_walk]
     w = start_walk
@@ -242,6 +248,8 @@ def _grid_step_factory(n: int, m: int):
 def _replay_grid(
     n: int, d: int, m: int, steps: tuple[int, ...], seed: int | None
 ) -> WalkInstance:
+    if not 1 <= m < d:
+        raise InstanceFormatError(f"walk dimensions need 1 <= m < d, got m={m}, d={d}")
     shape = GridShape(n, d)
     if any(s not in (-1, 1) for s in steps):
         raise InstanceFormatError("grid steps must be signs -1/+1")
@@ -395,18 +403,23 @@ def gen_block_instance(
 
 
 def _clock_tick(inst: WalkInstance, v: Vertex) -> int:
-    return snake_rank(inst.clock_shape, v[inst.walk_dims :]) - 1
+    return _snake_rank(inst.shape.k, v[inst.m :]) - 1
 
 
 def instance_membership(inst: WalkInstance, v: Vertex) -> bool:
     """Whether v lies on the trajectory; O(1) from the clock coordinate."""
     inst.shape.require(v)
+    return _membership(inst, v)
+
+
+def _membership(inst: WalkInstance, v: Vertex) -> bool:
+    # trusts v to lie in inst.shape
     if inst.family == BLOCKS:
         assert inst.value_by_vertex is not None
         return v in inst.value_by_vertex
     assert inst.walk_positions is not None
     t = _clock_tick(inst, v)
-    w = v[: inst.walk_dims]
+    w = v[: inst.m]
     return w == inst.walk_positions[t] or w == inst.walk_positions[t + 1]
 
 
@@ -415,6 +428,11 @@ def instance_value(inst: WalkInstance, v: Vertex) -> int:
     every off-trajectory vertex valued by its distance to the start plus twice
     the on-trajectory ceiling (so the descent funnels onto the path)."""
     inst.shape.require(v)
+    return _value(inst, v)
+
+
+def _value(inst: WalkInstance, v: Vertex) -> int:
+    # trusts v to lie in inst.shape
     if inst.family == BLOCKS:
         assert inst.value_by_vertex is not None
         hit = inst.value_by_vertex.get(v)
@@ -423,7 +441,7 @@ def instance_value(inst: WalkInstance, v: Vertex) -> int:
         return l1_distance(v, inst.start) + 2 * inst.max_on_path_value
     assert inst.walk_positions is not None
     t = _clock_tick(inst, v)
-    w = v[: inst.walk_dims]
+    w = v[: inst.m]
     if w == inst.walk_positions[t + 1]:
         return 2 * (inst.T - t) - 1
     if w == inst.walk_positions[t]:
@@ -473,8 +491,8 @@ def verify_instance(
     values: dict[Vertex, int] = {}
     membership_consistent = True
     for v in inst.shape.iter_vertices(scan_limit):
-        values[v] = instance_value(inst, v)
-        if instance_membership(inst, v) != (v in point_set):
+        values[v] = _value(inst, v)
+        if _membership(inst, v) != (v in point_set):
             membership_consistent = False
 
     k = inst.shape.k
@@ -585,7 +603,7 @@ class ClockMeta:
     T: int
     block: BlockLayout | None = None
 
-    @property
+    @cached_property
     def clock_shape(self) -> GridShape:
         assert self.walk_dims is not None
         return GridShape(self.shape.k, self.shape.l - self.walk_dims)
@@ -711,7 +729,18 @@ def instance_to_dict(inst: WalkInstance) -> dict:
     }
 
 
+def _param(params: dict, key: str, kinds: tuple[type, ...] = (int,)):
+    # exact type match, so a JSON true is not taken for the integer 1
+    value = params.get(key)
+    if type(value) not in kinds:
+        names = " or ".join(kind.__name__ for kind in kinds)
+        raise InstanceFormatError(f"params[{key!r}] must be {names}, got {value!r}")
+    return value
+
+
 def instance_from_dict(data: dict) -> WalkInstance:
+    if not isinstance(data, dict):
+        raise InstanceFormatError("an instance file holds one JSON object")
     version = data.get("format_version")
     if version != FORMAT_VERSION:
         raise InstanceFormatError(f"unknown format_version {version!r}")
@@ -721,16 +750,19 @@ def instance_from_dict(data: dict) -> WalkInstance:
         steps = tuple(data["step_sequence"])
         start = tuple(data["start"])
         endpoint = tuple(data["endpoint"])
-        n = params["n"]
         seed = params.get("seed")
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, AttributeError) as exc:
         raise InstanceFormatError(f"missing or malformed field: {exc}") from exc
+    if any(type(s) is not int for s in steps):
+        raise InstanceFormatError("step_sequence must hold integers")
+    n = _param(params, "n")
     if family == HYPERCUBE:
-        inst = _replay_hypercube(n, params["m"], steps, seed)
+        inst = _replay_hypercube(n, _param(params, "m"), steps, seed)
     elif family == GRID:
-        inst = _replay_grid(n, params["d"], params["m"], steps, seed)
+        inst = _replay_grid(n, _param(params, "d"), _param(params, "m"), steps, seed)
     elif family == BLOCKS:
-        inst = _replay_blocks(n, params["d"], params["r"], steps, seed)
+        r = _param(params, "r", (float, int))
+        inst = _replay_blocks(n, _param(params, "d"), r, steps, seed)
     else:
         raise InstanceFormatError(f"unknown family {family!r}")
     if inst.start != start or inst.endpoint != endpoint:

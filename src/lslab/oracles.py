@@ -9,21 +9,29 @@ return equal answers.
 legitimate purposes only: post-hoc verification of results, and subroutines
 whose cost is charged through an explicit quantum-cost formula instead of
 per-read counting.
+
+A vertex is validated once, where it enters lslab: the public functions
+(``snake_rank``, ``neighbors``, ``instance_value``, ``instance_membership``,
+``simulate_value_via_membership``) and each oracle ``query``/``peek`` check it
+against the grid and raise ``ValueError`` when it lies outside.  Past that
+point lslab calls the ``_``-prefixed helpers (``_snake_rank``, ``_neighbors``,
+``_value``, ``_membership``), which trust their input and check nothing.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
+from functools import partial
 from typing import Callable, Mapping
 
-from .grid import GridShape, Vertex, l1_distance, snake_rank, snake_unrank
+from .grid import GridShape, Vertex, _snake_rank, l1_distance, snake_unrank
 from .instances import (
     BLOCKS,
     ClockMeta,
     WalkInstance,
+    _membership,
+    _value,
     block_on_path_value,
-    instance_membership,
-    instance_value,
 )
 
 
@@ -101,7 +109,7 @@ class ValueOracle:
     def for_instance(
         cls, inst: WalkInstance, ledger: QueryLedger | None = None
     ) -> "ValueOracle":
-        return cls(inst.shape, lambda v: instance_value(inst, v), ledger)
+        return cls(inst.shape, partial(_value, inst), ledger)
 
     def query(self, v: Vertex) -> int:
         """Evaluate the function at v; one classical query."""
@@ -127,11 +135,11 @@ class MembershipOracle:
         """Is v on the trajectory?  One classical query."""
         self.shape.require(v)
         self.ledger.record_classical()
-        return instance_membership(self._inst, v)
+        return _membership(self._inst, v)
 
     def peek(self, v: Vertex) -> bool:
         self.shape.require(v)
-        return instance_membership(self._inst, v)
+        return _membership(self._inst, v)
 
 
 def simulate_value_via_membership(
@@ -164,7 +172,7 @@ def simulate_value_via_membership(
     mw = meta.walk_dims
     assert mw is not None
     clock_shape = meta.clock_shape
-    t = snake_rank(clock_shape, v[mw:]) - 1
+    t = _snake_rank(clock_shape.k, v[mw:]) - 1
     if t == 0:
         return 2 * meta.T if v == meta.start else 2 * meta.T - 1
     b = (l1_distance(v[:mw], meta.start[:mw]) - t) % 2

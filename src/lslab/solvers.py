@@ -26,8 +26,17 @@ import math
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 
-from .grid import GridShape, Vertex, l1_distance, neighbors, snake_rank, snake_unrank
+from .grid import (
+    GridShape,
+    Vertex,
+    _neighbors,
+    _snake_rank,
+    l1_distance,
+    neighbors,
+    snake_unrank,
+)
 from .oracles import QueryLedger, ValueOracle
 
 
@@ -56,8 +65,8 @@ class SolveResult:
 
 def verify_local_min(oracle: ValueOracle, v: Vertex) -> bool:
     """Uncharged exhaustive neighbor check of local minimality."""
-    fv = oracle.peek(v)
-    return all(oracle.peek(w) >= fv for w in neighbors(oracle.shape, v))
+    fv = oracle.peek(v)  # validates v, so its neighbors need no check
+    return all(oracle.peek(w) >= fv for w in _neighbors(oracle.shape.k, v))
 
 
 class _Memo:
@@ -77,16 +86,16 @@ class _Memo:
 def _descend(oracle: ValueOracle, start: Vertex, memo: _Memo | None = None):
     """Follow the decreasing path: repeatedly move to the minimum-value
     neighbor while it improves strictly.  Returns (local minimum, moves)."""
-    shape = oracle.shape
+    k = oracle.shape.k
     val = memo if memo is not None else _Memo(oracle)
     v = start
-    fv = val(v)
+    fv = val(v)  # the charged query validates start
     moves = 0
     while True:
         best = None
         best_key = None
-        for w in neighbors(shape, v):
-            key = (val(w), snake_rank(shape, w))
+        for w in _neighbors(k, v):
+            key = (val(w), _snake_rank(k, w))
             if best_key is None or key < best_key:
                 best_key = key
                 best = w
@@ -112,6 +121,12 @@ def steepest_descent(oracle: ValueOracle, start: Vertex) -> SolveResult:
     )
 
 
+def _check_eps(eps: float) -> None:
+    # the charge's ceil(log2(1/eps)) is undefined at eps <= 0 and 0 at eps >= 1
+    if not 0 < eps < 1:
+        raise ValueError(f"error budget must lie strictly between 0 and 1, got eps={eps}")
+
+
 def durr_hoyer_min(
     values,
     eps: float,
@@ -126,6 +141,7 @@ def durr_hoyer_min(
     faithful mode the call instead returns a uniformly random non-minimal
     index with probability eps (when a non-minimal index exists).
     """
+    _check_eps(eps)
     values = list(values)
     if not values:
         raise ValueError("minimum of an empty sequence")
@@ -156,6 +172,7 @@ def grover_exists(
     queries, nothing for an empty collection (the vacuous answer is False).
     In faithful mode the answer is flipped with probability eps.
     """
+    _check_eps(eps)
     items = list(items)
     if not items:
         return False
@@ -249,6 +266,7 @@ class RegionState:
             return False
         return all(l1_distance(v, c) <= r for c, r in self.constraints)
 
+    @cached_property
     def _uw_rect(self) -> tuple[int, int, int, int]:
         ulo, uhi = 2, 2 * self.n
         wlo, whi = 1 - self.n, self.n - 1
@@ -259,7 +277,7 @@ class RegionState:
         return ulo, uhi, wlo, whi
 
     def _w_range(self, u: int) -> tuple[int, int]:
-        _, _, wlo, whi = self._uw_rect()
+        _, _, wlo, whi = self._uw_rect
         lo = max(wlo, 2 - u, u - 2 * self.n)
         hi = min(whi, u - 2, 2 * self.n - u)
         if lo > hi:
@@ -272,7 +290,7 @@ class RegionState:
         return lo, hi
 
     def count(self) -> int:
-        ulo, uhi, _, _ = self._uw_rect()
+        ulo, uhi, _, _ = self._uw_rect
         total = 0
         for u in range(ulo, uhi + 1):
             lo, hi = self._w_range(u)
@@ -282,25 +300,23 @@ class RegionState:
 
     def sampler(self, rng: random.Random):
         """Exact uniform sampling via per-diagonal cumulative counts."""
-        ulo, uhi, _, _ = self._uw_rect()
-        us: list[int] = []
+        ulo, uhi, _, _ = self._uw_rect
         cums: list[int] = []
+        # per nonempty diagonal: u, its lowest w, and the count before it
+        diagonals: list[tuple[int, int, int]] = []
         total = 0
         for u in range(ulo, uhi + 1):
             lo, hi = self._w_range(u)
             if lo <= hi:
+                diagonals.append((u, lo, total))
                 total += (hi - lo) // 2 + 1
-                us.append(u)
                 cums.append(total)
         if total == 0:
             raise ValueError("empty region")
 
         def draw() -> Vertex:
             target = rng.randrange(total)
-            idx = bisect_right(cums, target)
-            u = us[idx]
-            before = cums[idx - 1] if idx else 0
-            lo, _ = self._w_range(u)
+            u, lo, before = diagonals[bisect_right(cums, target)]
             w = lo + 2 * (target - before)
             return ((u + w) // 2, (u - w) // 2)
 
@@ -323,7 +339,7 @@ class RegionState:
     def vertices(self) -> list[Vertex]:
         """Direct enumeration; for tests and small regions only."""
         out = []
-        ulo, uhi, _, _ = self._uw_rect()
+        ulo, uhi, _, _ = self._uw_rect
         for u in range(ulo, uhi + 1):
             lo, hi = self._w_range(u)
             for w in range(lo, hi + 1, 2):

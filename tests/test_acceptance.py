@@ -403,8 +403,8 @@ def _hardness_rows():
         "construction: descent queries carry a degree factor that grows with "
         "n across the T range (slope ~1.2, outside 1.0 +/- 0.1), and the "
         "snake clock's chord adjacencies let a returning walk shortcut the "
-        "trajectory, undercutting 2T on rare seeds; see notes/decisions and "
-        "the companion exhibit test"
+        "trajectory, undercutting 2T on rare seeds; see the README paragraph "
+        "'One criterion is implemented twice' and the companion exhibit test"
     ),
 )
 def test_criterion_10_hardness_literal():

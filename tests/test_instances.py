@@ -7,8 +7,11 @@ import math
 import pytest
 
 from lslab.errors import BudgetExceeded, InstanceFormatError
-from lslab.grid import GridShape, l1_distance, neighbors, snake_rank
+from lslab.cli import main
+from lslab.grid import GridShape, l1_distance, neighbors, snake_rank, snake_unrank
 from lslab.instances import (
+    _replay_grid,
+    _replay_hypercube,
     BlockLayout,
     block_layout,
     clock_metadata,
@@ -276,3 +279,69 @@ class TestInstanceFiles:
         path.write_text("not json {")
         with pytest.raises(InstanceFormatError):
             load_instance(str(path))
+
+    @pytest.mark.parametrize("data", [[], 7, {"params": []}], ids=repr)
+    def test_not_an_instance_object(self, tmp_path, data):
+        if isinstance(data, dict):
+            data = dict(instance_to_dict(gen_hypercube_instance(5, 2, seed=1)), **data)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(InstanceFormatError):
+            load_instance(str(path))
+
+    def test_truncated_walk_rejected(self, tmp_path):
+        # two steps cut and the endpoint edited to match the shorter walk
+        data = instance_to_dict(gen_hypercube_instance(5, 2, seed=1))
+        flips = data["step_sequence"][:-2]
+        walk = [1, 1]
+        for f in flips:
+            walk[f] = 3 - walk[f]
+        data["step_sequence"] = flips
+        data["endpoint"] = walk + list(snake_unrank(GridShape(2, 3), len(flips)))
+        with pytest.raises(InstanceFormatError):
+            instance_from_dict(data)
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps(data))
+        assert main(["solve", "--inst", str(path), "--algo", "steepest"]) == 2
+
+    def test_replay_needs_one_step_per_tick(self):
+        with pytest.raises(InstanceFormatError):
+            _replay_hypercube(5, 2, (0, 1) * 3, seed=None)  # 8 ticks
+        with pytest.raises(InstanceFormatError):
+            _replay_hypercube(5, 2, (0, 1) * 5, seed=None)
+        with pytest.raises(InstanceFormatError):
+            _replay_grid(4, 2, 1, (1, -1, 1), seed=None)  # 4 ticks
+        with pytest.raises(InstanceFormatError):
+            _replay_grid(4, 2, 0, (1, -1, 1, 1), seed=None)
+
+    @pytest.mark.parametrize(
+        "inst, key",
+        [
+            (gen_hypercube_instance(5, 2, seed=1), "m"),
+            (gen_hypercube_instance(5, 2, seed=1), "n"),
+            (gen_grid_instance(4, 2, 1, seed=2), "d"),
+            (gen_grid_instance(4, 2, 1, seed=2), "m"),
+            (gen_block_instance(9, 2, 0.5, seed=3), "d"),
+            (gen_block_instance(9, 2, 0.5, seed=3), "r"),
+        ],
+        ids=lambda p: p if isinstance(p, str) else p.family,
+    )
+    def test_missing_or_mistyped_param_rejected(self, tmp_path, inst, key):
+        data = instance_to_dict(inst)
+        del data["params"][key]
+        with pytest.raises(InstanceFormatError):
+            instance_from_dict(data)
+        data["params"][key] = "2"
+        with pytest.raises(InstanceFormatError):
+            instance_from_dict(data)
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(data))
+        assert main(["solve", "--inst", str(path), "--algo", "steepest"]) == 2
+
+    @pytest.mark.parametrize("bad", ["1", 0.5, None, [0]], ids=repr)
+    def test_non_integer_step_rejected(self, bad):
+        for inst in (gen_hypercube_instance(5, 2, seed=1), gen_grid_instance(4, 2, 1, seed=2)):
+            data = instance_to_dict(inst)
+            data["step_sequence"][3] = bad
+            with pytest.raises(InstanceFormatError):
+                instance_from_dict(data)

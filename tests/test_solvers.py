@@ -112,18 +112,31 @@ class TestChargedSubroutines:
         assert grover_exists([], lambda x: True, 0.25, led) is False
         assert led.charged_quantum_queries == 0
 
-    def test_exists_always_flipped_at_unit_error(self):
-        rng = random.Random(1)
+    def test_exists_flipped_whenever_failure_fires(self):
+        class AlwaysFails(random.Random):
+            def random(self):  # every draw lands below eps
+                return 0.0
+
+        rng = AlwaysFails(1)
         led = QueryLedger()
         for _ in range(50):
             assert (
-                grover_exists([1], lambda x: x == 1, 1.0, led, rng=rng, faithful=True)
+                grover_exists([1], lambda x: x == 1, 0.5, led, rng=rng, faithful=True)
                 is False
             )
             assert (
-                grover_exists([1], lambda x: x == 2, 1.0, led, rng=rng, faithful=True)
+                grover_exists([1], lambda x: x == 2, 0.5, led, rng=rng, faithful=True)
                 is True
             )
+
+    @pytest.mark.parametrize("eps", [0, 1, 1.5])
+    def test_eps_outside_open_unit_interval_rejected(self, eps):
+        led = QueryLedger()
+        with pytest.raises(ValueError):
+            durr_hoyer_min([3, 1], eps, led)
+        with pytest.raises(ValueError):
+            grover_exists([1], lambda x: True, eps, led)
+        assert led.charged_quantum_queries == 0
 
 
 class TestSampleThenDescend:
