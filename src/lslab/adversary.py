@@ -18,8 +18,10 @@ quarter powers for odd grid walk dimensions).  They are kept symbolic as
 products of prime powers with rational exponents; sums of such terms have a
 canonical form (distinct radical monomials are linearly independent over the
 rationals), so scheme validity and bound-value equality are exact, never
-floating point.  Floats appear only in reported decimals and in the ordering
-scan, where exact equality breaks ties first.
+floating point.  Floats appear only in reported decimals and in the scan
+that shortlists the candidates within a relative 1e-9 of the float minimum;
+the shortlist is then compared exactly (canonical-form equality, then
+high-precision decimals), so the reported radicand is the certified minimum.
 
 Enumeration and table construction are single-threaded; the resulting tables
 are immutable and the min/max scans are pure.
@@ -30,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from math import ceil
+from math import ceil, inf, lcm
 
 from .errors import BudgetExceeded
 from .grid import GridShape, Vertex
@@ -456,8 +458,9 @@ class WeightScheme:
 def build_scheme(kind: str, family: PathFamily, relation: Relation) -> WeightScheme:
     """Weight tables over the relation.
 
-    w(X, Y) = 1 / #{Z : Z diverges from X exactly where Y does}; the count is
-    verified against the enumerated family.
+    w(X, Y) = 1 / #{Z : Z diverges from X exactly where Y does}, which is
+    1 / prefix_class_size(family, k) for the divergence index k; pairs with
+    the same k share one weight object.
     """
     if kind not in (RANDOMIZED, QUANTUM_HYPERCUBE, QUANTUM_GRID):
         raise ValueError(f"unknown scheme kind {kind!r}")
@@ -465,24 +468,15 @@ def build_scheme(kind: str, family: PathFamily, relation: Relation) -> WeightSch
         raise ValueError("hypercube scheme on a non-hypercube family")
     if kind == QUANTUM_GRID and family.kind != GRID_KIND:
         raise ValueError("grid scheme on a non-grid family")
+    by_k = [Fraction(1, prefix_class_size(family, k)) for k in range(family.T + 1)]
     w = {}
     diverge = {}
-    class_counts: dict[tuple[int, int], int] = {}
     for ix, iy in relation.pairs:
         k = diverge_index(family.walks[ix], family.walks[iy])
         if k is None:
             raise ValueError("relation contains an identical pair")
         diverge[(ix, iy)] = k
-        key = (ix, k)
-        if key not in class_counts:
-            count = sum(
-                1
-                for z in family.walks
-                if diverge_index(family.walks[ix], z) == k
-            )
-            assert count == prefix_class_size(family, k)
-            class_counts[key] = count
-        w[(ix, iy)] = Fraction(1, class_counts[key])
+        w[(ix, iy)] = by_k[k]
     return WeightScheme(kind=kind, family=family, relation=relation, w=w, diverge=diverge)
 
 
@@ -496,19 +490,55 @@ def differing_positions(family: PathFamily, pair: tuple[int, int]) -> list[Verte
     return sorted(x.point_set.symmetric_difference(y.point_set))
 
 
+def _uv_valid(checked: dict, w, u: Surd, v: Surd) -> bool:
+    """u * v >= w^2, checked exactly, once per distinct (w, u, v).
+
+    `checked` maps the objects' ids to the objects themselves, which keeps
+    them alive so an id cannot be reused; memoized schemes hand out shared
+    objects, so the product is formed once per (weight, survival, holder).
+    """
+    key = (id(w), id(u), id(v))
+    if key in checked:
+        return True
+    prod = u * v
+    if prod.is_rational:
+        ok = prod.as_fraction() >= w * w
+    else:  # pragma: no cover - no such scheme here
+        ok = float(prod) >= float(w * w)
+    if ok:
+        checked[key] = (w, u, v)
+    return ok
+
+
 def scheme_is_valid(scheme: WeightScheme) -> bool:
     """u * v >= w^2 at every pair and differing position, checked exactly."""
+    checked: dict = {}
     for pair in scheme.relation.pairs:
-        w2 = Fraction(scheme.w[pair]) ** 2
+        w = scheme.w[pair]
         for pos in differing_positions(scheme.family, pair):
             u, v = scheme.uv(pair, pos)
-            prod = u * v
-            if prod.is_rational:
-                if prod.as_fraction() < w2:
-                    return False
-            elif float(prod) < float(w2):  # pragma: no cover - no such scheme here
+            if not _uv_valid(checked, w, u, v):
                 return False
     return True
+
+
+def _scaled_weight_sums(scheme: WeightScheme):
+    """The relation's weights as integers over their common denominator.
+
+    Returns (scale, weights, row, col): weights[pair] = w(pair) * scale, and
+    row[x] / col[y] are the scaled sums of w over the pairs (x, .) / (., y).
+    """
+    pairs = scheme.relation.pairs
+    scale = lcm(*{scheme.w[pair].denominator for pair in pairs})
+    weights = {}
+    row: dict[int, int] = {}
+    col: dict[int, int] = {}
+    for pair in pairs:
+        w = scheme.w[pair]
+        weights[pair] = scaled = w.numerator * (scale // w.denominator)
+        row[pair[0]] = row.get(pair[0], 0) + scaled
+        col[pair[1]] = col.get(pair[1], 0) + scaled
+    return scale, weights, row, col
 
 
 @dataclass(frozen=True)
@@ -529,36 +559,42 @@ def relational_adversary_value(scheme: WeightScheme) -> RelationalBound:
     max(w_x / w_{x,i}, w_y / w_{y,i}).
 
     The scheme must carry positive weights on every relation pair; the
-    randomized scheme (u = v = w) is the intended input.
+    randomized scheme (u = v = w) is the intended input.  The weights are
+    scaled to integers, so candidates compare by cross-multiplication; the
+    witness is the first minimal candidate in relation and position order.
     """
-    if not scheme.relation.pairs:
+    pairs = scheme.relation.pairs
+    if not pairs:
         raise ValueError("empty relation")
     if any(weight <= 0 for weight in scheme.w.values()):
         raise ValueError("weights must be positive")
     family = scheme.family
-    w_row: dict[int, Fraction] = {}
-    w_col: dict[int, Fraction] = {}
-    w_row_at: dict[tuple[int, Vertex], Fraction] = {}
-    w_col_at: dict[tuple[int, Vertex], Fraction] = {}
-    for pair in scheme.relation.pairs:
+    _, weights, row, col = _scaled_weight_sums(scheme)
+    row_at: dict[tuple[int, Vertex], int] = {}
+    col_at: dict[tuple[int, Vertex], int] = {}
+    pair_positions = []
+    for pair in pairs:
         ix, iy = pair
-        weight = scheme.w[pair]
-        w_row[ix] = w_row.get(ix, Fraction(0)) + weight
-        w_col[iy] = w_col.get(iy, Fraction(0)) + weight
-        for pos in differing_positions(family, pair):
-            w_row_at[(ix, pos)] = w_row_at.get((ix, pos), Fraction(0)) + weight
-            w_col_at[(iy, pos)] = w_col_at.get((iy, pos), Fraction(0)) + weight
-    best: Fraction | None = None
+        weight = weights[pair]
+        positions = differing_positions(family, pair)
+        pair_positions.append(positions)
+        for pos in positions:
+            row_at[ix, pos] = row_at.get((ix, pos), 0) + weight
+            col_at[iy, pos] = col_at.get((iy, pos), 0) + weight
+    best_num, best_den = 1, 0  # +infinity
     witness = None
-    for pair in scheme.relation.pairs:
+    for pair, positions in zip(pairs, pair_positions):
         ix, iy = pair
-        for pos in differing_positions(family, pair):
-            cand = max(w_row[ix] / w_row_at[(ix, pos)], w_col[iy] / w_col_at[(iy, pos)])
-            if best is None or cand < best:
-                best = cand
+        x_all, y_all = row[ix], col[iy]
+        for pos in positions:
+            x_at, y_at = row_at[ix, pos], col_at[iy, pos]
+            # max(x_all / x_at, y_all / y_at)
+            num, den = (x_all, x_at) if x_all * y_at >= y_all * x_at else (y_all, y_at)
+            if num * best_den < best_num * den:
+                best_num, best_den = num, den
                 witness = BoundWitness(ix, iy, pos)
-    assert best is not None and witness is not None
-    return RelationalBound(value=best, witness=witness)
+    assert witness is not None
+    return RelationalBound(value=Fraction(best_num, best_den), witness=witness)
 
 
 @dataclass(frozen=True)
@@ -579,47 +615,133 @@ class QuantumBound:
         return f"sqrt(({self.radicand_num}) / ({self.radicand_den})) ~= {self.value:.6g}"
 
 
+#: Relative width of the float shortlist.  The scan's float radicands are
+#: within a few ulps of the exact ones, so nothing outside it can be minimal.
+_SHORTLIST_TOL = 1e-9
+
+
+def _summed(terms: dict) -> tuple[dict, dict]:
+    """Each key's tallied terms as a SurdSum, and that sum's float.
+
+    Adding the terms in first-seen order keeps the order (and so the float)
+    that adding them one position at a time would give.  Keys whose sums
+    have the same terms in the same order share one SurdSum object, so one
+    object stands for one exact value and one float.
+    """
+    by_tally: dict = {}
+    by_form: dict = {}
+    sums, floats = {}, {}
+    for key, cell in terms.items():
+        tally = tuple((ident, entry[1]) for ident, entry in cell.items())
+        hit = by_tally.get(tally)
+        if hit is None:
+            total = SurdSum()
+            for surd, count in cell.values():
+                total.add(Surd(surd.coef * count, surd.mono))
+            form = tuple(total._terms.items())
+            hit = by_tally[tally] = by_form.setdefault(form, (total, float(total)))
+        sums[key], floats[key] = hit
+    return sums, floats
+
+
+def _decimal(value: SurdSum, digits: int):
+    """A Decimal within a relative 10^(5-digits) of a sum of positive terms."""
+    from decimal import Decimal, localcontext
+
+    with localcontext() as ctx:
+        ctx.prec = digits
+        total = Decimal(0)
+        for mono, coef in value._terms.items():
+            term = Decimal(coef.numerator) / coef.denominator
+            for prime, e in mono:
+                term *= (Decimal(prime).ln() * e.numerator / e.denominator).exp()
+            total += term
+    return total
+
+
+def _compare_ratios(num_a: SurdSum, den_a: SurdSum, num_b: SurdSum, den_b: SurdSum) -> int:
+    """Sign of num_a/den_a - num_b/den_b for sums of positive terms, exactly.
+
+    Equal canonical forms of the cross products mean equal values; otherwise
+    the values differ, and decimals at rising precision separate them.
+    """
+    lhs, rhs = num_a * den_b, num_b * den_a
+    if lhs == rhs:
+        return 0
+    for digits in (50, 100, 200, 400, 800, 1600):
+        a, b = _decimal(lhs, digits), _decimal(rhs, digits)
+        if abs(a - b) > (a + b).scaleb(10 - digits):
+            return 1 if a > b else -1
+    raise ArithmeticError(f"cannot separate {lhs} from {rhs}")
+
+
 def quantum_adversary_value(scheme: WeightScheme) -> QuantumBound:
     """Exact-radicand evaluation of the quantum bound.
 
-    Refuses schemes that fail the u*v >= w^2 validity gate.  The minimum is
-    located by float comparison with exact-equality tie handling; the
-    returned radicand itself is exact.
+    Refuses schemes that fail the u*v >= w^2 validity gate, checked during
+    the same pass that sums u and v.  A float scan shortlists the candidates
+    within a relative 1e-9 of the float minimum; among them the radicand is
+    minimized exactly, so the returned radicand is the certified minimum.
+    When several candidates share it exactly, the witness is the one with
+    the smallest float(num) / float(den), the first in relation and position
+    order among equal floats.
     """
-    if not scheme.relation.pairs:
+    pairs = scheme.relation.pairs
+    if not pairs:
         raise ValueError("empty relation")
-    if not scheme_is_valid(scheme):
-        raise ValueError("scheme violates u*v >= w^2")
-    family = scheme.family
-    w_row: dict[int, Fraction] = {}
-    w_col: dict[int, Fraction] = {}
-    u_at: dict[tuple[int, Vertex], SurdSum] = {}
-    v_at: dict[tuple[int, Vertex], SurdSum] = {}
-    for pair in scheme.relation.pairs:
+    family, uv = scheme.family, scheme.uv
+    scale, _, row, col = _scaled_weight_sums(scheme)
+    checked: dict = {}
+    u_terms: dict[tuple[int, Vertex], dict] = {}
+    v_terms: dict[tuple[int, Vertex], dict] = {}
+    pair_positions = []
+    for pair in pairs:
         ix, iy = pair
-        weight = scheme.w[pair]
-        w_row[ix] = w_row.get(ix, Fraction(0)) + weight
-        w_col[iy] = w_col.get(iy, Fraction(0)) + weight
-        for pos in differing_positions(family, pair):
-            u, v = scheme.uv(pair, pos)
-            u_at.setdefault((ix, pos), SurdSum()).add(u)
-            v_at.setdefault((iy, pos), SurdSum()).add(v)
-    best_key: float | None = None
-    best: tuple[SurdSum, SurdSum, BoundWitness] | None = None
-    for pair in scheme.relation.pairs:
+        w = scheme.w[pair]
+        positions = differing_positions(family, pair)
+        pair_positions.append(positions)
+        for pos in positions:
+            u, v = uv(pair, pos)
+            if not _uv_valid(checked, w, u, v):
+                raise ValueError("scheme violates u*v >= w^2")
+            # per (walk, position): each distinct term object and its count
+            u_terms.setdefault((ix, pos), {}).setdefault(id(u), [u, 0])[1] += 1
+            v_terms.setdefault((iy, pos), {}).setdefault(id(v), [v, 0])[1] += 1
+    u_at, u_float = _summed(u_terms)
+    v_at, v_float = _summed(v_terms)
+
+    best, limit = inf, inf
+    shortlist = []
+    for pair, positions in zip(pairs, pair_positions):
         ix, iy = pair
-        for pos in differing_positions(family, pair):
-            num = SurdSum.of(w_row[ix] * w_col[iy])
-            den = u_at[(ix, pos)] * v_at[(iy, pos)]
-            key = float(num) / float(den)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = (num, den, BoundWitness(ix, iy, pos))
-    assert best is not None and best_key is not None
-    num, den, witness = best
+        top = (row[ix] / scale) * (col[iy] / scale)
+        for pos in positions:
+            key = top / (u_float[ix, pos] * v_float[iy, pos])
+            if key <= limit:
+                shortlist.append((key, pair, pos))
+                if key < best:
+                    best, limit = key, key * (1 + _SHORTLIST_TOL)
+                    shortlist = [c for c in shortlist if c[0] <= limit]
+
+    # candidates with the same scaled numerator and the same u and v sums
+    # have the same radicand and float key, so only the first can win
+    seen = set()
+    win = None
+    for _, (ix, iy), pos in shortlist:
+        top, u_sum, v_sum = row[ix] * col[iy], u_at[ix, pos], v_at[iy, pos]
+        if (top, id(u_sum), id(v_sum)) in seen:
+            continue
+        seen.add((top, id(u_sum), id(v_sum)))
+        num = SurdSum.of(Fraction(top, scale * scale))
+        den = u_sum * v_sum
+        key = float(num) / float(den)
+        if win is not None:
+            order = _compare_ratios(num, den, win[0], win[1])
+            if order > 0 or (order == 0 and not key < win[2]):
+                continue
+        win = (num, den, key, BoundWitness(ix, iy, pos))
+    assert win is not None
+    num, den, key, witness = win
     return QuantumBound(
-        radicand_num=num,
-        radicand_den=den,
-        value=(float(num) / float(den)) ** 0.5,
-        witness=witness,
+        radicand_num=num, radicand_den=den, value=key**0.5, witness=witness
     )

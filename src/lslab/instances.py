@@ -777,9 +777,11 @@ def save_instance(inst: WalkInstance, path: str) -> None:
 
 
 def load_instance(path: str) -> WalkInstance:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InstanceFormatError(f"not valid JSON: {exc}") from exc
+    except OSError as exc:
+        raise InstanceFormatError(f"cannot read instance: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise InstanceFormatError(f"not valid JSON: {exc}") from exc
     return instance_from_dict(data)

@@ -224,51 +224,44 @@ class LineWalkTable:
         return Fraction(max(max(row) for row in self.counts[t]), 1 << t)
 
 
+def _line_step(row: list[int]) -> list[int]:
+    """One more step of the short walk, applied to one row of path counts.
+
+    A blocked move at either end stands still, so the end points keep their
+    own mass as well as their neighbour's."""
+    return [row[0] + row[1], *map(int.__add__, row, row[2:]), row[-2] + row[-1]]
+
+
 def line_walk_table(n: int, t_max: int) -> LineWalkTable:
     """Dynamic-programming table of short-walk distributions up to t_max."""
     if n < 2:
         raise ValueError("the short walk needs at least two points")
     if t_max < 0:
         raise ValueError("negative horizon")
-    layers = []
     layer = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    layers.append(tuple(tuple(row) for row in layer))
+    layers = [tuple(map(tuple, layer))]
     for _ in range(t_max):
-        nxt = [[0] * n for _ in range(n)]
-        for i in range(n):
-            row = layer[i]
-            out = nxt[i]
-            for j, c in enumerate(row):
-                if c:
-                    out[j - 1 if j > 0 else 0] += c  # blocked left move stands still
-                    out[j + 1 if j < n - 1 else j] += c
-        layers.append(tuple(tuple(row) for row in nxt))
-        layer = nxt
+        layer = [_line_step(row) for row in layer]
+        layers.append(tuple(map(tuple, layer)))
     return LineWalkTable(n=n, t_max=t_max, counts=tuple(layers))
 
 
 def line_walk_max_counts(n: int, t_max: int) -> list[int]:
     """max_ij of the t-step path counts, for t = 0..t_max, streamed.
 
-    Same recurrence as line_walk_table but keeping one layer, so long
+    The same layer step as line_walk_table, keeping one layer so long
     horizons (envelope checks out to 4n^2 steps) stay in bounded memory.
-    The probability envelope at time t is the returned count over 2^t.
+    The walk is symmetric under i -> n+1-i, so row n-1-i of a layer is row i
+    reversed and only rows 0..(n-1)//2 are kept.  The probability envelope
+    at time t is the returned count over 2^t.
     """
     if n < 2:
         raise ValueError("the short walk needs at least two points")
-    layer = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    layer = [[1 if i == j else 0 for j in range(n)] for i in range((n + 1) // 2)]
     maxima = [1]
     for _ in range(t_max):
-        nxt = [[0] * n for _ in range(n)]
-        for i in range(n):
-            row = layer[i]
-            out = nxt[i]
-            for j, c in enumerate(row):
-                if c:
-                    out[j - 1 if j > 0 else 0] += c
-                    out[j + 1 if j < n - 1 else j] += c
-        layer = nxt
-        maxima.append(max(max(row) for row in layer))
+        layer = [_line_step(row) for row in layer]
+        maxima.append(max(map(max, layer)))
     return maxima
 
 

@@ -12,6 +12,7 @@ from lslab.adversary import (
     QUANTUM_HYPERCUBE,
     RANDOMIZED,
     PathFamily,
+    Relation,
     Surd,
     SurdSum,
     WeightScheme,
@@ -410,3 +411,122 @@ class TestQuantumBound:
         )
         assert a.radicand_equals(b)
         assert a.value == pytest.approx(b.value, rel=1e-12)
+
+
+def test_prefix_class_size_matches_enumeration():
+    families = [(HYPERCUBE_KIND, m, T) for m in (2, 3) for T in (1, 3)]
+    families += [(GRID_KIND, m, T) for m in (1, 2) for T in range(5)]
+    for args in families:
+        fam = enumerate_paths(*args)
+        for x in fam.walks:
+            counts = [0] * (fam.T + 1)
+            for z in fam.walks:
+                k = diverge_index(x, z)
+                if k is not None:
+                    counts[k] += 1
+            assert counts == [prefix_class_size(fam, k) for k in range(fam.T + 1)], args
+
+
+# ---------------------------------------------------------------------------
+# the evaluators against a plain re-statement of their definitions
+# ---------------------------------------------------------------------------
+
+
+def reference_quantum(scheme):
+    """One exact product per candidate, then the float minimum in iteration
+    order: the straightforward evaluation the fast scan must reproduce."""
+    fam = scheme.family
+    w_row, w_col, u_at, v_at = {}, {}, {}, {}
+    for pair in scheme.relation.pairs:
+        ix, iy = pair
+        w = scheme.w[pair]
+        w_row[ix] = w_row.get(ix, Fraction(0)) + w
+        w_col[iy] = w_col.get(iy, Fraction(0)) + w
+        for pos in differing_positions(fam, pair):
+            u, v = scheme.uv(pair, pos)
+            u_at.setdefault((ix, pos), SurdSum()).add(u)
+            v_at.setdefault((iy, pos), SurdSum()).add(v)
+    best = None
+    for pair in scheme.relation.pairs:
+        ix, iy = pair
+        for pos in differing_positions(fam, pair):
+            num = SurdSum.of(w_row[ix] * w_col[iy])
+            den = u_at[(ix, pos)] * v_at[(iy, pos)]
+            key = float(num) / float(den)
+            if best is None or key < best[0]:
+                best = (key, num, den, (ix, iy, pos))
+    return best
+
+
+def reference_relational(scheme):
+    wx, wy, wxi, wyi = naive_marginals(scheme.family, scheme.relation, scheme.w)
+    best = None
+    for ix, iy in scheme.relation.pairs:
+        for pos in differing_positions(scheme.family, (ix, iy)):
+            cand = max(wx[ix] / wxi[(ix, pos)], wy[iy] / wyi[(iy, pos)])
+            if best is None or cand < best[0]:
+                best = (cand, (ix, iy, pos))
+    return best
+
+
+REFERENCE_FAMILIES = [
+    (HYPERCUBE_KIND, 2, 1),
+    (HYPERCUBE_KIND, 2, 3),
+    (HYPERCUBE_KIND, 3, 1),
+] + [(GRID_KIND, m, T) for m in (1, 2) for T in range(5)]
+
+
+@pytest.mark.parametrize(
+    "fam_args", REFERENCE_FAMILIES, ids=lambda a: f"{a[0]}-m{a[1]}-T{a[2]}"
+)
+def test_evaluators_match_reference(fam_args):
+    fam = enumerate_paths(*fam_args)
+    rel = endpoint_relation(fam)
+    kind = QUANTUM_HYPERCUBE if fam.kind == HYPERCUBE_KIND else QUANTUM_GRID
+    got = quantum_adversary_value(build_scheme(kind, fam, rel))
+    key, num, den, where = reference_quantum(build_scheme(kind, fam, rel))
+    assert str(got.radicand_num) == str(num)
+    assert str(got.radicand_den) == str(den)
+    assert (got.witness.x_index, got.witness.y_index, got.witness.position) == where
+    assert got.value == key**0.5
+
+    randomized = build_scheme(RANDOMIZED, fam, rel)
+    got_rel = relational_adversary_value(randomized)
+    value, where = reference_relational(randomized)
+    assert got_rel.value == value
+    assert (got_rel.witness.x_index, got_rel.witness.y_index, got_rel.witness.position) == where
+
+
+def test_certification_beats_a_float_tie():
+    # one pair of unit weight; u*v is a rational a hair below sqrt(2) at the
+    # first differing position and exactly sqrt(2) at the second, so the two
+    # radicands 1/(u*v) round to one float and only an exact comparison
+    # finds the minimum, 2^(-1/2), at the second position
+    fam = enumerate_paths(HYPERCUBE_KIND, 2, 1)
+    rel = endpoint_relation(fam)
+    base = build_scheme(RANDOMIZED, fam, rel)
+    pair = rel.pairs[0]
+    first, second, *rest = differing_positions(fam, pair)
+    root2 = Surd.power(2, Fraction(1, 2))
+    below = Fraction(14142135623730950488, 10**19)  # sqrt(2) = 1.41421356237309504880...
+    assert float(below) == float(root2)
+    one = Surd.of(1)
+    table = {first: (Surd.of(below), one), second: (root2, one)}
+    table.update({pos: (one, one) for pos in rest})
+
+    class Crafted(WeightScheme):
+        def uv(self, pair, pos):
+            return table[pos]
+
+    scheme = Crafted(
+        kind=RANDOMIZED,
+        family=fam,
+        relation=Relation(pairs=(pair,)),
+        w={pair: Fraction(1)},
+        diverge={pair: base.diverge[pair]},
+    )
+    assert reference_quantum(scheme)[3][2] == first  # the float minimum alone
+    got = quantum_adversary_value(scheme)
+    assert got.witness.position == second
+    assert got.radicand_num == SurdSum.of(1)
+    assert got.radicand_den == SurdSum.of(root2)

@@ -138,6 +138,13 @@ class TestCli:
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["bench", "--config", str(tmp_path / "missing.json")]) == 2
 
+    @pytest.mark.parametrize("name", ["missing.json", "."])
+    def test_unreadable_instance_exits_2(self, tmp_path, capsys, name):
+        # a nonexistent file and a directory both fail to open
+        path = str(tmp_path / name)
+        assert main(["solve", "--inst", path, "--algo", "steepest"]) == 2
+        assert "cannot read instance" in capsys.readouterr().err
+
     def test_bad_cell_param_exits_2(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"cells": [{"family": "nope", "algo": "steepest", "n": 4}]}))

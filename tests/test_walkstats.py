@@ -192,10 +192,14 @@ class TestLineWalk:
     def test_streaming_maxima_match_table(self):
         from lslab.walkstats import line_walk_max_counts
 
-        for n in (2, 3, 5):
-            table = line_walk_table(n, 12)
-            maxima = line_walk_max_counts(n, 12)
-            for t in range(13):
+        # horizons out to the 4n^2 of the envelope check; the streamed
+        # maxima keep only half the rows, so odd and even n both matter
+        for n in (2, 3, 4, 5, 8):
+            horizon = 4 * n * n
+            table = line_walk_table(n, horizon)
+            maxima = line_walk_max_counts(n, horizon)
+            assert len(maxima) == horizon + 1
+            for t in range(horizon + 1):
                 assert maxima[t] == max(max(row) for row in table.counts[t])
 
     @given(st.integers(2, 6), st.integers(0, 9))
