@@ -29,7 +29,6 @@ from .solvers import (
     durr_hoyer_min,
     grid2d_quantum,
     grover_exists,
-    l1_sphere,
     sample_then_descend,
     steepest_descent,
 )

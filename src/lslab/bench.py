@@ -18,6 +18,7 @@ import math
 import random
 import time
 from dataclasses import dataclass
+from functools import partial
 
 from .errors import ConfigError
 from .grid import GridShape, Vertex, l1_distance, snake_unrank
@@ -163,7 +164,7 @@ def _smooth_oracle(n: int, d: int, seed: int) -> tuple[ValueOracle, Vertex]:
     rng = random.Random(seed)
     center = snake_unrank(shape, rng.randrange(shape.vertex_count) + 1)
     start = snake_unrank(shape, rng.randrange(shape.vertex_count) + 1)
-    return ValueOracle(shape, lambda v: l1_distance(v, center)), start
+    return ValueOracle(shape, partial(l1_distance, center)), start
 
 
 def run_trial(cell: ExperimentCell, seed: int) -> SolveResult:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 from dataclasses import asdict
 
@@ -26,9 +25,8 @@ from .adversary import (
     quantum_adversary_value,
     relational_adversary_value,
 )
-from .bench import ExperimentConfig, rows_to_csv, run_experiment
+from .bench import ExperimentConfig, _smooth_oracle, rows_to_csv, run_experiment
 from .errors import ConfigError, InstanceFormatError
-from .grid import GridShape, Vertex, l1_distance, snake_unrank
 from .instances import (
     BLOCKS,
     GRID,
@@ -64,18 +62,6 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _builtin_oracle(args) -> tuple[ValueOracle, Vertex]:
-    if args.function != "l1-cone":
-        raise ConfigError(f"unknown builtin function {args.function!r}")
-    if args.n is None:
-        raise ConfigError("builtin functions need --n")
-    shape = GridShape(args.n, args.d if args.d else 2)
-    rng = random.Random(args.seed)
-    center = snake_unrank(shape, rng.randrange(shape.vertex_count) + 1)
-    start = snake_unrank(shape, rng.randrange(shape.vertex_count) + 1)
-    return ValueOracle(shape, lambda v: l1_distance(v, center)), start
-
-
 def _cmd_solve(args) -> int:
     if (args.inst is None) == (args.function is None):
         raise ConfigError("pass exactly one of --inst or --function")
@@ -84,7 +70,12 @@ def _cmd_solve(args) -> int:
         oracle = ValueOracle.for_instance(inst)
         start = inst.start
     else:
-        oracle, start = _builtin_oracle(args)
+        # l1-cone is bench's smooth-l1 function: same n, d and seed, same oracle
+        if args.function != "l1-cone":
+            raise ConfigError(f"unknown builtin function {args.function!r}")
+        if args.n is None:
+            raise ConfigError("builtin functions need --n")
+        oracle, start = _smooth_oracle(args.n, args.d if args.d else 2, args.seed)
 
     if args.algo == "steepest":
         result = steepest_descent(oracle, start)

@@ -16,6 +16,9 @@ A vertex is validated once, where it enters lslab: the public functions
 against the grid and raise ``ValueError`` when it lies outside.  Past that
 point lslab calls the ``_``-prefixed helpers (``_snake_rank``, ``_neighbors``,
 ``_value``, ``_membership``), which trust their input and check nothing.
+``ValueOracle._peek`` is the trusted form of ``peek`` (uncharged, unchecked)
+for vertices lslab made itself: grid2d's region draws and sphere vertices,
+which lie in the grid by construction.
 """
 
 from __future__ import annotations
@@ -90,7 +93,7 @@ class ValueOracle:
         ledger: QueryLedger | None = None,
     ) -> None:
         self.shape = shape
-        self._fn = fn
+        self._peek = fn  # trusted: lslab-made vertices only, no check, no charge
         self.ledger = ledger if ledger is not None else QueryLedger()
 
     @classmethod
@@ -115,12 +118,12 @@ class ValueOracle:
         """Evaluate the function at v; one classical query."""
         self.shape.require(v)
         self.ledger.record_classical()
-        return self._fn(v)
+        return self._peek(v)
 
     def peek(self, v: Vertex) -> int:
         """Uncharged read; see the module docstring for when this is allowed."""
         self.shape.require(v)
-        return self._fn(v)
+        return self._peek(v)
 
 
 class MembershipOracle:

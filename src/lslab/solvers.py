@@ -28,15 +28,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
-from .grid import (
-    GridShape,
-    Vertex,
-    _neighbors,
-    _snake_rank,
-    l1_distance,
-    neighbors,
-    snake_unrank,
-)
+from .grid import Vertex, _neighbors, _snake_rank, l1_distance, snake_unrank
 from .oracles import QueryLedger, ValueOracle
 
 
@@ -92,16 +84,15 @@ def _descend(oracle: ValueOracle, start: Vertex, memo: _Memo | None = None):
     fv = val(v)  # the charged query validates start
     moves = 0
     while True:
-        best = None
-        best_key = None
-        for w in _neighbors(k, v):
-            key = (val(w), _snake_rank(k, w))
-            if best_key is None or key < best_key:
-                best_key = key
-                best = w
-        if best is None or best_key[0] >= fv:
+        nbrs = _neighbors(k, v)  # grids have side >= 2, so never empty
+        vals = [val(w) for w in nbrs]
+        best = min(vals)
+        if best >= fv:
             return v, moves
-        v, fv = best, best_key[0]
+        # snake ranks only break ties, so only the tied neighbors need one
+        ties = [w for w, x in zip(nbrs, vals) if x == best]
+        v = min(ties, key=lambda w: _snake_rank(k, w)) if len(ties) > 1 else ties[0]
+        fv = best
         moves += 1
 
 
@@ -147,7 +138,7 @@ def durr_hoyer_min(
         raise ValueError("minimum of an empty sequence")
     size = len(values)
     ledger.record_quantum(math.ceil(math.sqrt(size)) * math.ceil(math.log2(1 / eps)))
-    best = min(range(size), key=lambda i: (values[i], i))
+    best = values.index(min(values))
     if faithful:
         if rng is None:
             raise ValueError("faithful mode needs an rng")
@@ -213,7 +204,7 @@ def sample_then_descend(
     with oracle.ledger.phase("sample"):
         if charging == "classical":
             values = [memo(v) for v in drawn]
-            best = min(range(samples), key=lambda i: (values[i], i))
+            best = values.index(min(values))
         else:
             values = [oracle.peek(v) for v in drawn]
             best = durr_hoyer_min(values, eps, oracle.ledger)
@@ -299,41 +290,54 @@ class RegionState:
         return total
 
     def sampler(self, rng: random.Random):
-        """Exact uniform sampling via per-diagonal cumulative counts."""
+        """Exact uniform sampling via per-diagonal cumulative counts.
+
+        A batch ``draw(count)`` reads the ``randrange`` stream: each target t
+        is ``rng.randrange(total)`` by its ``getrandbits`` rejection rule, and
+        the vertex drawn is ``vertices()[t]``.
+        """
         ulo, uhi, _, _ = self._uw_rect
         cums: list[int] = []
-        # per nonempty diagonal: u, its lowest w, and the count before it
-        diagonals: list[tuple[int, int, int]] = []
+        # per nonempty diagonal: (a, b) with target t at (t + a, b - t)
+        offsets: list[tuple[int, int]] = []
         total = 0
         for u in range(ulo, uhi + 1):
             lo, hi = self._w_range(u)
             if lo <= hi:
-                diagonals.append((u, lo, total))
+                offsets.append(((u + lo) // 2 - total, (u - lo) // 2 + total))
                 total += (hi - lo) // 2 + 1
                 cums.append(total)
         if total == 0:
             raise ValueError("empty region")
+        getrandbits, bits = rng.getrandbits, total.bit_length()
 
-        def draw() -> Vertex:
-            target = rng.randrange(total)
-            u, lo, before = diagonals[bisect_right(cums, target)]
-            w = lo + 2 * (target - before)
-            return ((u + w) // 2, (u - w) // 2)
+        def draw(count: int) -> list[Vertex]:
+            out: list[Vertex] = []
+            append = out.append
+            for _ in range(count):
+                t = getrandbits(bits)
+                while t >= total:
+                    t = getrandbits(bits)
+                a, b = offsets[bisect_right(cums, t)]
+                append((t + a, b - t))
+            return out
 
         return draw, total
 
     def sphere(self, center: Vertex, radius: int) -> list[Vertex]:
-        """Region vertices at exact l1 distance ``radius`` from center."""
+        """Region vertices at exact l1 distance ``radius`` from center, by
+        increasing x, and for each x the larger y first."""
         if radius < 0:
             raise ValueError("negative radius")
+        n = self.n
+        ulo, uhi, wlo, whi = self._uw_rect
         cx, cy = center
         out = []
-        for dx in range(-radius, radius + 1):
-            rem = radius - abs(dx)
-            for dy in (rem, -rem) if rem else (0,):
-                v = (cx + dx, cy + dy)
-                if self.contains(v):
-                    out.append(v)
+        for x in range(max(cx - radius, 1), min(cx + radius, n) + 1):
+            rem = radius - abs(x - cx)
+            for y in (cy + rem, cy - rem) if rem else (cy,):
+                if 1 <= y <= n and ulo <= x + y <= uhi and wlo <= x - y <= whi:
+                    out.append((x, y))
         return out
 
     def vertices(self) -> list[Vertex]:
@@ -348,21 +352,10 @@ class RegionState:
 
     def boundary(self) -> set[Vertex]:
         """Region vertices adjacent to a grid vertex outside the region."""
-        shape = GridShape(self.n, 2) if self.n >= 2 else None
-        out = set()
-        for v in self.vertices():
-            if shape is None:
-                continue
-            for w in neighbors(shape, v):
-                if not self.contains(w):
-                    out.add(v)
-                    break
-        return out
-
-
-def l1_sphere(center: Vertex, radius: int, region: RegionState) -> list[Vertex]:
-    """All region vertices at exact l1 distance ``radius`` from ``center``."""
-    return region.sphere(center, radius)
+        return {
+            v for v in self.vertices()
+            if not all(self.contains(w) for w in _neighbors(self.n, v))
+        }
 
 
 @dataclass(frozen=True)
@@ -433,12 +426,13 @@ def grid2d_quantum(
     trace: list[RoundRecord] = []
     failed = False
 
+    peek = oracle._peek  # region draws and sphere vertices lie in the grid
     while radius > math.sqrt(n) and rounds < round_cap:
         draw, region_size = region.sampler(rng)
         sample_size = math.ceil(4 * region_size / radius * math.log2(1 / eps1))
         with ledger.phase("sample-min"):
-            drawn = [draw() for _ in range(sample_size)]
-            values = [oracle.peek(v) for v in drawn]
+            drawn = draw(sample_size)
+            values = [peek(v) for v in drawn]
             best = durr_hoyer_min(values, eps2, ledger, rng=rng, faithful=faithful)
         candidate, candidate_value = drawn[best], values[best]
         if anchor is None or not anchor_value < candidate_value:
@@ -452,7 +446,7 @@ def grid2d_quantum(
                 sphere = region.sphere(anchor, m_new)
                 below = grover_exists(
                     sphere,
-                    lambda w: oracle.peek(w) < anchor_value,
+                    lambda w: peek(w) < anchor_value,
                     eps4,
                     ledger,
                     rng=rng,

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from lslab import bench, cli
 from lslab.bench import (
+    ExperimentCell,
     ExperimentConfig,
     fit_loglog_slope,
     rows_to_csv,
@@ -13,6 +15,7 @@ from lslab.bench import (
 )
 from lslab.errors import ConfigError
 from lslab.cli import main
+from lslab.solvers import steepest_descent
 
 
 SMALL_CONFIG = {
@@ -134,6 +137,31 @@ class TestCli:
         )
         assert code == 0
         assert "outcome=success" in capsys.readouterr().out
+
+    def test_builtin_cone_is_bench_smooth_l1(self, monkeypatch, capsys):
+        # the CLI's l1-cone and a bench smooth-l1 cell with the same n, d and
+        # seed hand the solver the same start and the same function
+        seen = []
+
+        def capture(oracle, start):
+            seen.append((oracle, start))
+            return steepest_descent(oracle, start)
+
+        monkeypatch.setattr(cli, "steepest_descent", capture)
+        monkeypatch.setattr(bench, "steepest_descent", capture)
+        argv = ["solve", "--function", "l1-cone", "--n", "6", "--d", "3", "--seed", "5"]
+        assert main(argv + ["--algo", "steepest"]) == 0
+        bench.run_trial(ExperimentCell(family="smooth-l1", algo="steepest", n=6, d=3), 5)
+        (cli_oracle, cli_start), (bench_oracle, bench_start) = seen
+        assert cli_start == bench_start
+        assert cli_oracle.shape == bench_oracle.shape
+        assert [cli_oracle.peek(v) for v in cli_oracle.shape.iter_vertices()] == [
+            bench_oracle.peek(v) for v in bench_oracle.shape.iter_vertices()
+        ]
+
+    def test_builtin_without_n_exits_2(self, capsys):
+        assert main(["solve", "--function", "l1-cone", "--algo", "steepest"]) == 2
+        assert "builtin functions need --n" in capsys.readouterr().err
 
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["bench", "--config", str(tmp_path / "missing.json")]) == 2

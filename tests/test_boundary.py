@@ -89,9 +89,25 @@ def _regions():
             yield region
 
 
+def _edge_regions():
+    # at totals of 1 and of exact powers of two, total.bit_length() exceeds
+    # (total - 1).bit_length(): randrange rejects half of its draws there, and
+    # a sampler drawing one bit fewer would read a different stream
+    yield RegionState(n=5).with_ball((3, 3), 0), 1
+    yield RegionState(n=2).with_ball((1, 1), 1).with_ball((2, 2), 1), 2
+    yield RegionState(n=2), 4
+    yield RegionState(n=4).with_ball((1, 2), 2), 8
+    yield RegionState(n=4), 16
+    yield RegionState(n=6).with_ball((2, 3), 5), 32
+    yield RegionState(n=16), 256
+
+
 def test_region_draws_follow_the_enumeration_order():
-    # pins the draw -> vertex map that byte-identical bench CSVs depend on
-    for region in _regions():
+    # pins the draw -> vertex map that byte-identical bench CSVs depend on:
+    # one batched draw reads the same stream as repeated randrange calls
+    edges = list(_edge_regions())
+    assert [region.count() for region, _ in edges] == [total for _, total in edges]
+    for region in [region for region, _ in edges] + list(_regions()):
         vertices = region.vertices()
         assert region.count() == len(vertices)
         rng = random.Random(region.n * 1000 + region.round_index)
@@ -99,8 +115,12 @@ def test_region_draws_follow_the_enumeration_order():
         clone.setstate(rng.getstate())
         draw, total = region.sampler(rng)
         assert total == len(vertices)
-        drawn = [draw() for _ in range(200)]
+        drawn = draw(200)
         assert drawn == [vertices[clone.randrange(total)] for _ in range(200)]
+        # the stream carries on across batches, as it does across randrange calls
+        assert draw(3) + draw(0) + draw(5) == [
+            vertices[clone.randrange(total)] for _ in range(8)
+        ]
 
 
 def test_import_does_not_load_numpy():

@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lslab.grid import GridShape, l1_distance, neighbors
 from lslab.instances import gen_grid_instance, gen_hypercube_instance
@@ -14,7 +16,6 @@ from lslab.solvers import (
     durr_hoyer_min,
     grid2d_quantum,
     grover_exists,
-    l1_sphere,
     sample_then_descend,
     steepest_descent,
     verify_local_min,
@@ -69,6 +70,27 @@ class TestSteepestDescent:
         oracle = ValueOracle.from_table(shape, {(1,): 0, (2,): 1, (3,): 0})
         result = steepest_descent(oracle, (2,))
         assert result.found == (1,)
+
+    def test_tie_break_reads_every_neighbor_first(self):
+        # from (2,2) the neighbors come as (1,2), (3,2), (2,1), (2,3); (1,2)
+        # and (2,1) tie for the minimum, and (2,1) has the lower snake rank
+        # (2 against 6), so the descent moves there although it is read later
+        table = {
+            (1, 1): 3, (2, 1): 1, (3, 1): 3,
+            (1, 2): 1, (2, 2): 5, (3, 2): 4,
+            (1, 3): 9, (2, 3): 4, (3, 3): 9,
+        }
+        read = set()
+
+        def fn(v):
+            read.add(v)
+            return table[v]
+
+        result = steepest_descent(ValueOracle(GridShape(3, 2), fn), (2, 2))
+        assert result.found == (2, 1)
+        assert result.rounds == 1
+        # (2,2) and its 4 neighbors, then the 2 new neighbors of (2,1)
+        assert result.classical_queries == len(read) == 7
 
 
 class TestChargedSubroutines:
@@ -212,21 +234,40 @@ class TestRegionState:
         region = RegionState(n=5).with_ball((3, 3), 2)
         draw, total = region.sampler(random.Random(0))
         assert total == region.count()
-        seen = {draw() for _ in range(800)}
+        seen = set(draw(800))
         assert seen == set(region.vertices())
 
     def test_sphere_examples(self):
         region3 = RegionState(n=3)
-        assert sorted(l1_sphere((1, 1), 1, region3)) == [(1, 2), (2, 1)]
-        assert l1_sphere((2, 2), 0, region3) == [(2, 2)]
+        assert sorted(region3.sphere((1, 1), 1)) == [(1, 2), (2, 1)]
+        assert region3.sphere((2, 2), 0) == [(2, 2)]
         region9 = RegionState(n=9)
-        assert len(l1_sphere((5, 5), 2, region9)) == 8
+        assert len(region9.sphere((5, 5), 2)) == 8
 
     def test_sphere_respects_constraints(self):
         region = RegionState(n=9).with_ball((5, 5), 2)
-        pts = l1_sphere((5, 5), 2, region)
+        pts = region.sphere((5, 5), 2)
         assert all(region.contains(v) for v in pts)
-        assert not l1_sphere((5, 5), 3, region)
+        assert not region.sphere((5, 5), 3)
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_sphere_equals_brute_force(self, data):
+        n = data.draw(st.integers(2, 40))
+        coord = st.integers(1, n)
+        region = RegionState(n=n)
+        for _ in range(data.draw(st.integers(0, 4))):
+            region = region.with_ball((data.draw(coord), data.draw(coord)),
+                                      data.draw(st.integers(0, 2 * n)))
+        cx, cy = data.draw(coord), data.draw(coord)
+        for r in range(2 * n + 1):
+            # the whole l1 sphere in Z^2, by increasing x, larger y first
+            candidates = [
+                (cx + dx, cy + dy)
+                for dx in range(-r, r + 1)
+                for dy in ((r - abs(dx), abs(dx) - r) if abs(dx) < r else (0,))
+            ]
+            assert region.sphere((cx, cy), r) == [v for v in candidates if region.contains(v)]
 
     def test_grid_boundary_empty(self):
         assert RegionState(n=6).boundary() == set()
