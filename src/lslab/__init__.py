@@ -14,7 +14,6 @@ from .instances import (
     gen_block_instance,
     gen_grid_instance,
     gen_hypercube_instance,
-    instance_endpoint,
     instance_membership,
     instance_value,
     load_instance,

@@ -259,6 +259,8 @@ def enumerate_paths(
     """
     if T < 0:
         raise ValueError("T must be nonnegative")
+    if m < 1:
+        raise ValueError(f"walk dimensions need m >= 1, got m={m}")
     if kind == HYPERCUBE_KIND:
         count = m ** (T + 1)
         if count > limit:
@@ -501,10 +503,13 @@ def _uv_valid(checked: dict, w, u: Surd, v: Surd) -> bool:
     if key in checked:
         return True
     prod = u * v
-    if prod.is_rational:
-        ok = prod.as_fraction() >= w * w
-    else:  # pragma: no cover - no such scheme here
-        ok = float(prod) >= float(w * w)
+    # both sides to the power q, the lcm of the radical exponents'
+    # denominators (1 when u*v is rational), make the comparison rational
+    q = lcm(*(e.denominator for _, e in prod.mono))
+    lhs = prod.coef**q
+    for prime, e in prod.mono:
+        lhs *= prime ** int(e * q)
+    ok = lhs >= (w * w) ** q
     if ok:
         checked[key] = (w, u, v)
     return ok

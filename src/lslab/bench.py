@@ -13,48 +13,24 @@ rather than ignored.
 from __future__ import annotations
 
 import io
-import json
 import math
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
+from typing import Callable, Mapping
 
 from .errors import ConfigError
 from .grid import GridShape, Vertex, l1_distance, snake_unrank
-from .instances import (
-    BLOCKS,
-    GRID,
-    HYPERCUBE,
-    gen_block_instance,
-    gen_grid_instance,
-    gen_hypercube_instance,
-)
+from .instances import PARAM_TYPES, WalkInstance, family_params, read_json, typed_param
 from .oracles import ValueOracle
 from .solvers import SolveResult, grid2d_quantum, sample_then_descend, steepest_descent
 
 SMOOTH = "smooth-l1"
 
-FAMILIES = (HYPERCUBE, GRID, BLOCKS, SMOOTH)
 ALGORITHMS = ("steepest", "sample-descend", "grid2d-quantum")
 MODES = ("exact", "faithful")
-
-CSV_COLUMNS = (
-    "family",
-    "n",
-    "d",
-    "m_or_r",
-    "algo",
-    "mode",
-    "seed",
-    "classical_queries",
-    "charged_quantum_queries",
-    "outcome",
-    "is_local_min",
-    "rounds",
-    "runtime_ms",
-)
-
+OPTIONAL_INT = (int, type(None))
 
 @dataclass(frozen=True)
 class ExperimentCell:
@@ -69,35 +45,28 @@ class ExperimentCell:
     seed_start: int = 0
     trials: int = 1
 
-    _FIELDS = (
-        "family",
-        "algo",
-        "n",
-        "mode",
-        "d",
-        "m",
-        "r",
-        "samples",
-        "seed_start",
-        "trials",
-    )
-
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentCell":
-        unknown = set(data) - set(cls._FIELDS)
+        """A checked cell; every error, a missing size parameter included, is
+        a ConfigError raised here, before any trial runs."""
+        if not isinstance(data, dict):
+            raise ConfigError(f"a cell is a JSON object, got {data!r}")
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown cell keys: {sorted(unknown)}")
         try:
             cell = cls(**data)
         except TypeError as exc:
             raise ConfigError(f"bad cell: {exc}") from exc
-        if cell.family not in FAMILIES:
-            raise ConfigError(f"unknown family {cell.family!r}")
         if cell.algo not in ALGORITHMS:
             raise ConfigError(f"unknown algo {cell.algo!r}")
         if cell.mode not in MODES:
             raise ConfigError(f"unknown mode {cell.mode!r}")
-        if cell.trials < 1:
+        params = vars(cell)
+        make_oracle(cell.family, params)
+        typed_param(params, "samples", OPTIONAL_INT, ConfigError)
+        typed_param(params, "seed_start", (int,), ConfigError)
+        if typed_param(params, "trials", (int,), ConfigError) < 1:
             raise ConfigError("trials must be positive")
         return cell
 
@@ -108,6 +77,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
+        if not isinstance(data, dict):
+            raise ConfigError("a config is one JSON object")
         unknown = set(data) - {"cells"}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -118,14 +89,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path: str) -> "ExperimentConfig":
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
-        return cls.from_dict(data)
+        return cls.from_dict(read_json(path, ConfigError, "config"))
 
 
 @dataclass(frozen=True)
@@ -159,6 +123,10 @@ class ResultRow:
         return vals
 
 
+#: CSV columns, in order: the row's fields.
+CSV_COLUMNS = tuple(f.name for f in fields(ResultRow))
+
+
 def _smooth_oracle(n: int, d: int, seed: int) -> tuple[ValueOracle, Vertex]:
     shape = GridShape(n, d)
     rng = random.Random(seed)
@@ -167,39 +135,46 @@ def _smooth_oracle(n: int, d: int, seed: int) -> tuple[ValueOracle, Vertex]:
     return ValueOracle(shape, partial(l1_distance, center)), start
 
 
-def run_trial(cell: ExperimentCell, seed: int) -> SolveResult:
-    """One (cell, seed) run with a fresh oracle and ledger."""
-    if cell.family == SMOOTH:
-        d = cell.d if cell.d is not None else 2
-        oracle, start = _smooth_oracle(cell.n, d, seed)
-    else:
-        if cell.family == HYPERCUBE:
-            if cell.m is None:
-                raise ConfigError("hypercube cells need m")
-            inst = gen_hypercube_instance(cell.n, cell.m, seed)
-        elif cell.family == GRID:
-            if cell.d is None or cell.m is None:
-                raise ConfigError("grid cells need d and m")
-            inst = gen_grid_instance(cell.n, cell.d, cell.m, seed)
-        else:
-            if cell.d is None or cell.r is None:
-                raise ConfigError("block cells need d and r")
-            inst = gen_block_instance(cell.n, cell.d, cell.r, seed)
-        oracle = ValueOracle.for_instance(inst)
-        start = inst.start
+def instance_oracle(inst: WalkInstance) -> tuple[ValueOracle, Vertex]:
+    return ValueOracle.for_instance(inst), inst.start
 
-    if cell.algo == "steepest":
+
+def make_oracle(family: str, params: Mapping) -> Callable[[int], tuple[ValueOracle, Vertex]]:
+    """Check a family's size parameters (smooth-l1: n and an optional d,
+    default 2) and return seed -> (oracle, start); ConfigError otherwise."""
+    if family == SMOOTH:
+        n = typed_param(params, "n", PARAM_TYPES["n"], ConfigError)
+        d = typed_param(params, "d", OPTIONAL_INT, ConfigError)
+        return partial(_smooth_oracle, n, 2 if d is None else d)
+    spec, args = family_params(family, params, ConfigError)
+    return lambda seed: instance_oracle(spec.generate(*args, seed))
+
+
+def solve(
+    oracle: ValueOracle, start: Vertex, algo: str, seed: int,
+    mode: str = "exact", samples: int | None = None, charging: str = "classical",
+) -> SolveResult:
+    """The one algorithm dispatch behind ``lslab solve`` and bench; without
+    `samples`, sample-descend draws min(|V|, ceil(sqrt(2 l |V|)))."""
+    if algo == "steepest":
         return steepest_descent(oracle, start)
-    if cell.algo == "sample-descend":
-        samples = cell.samples
+    if algo == "sample-descend":
         if samples is None:
             shape = oracle.shape
             samples = min(
                 shape.vertex_count,
                 math.ceil(math.sqrt(shape.vertex_count * 2 * shape.l)),
             )
-        return sample_then_descend(oracle, samples, seed, charging="classical")
-    return grid2d_quantum(oracle, seed, mode=cell.mode)
+        return sample_then_descend(oracle, samples, seed, charging=charging)
+    if algo == "grid2d-quantum":
+        return grid2d_quantum(oracle, seed, mode=mode)
+    raise ConfigError(f"unknown algo {algo!r}")
+
+
+def run_trial(cell: ExperimentCell, seed: int) -> SolveResult:
+    """One (cell, seed) run with a fresh oracle and ledger."""
+    oracle, start = make_oracle(cell.family, vars(cell))(seed)
+    return solve(oracle, start, cell.algo, seed, cell.mode, cell.samples)
 
 
 def run_experiment(config: ExperimentConfig) -> list[ResultRow]:

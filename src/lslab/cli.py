@@ -25,38 +25,16 @@ from .adversary import (
     quantum_adversary_value,
     relational_adversary_value,
 )
-from .bench import ExperimentConfig, _smooth_oracle, rows_to_csv, run_experiment
+from .bench import ALGORITHMS, MODES, SMOOTH, ExperimentConfig, instance_oracle, make_oracle
+from .bench import rows_to_csv, run_experiment, solve
 from .errors import ConfigError, InstanceFormatError
-from .instances import (
-    BLOCKS,
-    GRID,
-    HYPERCUBE,
-    gen_block_instance,
-    gen_grid_instance,
-    gen_hypercube_instance,
-    load_instance,
-    save_instance,
-)
-from .oracles import ValueOracle
-from .solvers import grid2d_quantum, sample_then_descend, steepest_descent
+from .instances import FAMILIES, family_params, load_instance, save_instance
 from .walkstats import line_walk_table, parity_prob_table
 
 
 def _cmd_gen(args) -> int:
-    if args.family == HYPERCUBE:
-        if args.m is None:
-            raise ConfigError("hypercube-walk needs --m")
-        inst = gen_hypercube_instance(args.n, args.m, args.seed)
-    elif args.family == GRID:
-        if args.d is None or args.m is None:
-            raise ConfigError("grid-walk needs --d and --m")
-        inst = gen_grid_instance(args.n, args.d, args.m, args.seed)
-    elif args.family == BLOCKS:
-        if args.d is None or args.r is None:
-            raise ConfigError("grid-blocks needs --d and --r")
-        inst = gen_block_instance(args.n, args.d, args.r, args.seed)
-    else:
-        raise ConfigError(f"unknown family {args.family!r}")
+    family, params = family_params(args.family, vars(args), ConfigError)
+    inst = family.generate(*params, args.seed)
     save_instance(inst, args.out)
     print(f"wrote {args.family} instance ({len(inst.trajectory)} points) to {args.out}")
     return 0
@@ -66,30 +44,16 @@ def _cmd_solve(args) -> int:
     if (args.inst is None) == (args.function is None):
         raise ConfigError("pass exactly one of --inst or --function")
     if args.inst is not None:
-        inst = load_instance(args.inst)
-        oracle = ValueOracle.for_instance(inst)
-        start = inst.start
+        oracle, start = instance_oracle(load_instance(args.inst))
     else:
-        # l1-cone is bench's smooth-l1 function: same n, d and seed, same oracle
-        if args.function != "l1-cone":
-            raise ConfigError(f"unknown builtin function {args.function!r}")
+        # l1-cone, the one --function choice, is bench's smooth-l1 function:
+        # same n, d and seed, same oracle
         if args.n is None:
             raise ConfigError("builtin functions need --n")
-        oracle, start = _smooth_oracle(args.n, args.d if args.d else 2, args.seed)
+        oracle, start = make_oracle(SMOOTH, vars(args))(args.seed)
 
-    if args.algo == "steepest":
-        result = steepest_descent(oracle, start)
-    elif args.algo == "sample-descend":
-        samples = args.samples
-        if samples is None:
-            raise ConfigError("sample-descend needs --samples")
-        charging = "quantum" if args.quantum_charging else "classical"
-        result = sample_then_descend(oracle, samples, args.seed, charging=charging)
-    elif args.algo == "grid2d-quantum":
-        result = grid2d_quantum(oracle, args.seed, mode=args.mode)
-    else:
-        raise ConfigError(f"unknown algo {args.algo!r}")
-
+    charging = "quantum" if args.quantum_charging else "classical"
+    result = solve(oracle, start, args.algo, args.seed, args.mode, args.samples, charging)
     if args.json:
         payload = asdict(result)
         payload["found"] = list(result.found)
@@ -154,8 +118,11 @@ def _cmd_bench(args) -> int:
     rows = run_experiment(config)
     csv_text = rows_to_csv(rows)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(csv_text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(csv_text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write CSV: {exc}") from exc
         print(f"wrote {len(rows)} rows to {args.out}", file=sys.stderr)
     else:
         sys.stdout.write(csv_text)
@@ -170,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate an instance file")
-    p.add_argument("--family", required=True, choices=[HYPERCUBE, GRID, BLOCKS])
+    p.add_argument("--family", required=True, choices=list(FAMILIES))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int)
     p.add_argument("--m", type=int)
@@ -184,12 +151,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--function", choices=["l1-cone"])
     p.add_argument("--n", type=int)
     p.add_argument("--d", type=int)
-    p.add_argument(
-        "--algo",
-        required=True,
-        choices=["steepest", "sample-descend", "grid2d-quantum"],
-    )
-    p.add_argument("--mode", choices=["exact", "faithful"], default="exact")
+    p.add_argument("--algo", required=True, choices=ALGORITHMS)
+    p.add_argument("--mode", choices=MODES, default="exact")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int)
     p.add_argument("--quantum-charging", action="store_true")

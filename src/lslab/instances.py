@@ -19,6 +19,11 @@ is re-aimed inward instead of standing still; a standing-still step would
 duplicate a trajectory point and break both self-avoidance and the
 membership-to-value reduction.
 
+The ``FAMILIES`` registry holds each family's ordered, typed size parameters,
+generator, replay and trusted value and membership functions; ``lslab gen``,
+bench, the loader, the oracles and ``verify_instance`` dispatch through it,
+and ``family_params`` is the one parameter check they share.
+
 Seeding: one ``random.Random(seed)`` (Mersenne Twister) drives each
 generation; the parameters plus the seed determine the instance byte for
 byte.  Hypercube flips use ``randrange(m)`` (one call per tick) and sign
@@ -33,9 +38,10 @@ import json
 import math
 import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import partial
+from typing import Callable, Mapping, NamedTuple
 
-from .errors import BudgetExceeded, InstanceFormatError
+from .errors import BudgetExceeded, ConfigError, InstanceFormatError
 from .grid import (
     DEFAULT_SCAN_LIMIT,
     GridShape,
@@ -81,6 +87,8 @@ def _floor_power(n: int, r: float) -> int:
 def block_layout(n: int, d: int, r: float) -> BlockLayout:
     if d < 2:
         raise ValueError("block instances need d >= 2")
+    if n < 2:
+        raise ValueError("block instances need n >= 2")
     if not 0.0 < r < 1.0:
         raise ValueError("block exponent r must lie strictly between 0 and 1")
     alpha = _floor_power(n, r)
@@ -115,6 +123,8 @@ class WalkInstance:
     2(T+1) points and ``walk_positions[s]`` is the walk part after s steps,
     giving O(1) membership from the clock coordinate alone.  Block instances
     instead carry a full point -> value map (linear in trajectory length).
+    An off-trajectory vertex is valued at its distance to the start plus
+    ``off_path_base``: 2T for the walk families, 2 * stride * L for blocks.
     """
 
     family: str
@@ -129,26 +139,10 @@ class WalkInstance:
     start: Vertex
     endpoint: Vertex
     trajectory: tuple[Vertex, ...]
+    off_path_base: int
     walk_positions: tuple[Vertex, ...] | None = None
     block: BlockLayout | None = None
     value_by_vertex: dict | None = None
-
-    @property
-    def walk_dims(self) -> int:
-        if self.m is None:
-            raise ValueError("no walk/clock split for this family")
-        return self.m
-
-    @cached_property
-    def clock_shape(self) -> GridShape:
-        return GridShape(self.shape.k, self.shape.l - self.walk_dims)
-
-    @cached_property
-    def max_on_path_value(self) -> int:
-        if self.family == BLOCKS:
-            assert self.block is not None
-            return self.block.stride * self.block.iterations
-        return 2 * self.T
 
 
 # ---------------------------------------------------------------------------
@@ -176,8 +170,8 @@ def _build_walk_instance(
     T = len(steps) - 1
     positions = [start_walk]
     w = start_walk
-    for s in steps:
-        w = apply_step(w, s)
+    for t, s in enumerate(steps):
+        w = apply_step(w, t, s)
         positions.append(w)
     trajectory = []
     for t in range(T + 1):
@@ -197,11 +191,12 @@ def _build_walk_instance(
         start=trajectory[0],
         endpoint=trajectory[-1],
         trajectory=tuple(trajectory),
+        off_path_base=2 * T,
         walk_positions=tuple(positions),
     )
 
 
-def _hypercube_step(w: Vertex, flip: int) -> Vertex:
+def _hypercube_step(w: Vertex, t: int, flip: int) -> Vertex:
     return w[:flip] + (3 - w[flip],) + w[flip + 1 :]
 
 
@@ -233,16 +228,12 @@ def gen_hypercube_instance(
     return _replay_hypercube(n, m, steps, seed)
 
 
-def _grid_step_factory(n: int, m: int):
-    def step(w: Vertex, signed_dim: int) -> Vertex:
-        dim, sign = divmod(signed_dim, 2)
-        delta = 1 if sign else -1
-        c = w[dim] + delta
-        if not 1 <= c <= n:
-            c = w[dim] - delta  # barrier: re-aim inward, never stand still
-        return w[:dim] + (c,) + w[dim + 1 :]
-
-    return step
+def _grid_step(n: int, m: int, w: Vertex, t: int, sign: int) -> Vertex:
+    dim = t % m
+    c = w[dim] + sign
+    if not 1 <= c <= n:
+        c = w[dim] - sign  # barrier: re-aim inward, never stand still
+    return w[:dim] + (c,) + w[dim + 1 :]
 
 
 def _replay_grid(
@@ -253,21 +244,8 @@ def _replay_grid(
     shape = GridShape(n, d)
     if any(s not in (-1, 1) for s in steps):
         raise InstanceFormatError("grid steps must be signs -1/+1")
-    packed = tuple((t % m) * 2 + (1 if s == 1 else 0) for t, s in enumerate(steps))
-    inst = _build_walk_instance(
-        GRID,
-        shape,
-        m,
-        (n // 2,) * m,
-        packed,
-        _grid_step_factory(n, m),
-        n,
-        d,
-        seed,
-    )
-    # store the caller-facing sign sequence, not the packed encoding
-    object.__setattr__(inst, "steps", steps)
-    return inst
+    step = partial(_grid_step, n, m)
+    return _build_walk_instance(GRID, shape, m, (n // 2,) * m, steps, step, n, d, seed)
 
 
 def gen_grid_instance(
@@ -281,8 +259,6 @@ def gen_grid_instance(
     """
     if not 1 <= m < d:
         raise ValueError(f"walk dimensions must satisfy 1 <= m < d, got m={m}, d={d}")
-    if n < 2:
-        raise ValueError("grid side must be at least 2")
     ticks = n ** (d - m)
     if 2 * ticks > max_trajectory:
         raise BudgetExceeded(f"trajectory of {2 * ticks} points exceeds {max_trajectory}")
@@ -373,6 +349,7 @@ def _replay_blocks(
         start=trajectory[0],
         endpoint=trajectory[-1],
         trajectory=tuple(trajectory),
+        off_path_base=2 * stride * L,
         block=lay,
         value_by_vertex=values,
     )
@@ -406,52 +383,108 @@ def _clock_tick(inst: WalkInstance, v: Vertex) -> int:
     return _snake_rank(inst.shape.k, v[inst.m :]) - 1
 
 
-def instance_membership(inst: WalkInstance, v: Vertex) -> bool:
-    """Whether v lies on the trajectory; O(1) from the clock coordinate."""
-    inst.shape.require(v)
-    return _membership(inst, v)
+# The trusted forms below take v to lie in inst.shape and check nothing.
 
 
-def _membership(inst: WalkInstance, v: Vertex) -> bool:
-    # trusts v to lie in inst.shape
-    if inst.family == BLOCKS:
-        assert inst.value_by_vertex is not None
-        return v in inst.value_by_vertex
-    assert inst.walk_positions is not None
+def _walk_membership(inst: WalkInstance, v: Vertex) -> bool:
     t = _clock_tick(inst, v)
     w = v[: inst.m]
     return w == inst.walk_positions[t] or w == inst.walk_positions[t + 1]
 
 
-def instance_value(inst: WalkInstance, v: Vertex) -> int:
-    """The induced function: strictly decreasing along the trajectory, with
-    every off-trajectory vertex valued by its distance to the start plus twice
-    the on-trajectory ceiling (so the descent funnels onto the path)."""
-    inst.shape.require(v)
-    return _value(inst, v)
-
-
-def _value(inst: WalkInstance, v: Vertex) -> int:
-    # trusts v to lie in inst.shape
-    if inst.family == BLOCKS:
-        assert inst.value_by_vertex is not None
-        hit = inst.value_by_vertex.get(v)
-        if hit is not None:
-            return hit
-        return l1_distance(v, inst.start) + 2 * inst.max_on_path_value
-    assert inst.walk_positions is not None
+def _walk_value(inst: WalkInstance, v: Vertex) -> int:
     t = _clock_tick(inst, v)
     w = v[: inst.m]
     if w == inst.walk_positions[t + 1]:
         return 2 * (inst.T - t) - 1
     if w == inst.walk_positions[t]:
         return 2 * (inst.T - t)
-    return l1_distance(v, inst.start) + 2 * inst.T
+    return l1_distance(v, inst.start) + inst.off_path_base
 
 
-def instance_endpoint(inst: WalkInstance) -> Vertex:
-    """The final trajectory point, the unique local minimum of the function."""
-    return inst.endpoint
+def _block_membership(inst: WalkInstance, v: Vertex) -> bool:
+    return v in inst.value_by_vertex
+
+
+def _block_value(inst: WalkInstance, v: Vertex) -> int:
+    hit = inst.value_by_vertex.get(v)
+    if hit is not None:
+        return hit
+    return l1_distance(v, inst.start) + inst.off_path_base
+
+
+# ---------------------------------------------------------------------------
+# the family registry
+# ---------------------------------------------------------------------------
+
+
+class Family(NamedTuple):
+    """A registry entry: the size parameters in the order ``generate(*params,
+    seed)`` and ``replay(*params, steps, seed)`` take them, and the trusted
+    value and membership functions."""
+
+    params: tuple[str, ...]
+    generate: Callable[..., WalkInstance]
+    replay: Callable[..., WalkInstance]
+    value: Callable[[WalkInstance, Vertex], int]
+    membership: Callable[[WalkInstance, Vertex], bool]
+
+
+#: The types each size parameter accepts.
+PARAM_TYPES = {"n": (int,), "d": (int,), "m": (int,), "r": (float, int)}
+
+_WALK = (_walk_value, _walk_membership)
+FAMILIES = {
+    HYPERCUBE: Family(("n", "m"), gen_hypercube_instance, _replay_hypercube, *_WALK),
+    GRID: Family(("n", "d", "m"), gen_grid_instance, _replay_grid, *_WALK),
+    BLOCKS: Family(
+        ("n", "d", "r"), gen_block_instance, _replay_blocks, _block_value, _block_membership
+    ),
+}
+
+
+def typed_param(params: Mapping, key: str, kinds: tuple[type, ...], error: type[Exception]):
+    """params[key] (None when missing) if its type is one of `kinds`, else
+    `error`.  Types match exactly, so a JSON true is not taken for 1."""
+    value = params.get(key)
+    if type(value) not in kinds:
+        names = " or ".join(kind.__name__ for kind in kinds)
+        raise error(f"{key} must be {names}, got {value!r}")
+    return value
+
+
+def family_params(name, params: Mapping, error: type[Exception]) -> tuple[Family, tuple]:
+    """The registered family `name` and its size parameters from `params`, in
+    order; the caller's `error` for an unknown family or a missing or
+    mistyped parameter."""
+    family = FAMILIES.get(name) if isinstance(name, str) else None
+    if family is None:
+        raise error(f"unknown family {name!r}")
+    return family, tuple(typed_param(params, k, PARAM_TYPES[k], error) for k in family.params)
+
+
+def _membership(inst: WalkInstance, v: Vertex) -> bool:
+    return FAMILIES[inst.family].membership(inst, v)
+
+
+def _value(inst: WalkInstance, v: Vertex) -> int:
+    return FAMILIES[inst.family].value(inst, v)
+
+
+def instance_membership(inst: WalkInstance, v: Vertex) -> bool:
+    """Whether v lies on the trajectory; O(1) from the clock coordinate."""
+    inst.shape.require(v)
+    return FAMILIES[inst.family].membership(inst, v)
+
+
+def instance_value(inst: WalkInstance, v: Vertex) -> int:
+    """The induced function: strictly decreasing along the trajectory, with
+    every off-trajectory vertex valued by its distance to the start plus
+    ``inst.off_path_base`` (2T for the walk families, one on-trajectory
+    ceiling; twice the ceiling for blocks), so the descent funnels onto the
+    path."""
+    inst.shape.require(v)
+    return FAMILIES[inst.family].value(inst, v)
 
 
 # ---------------------------------------------------------------------------
@@ -488,11 +521,13 @@ def verify_instance(
     point_set = set(points)
     self_avoiding = len(point_set) == len(points)
 
+    family = FAMILIES[inst.family]
+    value, membership = family.value, family.membership
     values: dict[Vertex, int] = {}
     membership_consistent = True
     for v in inst.shape.iter_vertices(scan_limit):
-        values[v] = _value(inst, v)
-        if _membership(inst, v) != (v in point_set):
+        values[v] = value(inst, v)
+        if membership(inst, v) != (v in point_set):
             membership_consistent = False
 
     k = inst.shape.k
@@ -601,19 +636,9 @@ class ClockMeta:
     walk_dims: int | None
     start: Vertex
     T: int
+    off_path_base: int
+    clock_shape: GridShape | None  # the clock axes of a walk family
     block: BlockLayout | None = None
-
-    @cached_property
-    def clock_shape(self) -> GridShape:
-        assert self.walk_dims is not None
-        return GridShape(self.shape.k, self.shape.l - self.walk_dims)
-
-    @property
-    def max_on_path_value(self) -> int:
-        if self.family == BLOCKS:
-            assert self.block is not None
-            return self.block.stride * self.block.iterations
-        return 2 * self.T
 
 
 def clock_metadata(inst: WalkInstance) -> ClockMeta:
@@ -623,6 +648,8 @@ def clock_metadata(inst: WalkInstance) -> ClockMeta:
         walk_dims=inst.m,
         start=inst.start,
         T=inst.T,
+        off_path_base=inst.off_path_base,
+        clock_shape=None if inst.m is None else GridShape(inst.shape.k, inst.shape.l - inst.m),
         block=inst.block,
     )
 
@@ -729,15 +756,6 @@ def instance_to_dict(inst: WalkInstance) -> dict:
     }
 
 
-def _param(params: dict, key: str, kinds: tuple[type, ...] = (int,)):
-    # exact type match, so a JSON true is not taken for the integer 1
-    value = params.get(key)
-    if type(value) not in kinds:
-        names = " or ".join(kind.__name__ for kind in kinds)
-        raise InstanceFormatError(f"params[{key!r}] must be {names}, got {value!r}")
-    return value
-
-
 def instance_from_dict(data: dict) -> WalkInstance:
     if not isinstance(data, dict):
         raise InstanceFormatError("an instance file holds one JSON object")
@@ -750,38 +768,43 @@ def instance_from_dict(data: dict) -> WalkInstance:
         steps = tuple(data["step_sequence"])
         start = tuple(data["start"])
         endpoint = tuple(data["endpoint"])
-        seed = params.get("seed")
-    except (KeyError, TypeError, AttributeError) as exc:
+    except (KeyError, TypeError) as exc:
         raise InstanceFormatError(f"missing or malformed field: {exc}") from exc
+    if not isinstance(params, dict):
+        raise InstanceFormatError("params must be a JSON object")
     if any(type(s) is not int for s in steps):
         raise InstanceFormatError("step_sequence must hold integers")
-    n = _param(params, "n")
-    if family == HYPERCUBE:
-        inst = _replay_hypercube(n, _param(params, "m"), steps, seed)
-    elif family == GRID:
-        inst = _replay_grid(n, _param(params, "d"), _param(params, "m"), steps, seed)
-    elif family == BLOCKS:
-        r = _param(params, "r", (float, int))
-        inst = _replay_blocks(n, _param(params, "d"), r, steps, seed)
-    else:
-        raise InstanceFormatError(f"unknown family {family!r}")
+    spec, args = family_params(family, params, InstanceFormatError)
+    seed = typed_param(params, "seed", (int, type(None)), InstanceFormatError)
+    try:
+        inst = spec.replay(*args, steps, seed)
+    except ValueError as exc:
+        # parameters the family cannot hold: a bad grid side, block exponent, ...
+        raise InstanceFormatError(str(exc)) from exc
     if inst.start != start or inst.endpoint != endpoint:
         raise InstanceFormatError("stored endpoints do not match the replayed walk")
     return inst
 
 
 def save_instance(inst: WalkInstance, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(instance_to_dict(inst), fh, indent=1)
-        fh.write("\n")
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(instance_to_dict(inst), fh, indent=1)
+            fh.write("\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write instance: {exc}") from exc
+
+
+def read_json(path: str, error: type[Exception], what: str):
+    """The JSON document at `path`; `error` when it cannot be read or parsed."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise error(f"cannot read {what}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise error(f"{what} is not valid JSON: {exc}") from exc
 
 
 def load_instance(path: str) -> WalkInstance:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise InstanceFormatError(f"cannot read instance: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InstanceFormatError(f"not valid JSON: {exc}") from exc
-    return instance_from_dict(data)
+    return instance_from_dict(read_json(path, InstanceFormatError, "instance"))

@@ -14,8 +14,9 @@ A vertex is validated once, where it enters lslab: the public functions
 (``snake_rank``, ``neighbors``, ``instance_value``, ``instance_membership``,
 ``simulate_value_via_membership``) and each oracle ``query``/``peek`` check it
 against the grid and raise ``ValueError`` when it lies outside.  Past that
-point lslab calls the ``_``-prefixed helpers (``_snake_rank``, ``_neighbors``,
-``_value``, ``_membership``), which trust their input and check nothing.
+point lslab calls trusted helpers, which check nothing: ``_snake_rank``,
+``_neighbors``, and the family's registered value and membership functions,
+which the instance oracles bind once.
 ``ValueOracle._peek`` is the trusted form of ``peek`` (uncharged, unchecked)
 for vertices lslab made itself: grid2d's region draws and sphere vertices,
 which lie in the grid by construction.
@@ -28,14 +29,7 @@ from functools import partial
 from typing import Callable, Mapping
 
 from .grid import GridShape, Vertex, _snake_rank, l1_distance, snake_unrank
-from .instances import (
-    BLOCKS,
-    ClockMeta,
-    WalkInstance,
-    _membership,
-    _value,
-    block_on_path_value,
-)
+from .instances import BLOCKS, FAMILIES, ClockMeta, WalkInstance, block_on_path_value
 
 
 class QueryLedger:
@@ -112,7 +106,7 @@ class ValueOracle:
     def for_instance(
         cls, inst: WalkInstance, ledger: QueryLedger | None = None
     ) -> "ValueOracle":
-        return cls(inst.shape, partial(_value, inst), ledger)
+        return cls(inst.shape, partial(FAMILIES[inst.family].value, inst), ledger)
 
     def query(self, v: Vertex) -> int:
         """Evaluate the function at v; one classical query."""
@@ -131,18 +125,18 @@ class MembershipOracle:
 
     def __init__(self, inst: WalkInstance, ledger: QueryLedger | None = None) -> None:
         self.shape = inst.shape
-        self._inst = inst
+        self._member = partial(FAMILIES[inst.family].membership, inst)
         self.ledger = ledger if ledger is not None else QueryLedger()
 
     def query(self, v: Vertex) -> bool:
         """Is v on the trajectory?  One classical query."""
         self.shape.require(v)
         self.ledger.record_classical()
-        return _membership(self._inst, v)
+        return self._member(v)
 
     def peek(self, v: Vertex) -> bool:
         self.shape.require(v)
-        return _membership(self._inst, v)
+        return self._member(v)
 
 
 def simulate_value_via_membership(
@@ -165,13 +159,10 @@ def simulate_value_via_membership(
     cross-checked against it.
     """
     meta.shape.require(v)
-    if meta.family == BLOCKS:
-        if not membership.query(v):
-            return l1_distance(v, meta.start) + 2 * meta.max_on_path_value
-        return block_on_path_value(meta, v)
-
     if not membership.query(v):
-        return l1_distance(v, meta.start) + 2 * meta.T
+        return l1_distance(v, meta.start) + meta.off_path_base
+    if meta.family == BLOCKS:
+        return block_on_path_value(meta, v)
     mw = meta.walk_dims
     assert mw is not None
     clock_shape = meta.clock_shape

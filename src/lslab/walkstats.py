@@ -269,31 +269,21 @@ def line_walk_bruteforce(
     n: int, t: int, i: int, j: int, limit: int = DEFAULT_ENUM_LIMIT
 ) -> Fraction:
     """Enumerate all 2^t move strings and count the ones taking i to j."""
-    if n < 2:
-        raise ValueError("the short walk needs at least two points")
-    if not (1 <= i <= n and 1 <= j <= n):
+    if not 1 <= j <= n:
         raise ValueError("line point out of range")
-    if t < 0:
-        raise ValueError("negative step count")
-    if (1 << t) > limit:
-        raise BudgetExceeded(f"2^t = {1 << t} exceeds enumeration limit {limit}")
-    hits = 0
-    for word in range(1 << t):
-        pos = i
-        for s in range(t):
-            if (word >> s) & 1:
-                pos = pos + 1 if pos < n else pos
-            else:
-                pos = pos - 1 if pos > 1 else pos
-        if pos == j:
-            hits += 1
-    return Fraction(hits, 1 << t)
+    return Fraction(line_walk_endpoint_counts(n, t, i, limit)[j], 1 << t)
 
 
 def line_walk_endpoint_counts(
     n: int, t: int, i: int, limit: int = DEFAULT_ENUM_LIMIT
 ) -> list[int]:
     """Endpoint tallies of all 2^t move strings from i (one enumeration pass)."""
+    if n < 2:
+        raise ValueError("the short walk needs at least two points")
+    if not 1 <= i <= n:
+        raise ValueError("line point out of range")
+    if t < 0:
+        raise ValueError("negative step count")
     if (1 << t) > limit:
         raise BudgetExceeded(f"2^t = {1 << t} exceeds enumeration limit {limit}")
     tallies = [0] * (n + 1)

@@ -530,3 +530,40 @@ def test_certification_beats_a_float_tie():
     assert got.witness.position == second
     assert got.radicand_num == SurdSum.of(1)
     assert got.radicand_den == SurdSum.of(root2)
+
+
+def test_irrational_product_just_below_w_squared_is_invalid():
+    # u = sqrt(2) and v a rational a hair below 1/sqrt(2): u*v < 1 = w^2
+    # exactly, although the float product reads 1.0000000000000002
+    fam = enumerate_paths(HYPERCUBE_KIND, 2, 1)
+    rel = endpoint_relation(fam)
+    base = build_scheme(RANDOMIZED, fam, rel)
+    pair = rel.pairs[0]
+    first, *rest = differing_positions(fam, pair)
+    root2 = Surd.power(2, Fraction(1, 2))
+    v = Surd.of(Fraction(7071067811865475244, 10**19))
+    assert float(root2 * v) > 1
+    one = Surd.of(1)
+    table = {first: (root2, v)}
+    table.update({pos: (one, one) for pos in rest})
+
+    class Crafted(WeightScheme):
+        def uv(self, pair, pos):
+            return table[pos]
+
+    scheme = Crafted(
+        kind=RANDOMIZED,
+        family=fam,
+        relation=Relation(pairs=(pair,)),
+        w={pair: Fraction(1)},
+        diverge={pair: base.diverge[pair]},
+    )
+    assert not scheme_is_valid(scheme)
+    with pytest.raises(ValueError, match="violates"):
+        quantum_adversary_value(scheme)
+
+
+@pytest.mark.parametrize("kind", [HYPERCUBE_KIND, GRID_KIND])
+def test_enumerate_rejects_empty_walk_space(kind):
+    with pytest.raises(ValueError, match="m >= 1"):
+        enumerate_paths(kind, 0, 3)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from lslab import bench, cli
+from lslab import bench
 from lslab.bench import (
     ExperimentCell,
     ExperimentConfig,
@@ -147,7 +147,6 @@ class TestCli:
             seen.append((oracle, start))
             return steepest_descent(oracle, start)
 
-        monkeypatch.setattr(cli, "steepest_descent", capture)
         monkeypatch.setattr(bench, "steepest_descent", capture)
         argv = ["solve", "--function", "l1-cone", "--n", "6", "--d", "3", "--seed", "5"]
         assert main(argv + ["--algo", "steepest"]) == 0
@@ -233,3 +232,68 @@ class TestCli:
             ]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("kind", ["grid", "hypercube"])
+    def test_adversary_without_walk_dimensions_exits_2(self, capsys, kind):
+        assert main(["adversary", "--kind", kind, "--m", "0", "--T", "3"]) == 2
+        assert "m >= 1" in capsys.readouterr().err
+
+    def test_gen_into_missing_directory_exits_2(self, tmp_path, capsys):
+        out = str(tmp_path / "missing" / "inst.json")
+        argv = ["gen", "--family", "hypercube-walk", "--n", "6", "--m", "3", "--out", out]
+        assert main(argv) == 2
+        assert "cannot write instance" in capsys.readouterr().err
+
+    def test_bench_into_missing_directory_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(SMALL_CONFIG))
+        out = str(tmp_path / "missing" / "rows.csv")
+        assert main(["bench", "--config", str(cfg), "--out", out]) == 2
+        assert "cannot write CSV" in capsys.readouterr().err
+
+    def test_sample_descend_defaults_its_sample_count(self, capsys):
+        # without --samples, solve draws bench's min(|V|, ceil(sqrt(2 l |V|)))
+        argv = ["solve", "--function", "l1-cone", "--n", "8", "--algo", "sample-descend"]
+        assert main(argv + ["--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        cell = ExperimentCell(family="smooth-l1", algo="sample-descend", n=8)
+        result = bench.run_trial(cell, 0)
+        assert payload["classical_queries"] == result.classical_queries
+        assert payload["found"] == list(result.found)
+
+    def test_builtin_zero_dimensions_exits_2(self, capsys):
+        argv = ["solve", "--function", "l1-cone", "--n", "8", "--d", "0", "--algo", "steepest"]
+        assert main(argv) == 2
+        assert "axis count" in capsys.readouterr().err
+
+
+# Malformed configs found by running `lslab bench` on them: each used to end
+# in a traceback (or, for `"trials": true`, to run one trial).
+BAD_CONFIGS = {
+    "string n": {"cells": [{"family": "smooth-l1", "algo": "steepest", "n": "8"}]},
+    "string trials": {
+        "cells": [{"family": "smooth-l1", "algo": "steepest", "n": 8, "trials": "3"}]
+    },
+    "top-level list": [{"family": "smooth-l1", "algo": "steepest", "n": 8}],
+    "boolean trials": {
+        "cells": [{"family": "smooth-l1", "algo": "steepest", "n": 8, "trials": True}]
+    },
+    "missing m in the last cell": {
+        "cells": SMALL_CONFIG["cells"]
+        + [{"family": "grid-walk", "algo": "steepest", "n": 4, "d": 2}]
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_CONFIGS))
+def test_malformed_config_exits_2_before_any_trial(tmp_path, monkeypatch, capsys, name):
+    def no_trial(cell, seed):
+        raise AssertionError("a trial ran before the config was rejected")
+
+    monkeypatch.setattr(bench, "run_trial", no_trial)
+    with pytest.raises(ConfigError):
+        ExperimentConfig.from_dict(BAD_CONFIGS[name])
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(BAD_CONFIGS[name]))
+    assert main(["bench", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")

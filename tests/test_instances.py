@@ -22,7 +22,6 @@ from lslab.instances import (
     instance_membership,
     instance_to_dict,
     instance_value,
-    instance_endpoint,
     load_instance,
     recommended_params,
     save_instance,
@@ -124,6 +123,12 @@ class TestBlockInstance:
         with pytest.raises(ValueError):
             gen_block_instance(4, 2, 0.1, seed=1)
 
+    @pytest.mark.parametrize("n", [-8, 0, 1])
+    def test_side_below_two_rejected(self, n):
+        # a negative side used to reach n**r as a complex number (TypeError)
+        with pytest.raises(ValueError, match="n >= 2"):
+            block_layout(n, 2, 0.5)
+
     def test_integer_power_not_lost(self):
         lay = block_layout(27, 2, 2 / 3)
         assert lay.alpha == 9
@@ -182,7 +187,7 @@ class TestVerification:
         assert report.unique_local_min
         assert report.membership_consistent
         assert report.ok
-        assert report.minimum == instance_endpoint(inst)
+        assert report.minimum == inst.endpoint
 
     def test_corrupted_trajectory_flagged(self):
         inst = gen_hypercube_instance(5, 2, seed=0)

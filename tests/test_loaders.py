@@ -1,0 +1,113 @@
+"""Fuzzed loaders: a mutated instance document or bench config either loads or
+fails with the loader's typed error, never with anything else."""
+
+import copy
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lslab.bench import ExperimentConfig
+from lslab.errors import ConfigError, InstanceFormatError
+from lslab.instances import (
+    WalkInstance,
+    gen_block_instance,
+    gen_grid_instance,
+    gen_hypercube_instance,
+    instance_from_dict,
+    instance_to_dict,
+)
+
+DOCUMENTS = [
+    instance_to_dict(gen_hypercube_instance(4, 2, seed=1)),
+    instance_to_dict(gen_grid_instance(4, 2, 1, seed=2)),
+    instance_to_dict(gen_block_instance(9, 2, 0.5, seed=3)),
+]
+
+CONFIG = {
+    "cells": [
+        {"family": "hypercube-walk", "algo": "steepest", "n": 6, "m": 3, "trials": 2},
+        {"family": "smooth-l1", "algo": "grid2d-quantum", "n": 8, "mode": "faithful"},
+        {"family": "grid-walk", "algo": "sample-descend", "n": 4, "d": 2, "m": 1, "samples": 6},
+        {"family": "grid-blocks", "algo": "steepest", "n": 9, "d": 2, "r": 0.5, "seed_start": 4},
+    ]
+}
+
+# what a JSON document can hold, with small numbers so a mutated size stays cheap
+SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 40),
+    st.floats(-2.0, 40.0),
+    st.sampled_from([float("nan"), float("inf"), 0.5, 1 / 3, 2 / 3]),
+    st.text(max_size=4),
+    st.sampled_from(["hypercube-walk", "grid-walk", "grid-blocks", "smooth-l1", "steepest"]),
+)
+VALUES = st.recursive(
+    SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=3), inner, max_size=3)
+    ),
+    max_leaves=6,
+)
+
+
+@st.composite
+def mutated(draw, base):
+    """`base` with one to three edits: a value replaced, a key dropped or
+    added, or a list element replaced, dropped or appended."""
+    doc = copy.deepcopy(base)
+    for _ in range(draw(st.integers(1, 3))):
+        # walk down to a random container inside the document
+        holder, key = None, None
+        node = doc
+        while isinstance(node, (dict, list)) and node and draw(st.booleans()):
+            keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+            holder, key = node, draw(st.sampled_from(keys))
+            node = node[key]
+        target = node if isinstance(node, (dict, list)) else holder
+        if target is None:
+            doc = draw(VALUES)
+            continue
+        action = draw(st.sampled_from(["replace", "drop", "add"]))
+        if isinstance(target, dict):
+            keys = list(target)
+            if action == "add" or not keys:
+                target[draw(st.text(max_size=3) | st.sampled_from(keys or ["n"]))] = draw(VALUES)
+            elif action == "drop":
+                del target[draw(st.sampled_from(keys))]
+            else:
+                target[draw(st.sampled_from(keys))] = draw(VALUES)
+        else:
+            if action == "add" or not target:
+                target.append(draw(VALUES))
+            elif action == "drop":
+                del target[draw(st.integers(0, len(target) - 1))]
+            else:
+                target[draw(st.integers(0, len(target) - 1))] = draw(VALUES)
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(DOCUMENTS).flatmap(mutated))
+def test_mutated_instance_loads_or_raises_instance_format_error(doc):
+    try:
+        inst = instance_from_dict(doc)
+    except InstanceFormatError:
+        return
+    assert isinstance(inst, WalkInstance)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated(CONFIG))
+def test_mutated_config_loads_or_raises_config_error(doc):
+    try:
+        config = ExperimentConfig.from_dict(doc)
+    except ConfigError:
+        return
+    assert config.cells
+
+
+def test_unmutated_documents_load():
+    for doc in DOCUMENTS:
+        assert instance_to_dict(instance_from_dict(doc)) == doc
+    assert len(ExperimentConfig.from_dict(CONFIG).cells) == 4

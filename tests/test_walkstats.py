@@ -185,6 +185,19 @@ class TestLineWalk:
                     for j in range(1, n + 1):
                         assert table.count(t, i, j) == tallies[j]
 
+    @pytest.mark.parametrize("n, t, i", [(1, 2, 1), (3, 2, 0), (3, 2, 4), (3, -1, 1)])
+    def test_endpoint_counts_reject_bad_arguments(self, n, t, i):
+        # i > n used to be an IndexError; now every bad argument is a ValueError
+        with pytest.raises(ValueError):
+            line_walk_endpoint_counts(n, t, i)
+        with pytest.raises(ValueError):
+            line_walk_bruteforce(n, t, i, 1)
+
+    def test_bruteforce_rejects_target_off_the_line(self):
+        for j in (0, 4):
+            with pytest.raises(ValueError):
+                line_walk_bruteforce(3, 2, 1, j)
+
     def test_bruteforce_budget(self):
         with pytest.raises(BudgetExceeded):
             line_walk_bruteforce(3, 40, 1, 1)
