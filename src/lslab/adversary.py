@@ -23,16 +23,30 @@ that shortlists the candidates within a relative 1e-9 of the float minimum;
 the shortlist is then compared exactly (canonical-form equality, then
 high-precision decimals), so the reported radicand is the certified minimum.
 
-Enumeration and table construction are single-threaded; the resulting tables
-are immutable and the min/max scans are pure.
+A scheme that build_scheme made over endpoint_relation is evaluated without
+its O(N^2) tables (see `_FamilyReader`).  w comes from the divergence index
+and the row sums from endpoint counts per prefix class.  One u tally per
+(walk, position) serves as the v tally too, since v(x, y, pos) ==
+u(y, x, pos).  The scan visits x < y only, since (y, x, pos) has the same
+radicand; the quantum certification takes the mirrors of the shortlisted
+candidates back.  On hypercube families x runs over orbit representatives
+under permutations of the flip coordinates.  The witness is the one the
+full scan picks: the first minimal candidate in relation order for the
+relational bound; the float-smallest, then first, exact tie for the quantum
+bound.
+
+Enumeration and evaluation are single-threaded, and the scans are pure.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from math import ceil, inf, lcm
+from operator import itemgetter
 
 from .errors import BudgetExceeded
 from .grid import GridShape, Vertex
@@ -328,24 +342,43 @@ def diverge_index(x: WalkRecord, y: WalkRecord) -> int | None:
     return None
 
 
-@dataclass(frozen=True)
 class Relation:
-    """Ordered pairs of walk indices with differing endpoints."""
+    """Ordered pairs (x, y) of walk indices."""
 
-    pairs: tuple[tuple[int, int], ...]
+    def __init__(self, pairs: tuple[tuple[int, int], ...]) -> None:
+        self.pairs = tuple(pairs)
 
     def __len__(self) -> int:
         return len(self.pairs)
 
 
+class EndpointRelation(Relation):
+    """Every ordered pair of a family's walks whose endpoints differ.
+
+    The evaluators read the family, not the pairs: `pairs` is listed only
+    when read, and the length comes from the endpoint counts.
+    """
+
+    def __init__(self, family: PathFamily) -> None:
+        self.family = family
+
+    @cached_property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        walks = self.family.walks
+        return tuple(
+            (ix, iy)
+            for ix, x in enumerate(walks)
+            for iy, y in enumerate(walks)
+            if x.endpoint != y.endpoint
+        )
+
+    def __len__(self) -> int:
+        counts = Counter(x.endpoint for x in self.family.walks)
+        return len(self.family) ** 2 - sum(c * c for c in counts.values())
+
+
 def endpoint_relation(family: PathFamily) -> Relation:
-    pairs = [
-        (ix, iy)
-        for ix, x in enumerate(family.walks)
-        for iy, y in enumerate(family.walks)
-        if x.endpoint != y.endpoint
-    ]
-    return Relation(pairs=tuple(pairs))
+    return EndpointRelation(family)
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +434,6 @@ def _reciprocal(surd: Surd) -> Surd:
     return Surd(coef, tuple(sorted(inv_mono)))
 
 
-@dataclass(frozen=True)
 class WeightScheme:
     """w on the relation plus the u/v multiplier rule.
 
@@ -410,19 +442,57 @@ class WeightScheme:
     holds the position the factors swap.  The randomized scheme has a = 1,
     i.e. u = v = w.
 
+    Without `w` and `diverge` tables (build_scheme passes none), w(X, Y) is
+    the divergence weight 1 / prefix_class_size(family, k), and both tables
+    are listed over the relation only when read.  A hand-built scheme
+    passes its own tables.
+
     The multiplier depends on (k, j, b) only through the survival
-    s = j - k + b, and (u, v) only through (w, s, which walk holds the
-    position); both are memoized on those keys, so equal inputs share one
-    Surd object.
+    s = j - k + b, and (u, v) only through the integers (k, s, which walk
+    holds the position), plus the weight when a hand-built table gives it;
+    both are memoized on those keys, so equal inputs share one Surd object.
     """
 
-    kind: str
-    family: PathFamily
-    relation: Relation
-    w: dict
-    diverge: dict
-    _pair_memo: dict = field(default_factory=dict, compare=False, repr=False)
-    _uv_memo: dict = field(default_factory=dict, compare=False, repr=False)
+    def __init__(
+        self,
+        kind: str,
+        family: PathFamily,
+        relation: Relation,
+        w: dict | None = None,
+        diverge: dict | None = None,
+    ) -> None:
+        self.kind = kind
+        self.family = family
+        self.relation = relation
+        self.derived = w is None and diverge is None
+        if w is not None:
+            self.w = w
+        if diverge is not None:
+            self.diverge = diverge
+        self._pair_memo: dict = {}
+        self._uv_memo: dict = {}
+
+    @cached_property
+    def diverge(self) -> dict:
+        walks = self.family.walks
+        out = {}
+        for ix, iy in self.relation.pairs:
+            k = diverge_index(walks[ix], walks[iy])
+            if k is None:
+                raise ValueError("relation contains an identical pair")
+            out[ix, iy] = k
+        return out
+
+    @cached_property
+    def w(self) -> dict:
+        return {pair: self.divergence_weights[k] for pair, k in self.diverge.items()}
+
+    @cached_property
+    def divergence_weights(self) -> list[Fraction]:
+        """1 / prefix_class_size(family, k) for k = 0..T, one object per k."""
+        return [
+            Fraction(1, prefix_class_size(self.family, k)) for k in range(self.family.T + 1)
+        ]
 
     def multiplier(self, k: int, j: int, b: int) -> Surd:
         if self.kind == RANDOMIZED:
@@ -447,18 +517,27 @@ class WeightScheme:
         k = self.diverge[pair]
         x_holds = pos in x.point_set
         j, b = (x if x_holds else y).role[pos]
-        key = (self.w[pair], _survival(k, j, b), x_holds)
+        w = None if self.derived else self.w[pair]
+        return self.uv_at(k, _survival(k, j, b), x_holds, w)
+
+    def uv_at(
+        self, k: int, s: int, x_holds: bool, w: Fraction | None = None
+    ) -> tuple[Surd, Surd]:
+        """(u, v) for a pair diverging at k and a position that survived s
+        ticks, held by the pair's first walk or not; w defaults to the
+        divergence weight of k."""
+        key = (k, s, x_holds) if w is None else (k, s, x_holds, w)
         hit = self._uv_memo.get(key)
         if hit is None:
-            wxy = Surd.of(self.w[pair])
-            a, a_inv = self.multiplier_pair(k, j, b)
+            wxy = Surd.of(self.divergence_weights[k] if w is None else w)
+            a, a_inv = self.multiplier_pair(k, k + s, 0)
             hit = (wxy * a, wxy * a_inv) if x_holds else (wxy * a_inv, wxy * a)
             self._uv_memo[key] = hit
         return hit
 
 
 def build_scheme(kind: str, family: PathFamily, relation: Relation) -> WeightScheme:
-    """Weight tables over the relation.
+    """The scheme of `kind` over the relation with the divergence weights.
 
     w(X, Y) = 1 / #{Z : Z diverges from X exactly where Y does}, which is
     1 / prefix_class_size(family, k) for the divergence index k; pairs with
@@ -470,26 +549,267 @@ def build_scheme(kind: str, family: PathFamily, relation: Relation) -> WeightSch
         raise ValueError("hypercube scheme on a non-hypercube family")
     if kind == QUANTUM_GRID and family.kind != GRID_KIND:
         raise ValueError("grid scheme on a non-grid family")
-    by_k = [Fraction(1, prefix_class_size(family, k)) for k in range(family.T + 1)]
-    w = {}
-    diverge = {}
-    for ix, iy in relation.pairs:
-        k = diverge_index(family.walks[ix], family.walks[iy])
-        if k is None:
-            raise ValueError("relation contains an identical pair")
-        diverge[(ix, iy)] = k
-        w[(ix, iy)] = by_k[k]
-    return WeightScheme(kind=kind, family=family, relation=relation, w=w, diverge=diverge)
+    return WeightScheme(kind, family, relation)
 
 
 # ---------------------------------------------------------------------------
-# bound values
+# reading a scheme
 # ---------------------------------------------------------------------------
 
 
 def differing_positions(family: PathFamily, pair: tuple[int, int]) -> list[Vertex]:
     x, y = family.walks[pair[0]], family.walks[pair[1]]
     return sorted(x.point_set.symmetric_difference(y.point_set))
+
+
+class _TableReader:
+    """A scheme read pair by pair, through relation.pairs, w and uv.
+
+    The evaluators read every scheme through a reader:
+    - `weight_sums()` gives (scale, row, col): the sums of w over the pairs
+      (x, .) and (., y), times the common denominator `scale`;
+    - `rows(key_of, reduce)` gives the u-side and v-side rows, walk ->
+      {position: reduce(counts)}, where counts maps each term key, in
+      first-seen order, to its number of occurrences at (walk, position)
+      over the pairs (walk, .) or (., walk) in relation order, and
+      key_of(pair, pos) gives the pair's key on each side;
+    - `candidates()` gives each pair (x, y) and its differing positions,
+      in relation and position order.
+    This reader assumes nothing about the scheme, so it serves hand-built
+    tables and overridden uv rules.
+    """
+
+    def __init__(self, scheme: WeightScheme) -> None:
+        self.scheme = scheme
+
+    def weights(self):
+        return self.scheme.w.values()
+
+    def weight_sums(self) -> tuple[int, dict, dict]:
+        w = self.scheme.w
+        pairs = self.scheme.relation.pairs
+        scale = lcm(*{w[pair].denominator for pair in pairs})
+        row: dict[int, int] = {}
+        col: dict[int, int] = {}
+        for pair in pairs:
+            scaled = w[pair].numerator * (scale // w[pair].denominator)
+            row[pair[0]] = row.get(pair[0], 0) + scaled
+            col[pair[1]] = col.get(pair[1], 0) + scaled
+        return scale, row, col
+
+    def rows(self, key_of, reduce) -> tuple[dict, dict]:
+        family = self.scheme.family
+        sides: tuple[dict, dict] = ({}, {})
+        for pair in self.scheme.relation.pairs:
+            for pos in differing_positions(family, pair):
+                for walk, key, cells in zip(pair, key_of(pair, pos), sides):
+                    cell = cells.setdefault(walk, {}).setdefault(pos, {})
+                    cell[key] = cell.get(key, 0) + 1
+        return tuple({walk: reduce(c) for walk, c in side.items()} for side in sides)
+
+    def candidates(self):
+        family = self.scheme.family
+        for ix, iy in self.scheme.relation.pairs:
+            yield ix, iy, differing_positions(family, (ix, iy))
+
+    @staticmethod
+    def in_relation_order(shortlist: list) -> list:
+        return shortlist
+
+    @staticmethod
+    def weight(key) -> Fraction:
+        return key[0]
+
+    @staticmethod
+    def terms(key) -> tuple:
+        """(w, the term on this side, the term on the other side)."""
+        return key
+
+    @staticmethod
+    def vertex(pos) -> Vertex:
+        return pos
+
+
+class _FamilyReader:
+    """A stock scheme, read from its family's walks; no per-pair table is
+    built or read.  Stock means build_scheme's tables over
+    endpoint_relation of the scheme's own family, with WeightScheme's uv.
+
+    - w(x, y) is the divergence weight of k = diverge_index(x, y), taken
+      from integer step codes.  The row sums come from the number of walks
+      per (prefix class, endpoint); w is symmetric, so col is row.
+    - u at (x, y, pos) is keyed by the integers (k, s, x holds).  Since
+      v(x, y, pos) == u(y, x, pos), and the pairs (., y) meet y in the
+      order of the pairs (y, .), one u tally serves both sides, term for
+      term in the same order.
+    - The candidates (x, y, pos) and (y, x, pos) then have the same
+      radicand and the same scan key, and x < y comes first in relation
+      order, so only x < y is scanned; `in_relation_order` hands the
+      mirrors back for the exact comparison.
+    - With `orbits`, on hypercube families: permuting the m flip
+      coordinates maps the family onto itself and preserves w, u and v
+      (Hoyer-Lee-Spalek's automorphism principle), so x runs over orbit
+      representatives only, each orbit's lowest-index walk.  Any walk's
+      row is its representative's row with the vertices permuted.  The
+      first minimal candidate in relation order always has a
+      representative x, so the witness rules keep their witnesses.
+
+    Vertices are numbered in sorted order, so sorting numbers sorts
+    vertices.
+    """
+
+    def __init__(self, scheme: WeightScheme, orbits: bool) -> None:
+        self.scheme = scheme
+        family = scheme.family
+        walks = family.walks
+        self.T = T = family.T
+        symbols = {s: i for i, s in enumerate(sorted({s for x in walks for s in x.steps}))}
+        # step t of a walk is the code's t-th digit of `bits` bits, from the top
+        self.bits = bits = max(1, (len(symbols) - 1).bit_length())
+        self.codes = [
+            sum(symbols[s] << bits * (T - t) for t, s in enumerate(x.steps)) for x in walks
+        ]
+        self.verts = sorted({p for x in walks for p in x.point_set})
+        vid = {v: i for i, v in enumerate(self.verts)}
+        self.sets = [frozenset(vid[p] for p in x.point_set) for x in walks]
+        self.roles = [{vid[p]: j + b for p, (j, b) in x.role.items()} for x in walks]
+        ends: dict = {}
+        self.ends = [ends.setdefault(x.endpoint, len(ends)) for x in walks]
+        self.xs = range(len(walks))
+        self.orbit = None
+        if orbits and family.kind == HYPERCUBE_KIND:
+            self._find_orbits(vid)
+
+    def _find_orbits(self, vid: dict) -> None:
+        """Each walk's representative and the vertex permutation that takes
+        the walk to it.  Walks in one orbit have the same steps up to
+        relabeling, so they share the steps relabeled in first-occurrence
+        order."""
+        walks, m = self.scheme.family.walks, self.scheme.family.m
+        groups: dict[tuple, list[int]] = {}
+        for ix, x in enumerate(walks):
+            first: dict[int, int] = {}
+            key = tuple(first.setdefault(s, len(first)) for s in x.steps)
+            groups.setdefault(key, []).append(ix)
+        perms: dict[tuple, list[int]] = {}
+        self.orbit = [None] * len(walks)
+        for members in groups.values():
+            rep = min(members)
+            for y in members:
+                # the coordinate map sigma with sigma(y) = rep, unused
+                # coordinates matched in increasing order
+                sigma = dict(zip(walks[y].steps, walks[rep].steps))
+                free = iter(sorted(set(range(m)) - set(sigma.values())))
+                sigma = tuple(sigma[i] if i in sigma else next(free) for i in range(m))
+                perm = perms.get(sigma)
+                if perm is None:
+                    inverse = sorted(range(m), key=sigma.__getitem__)
+                    perm = perms[sigma] = [
+                        vid[tuple(v[i] for i in inverse) + v[m:]] for v in self.verts
+                    ]
+                self.orbit[y] = (rep, perm)
+        self.xs = sorted({rep for rep, _ in self.orbit})
+
+    def weights(self):
+        return self.scheme.divergence_weights
+
+    def weight_sums(self) -> tuple[int, list, list]:
+        family, T, bits = self.scheme.family, self.T, self.bits
+        sizes = [prefix_class_size(family, k) for k in range(T + 1)]
+        scale = lcm(*sizes)
+        # prefixes[x][k]: the code of x's first k steps
+        prefixes = [[code >> bits * (T + 1 - k) for k in range(T + 2)] for code in self.codes]
+        same = Counter(
+            (k, prefix, end)
+            for pre, end in zip(prefixes, self.ends)
+            for k, prefix in enumerate(pre)
+        )
+        row = []
+        for pre, end in zip(prefixes, self.ends):
+            n_same = [same[k, prefix, end] for k, prefix in enumerate(pre)]
+            # walks diverging from x at k, less those ending where x ends
+            row.append(sum(
+                scale // sizes[k] * (sizes[k] - n_same[k] + n_same[k + 1])
+                for k in range(T + 1)
+            ))
+        return scale, row, row
+
+    def rows(self, key_of, reduce) -> tuple[list, list]:
+        T, bits, codes, sets, roles, ends = (
+            self.T, self.bits, self.codes, self.sets, self.roles, self.ends
+        )
+        n, size = len(codes), len(self.verts)
+        tallied = {}
+        for x in self.xs:
+            cx, sx, rx, ex = codes[x], sets[x], roles[x], ends[x]
+            cells: dict[int, dict] = {}
+            for y in range(n):
+                if ends[y] == ex:
+                    continue
+                k = T - ((cx ^ codes[y]).bit_length() - 1) // bits
+                sy, ry = sets[y], roles[y]
+                for p in sx - sy:
+                    cell = cells.setdefault(p, {})
+                    key = (k, rx[p] - k, True)
+                    cell[key] = cell.get(key, 0) + 1
+                for p in sy - sx:
+                    cell = cells.setdefault(p, {})
+                    key = (k, ry[p] - k, False)
+                    cell[key] = cell.get(key, 0) + 1
+            row = tallied[x] = [None] * size
+            for p, value in reduce(cells).items():
+                row[p] = value
+        if self.orbit is None:
+            rows = [tallied[x] for x in range(n)]
+        else:
+            rows = [
+                tallied[y] if y == rep else [tallied[rep][q] for q in perm]
+                for y, (rep, perm) in enumerate(self.orbit)
+            ]
+        return rows, rows
+
+    def candidates(self):
+        sets, ends, n = self.sets, self.ends, len(self.sets)
+        for x in self.xs:
+            sx, ex = sets[x], ends[x]
+            for y in range(x + 1, n):
+                if ends[y] != ex:
+                    yield x, y, sorted(sx ^ sets[y])
+
+    @staticmethod
+    def in_relation_order(shortlist: list) -> list:
+        """The shortlist (key, x, y, pos) with each candidate's mirror
+        (key, y, x, pos), in relation order.  The mirror has the same
+        radicand and scan key, but the float of its exact denominator
+        u_sum * v_sum sums the product's terms in another order, so on grid
+        families it can be the smaller one in the last ulp."""
+        mirrors = [(key, y, x, pos) for key, x, y, pos in shortlist]
+        return sorted(shortlist + mirrors, key=itemgetter(1, 2, 3))
+
+    def weight(self, key) -> Fraction:
+        return self.scheme.divergence_weights[key[0]]
+
+    def terms(self, key) -> tuple:
+        return (self.weight(key), *self.scheme.uv_at(*key))
+
+    def vertex(self, pos: int) -> Vertex:
+        return self.verts[pos]
+
+
+def _reader(scheme: WeightScheme, orbits: bool):
+    relation = scheme.relation
+    stock = (
+        type(scheme) is WeightScheme
+        and scheme.derived
+        and isinstance(relation, EndpointRelation)
+        and relation.family is scheme.family
+    )
+    return _FamilyReader(scheme, orbits) if stock else _TableReader(scheme)
+
+
+# ---------------------------------------------------------------------------
+# bound values
+# ---------------------------------------------------------------------------
 
 
 def _uv_valid(checked: dict, w, u: Surd, v: Surd) -> bool:
@@ -527,25 +847,6 @@ def scheme_is_valid(scheme: WeightScheme) -> bool:
     return True
 
 
-def _scaled_weight_sums(scheme: WeightScheme):
-    """The relation's weights as integers over their common denominator.
-
-    Returns (scale, weights, row, col): weights[pair] = w(pair) * scale, and
-    row[x] / col[y] are the scaled sums of w over the pairs (x, .) / (., y).
-    """
-    pairs = scheme.relation.pairs
-    scale = lcm(*{scheme.w[pair].denominator for pair in pairs})
-    weights = {}
-    row: dict[int, int] = {}
-    col: dict[int, int] = {}
-    for pair in pairs:
-        w = scheme.w[pair]
-        weights[pair] = scaled = w.numerator * (scale // w.denominator)
-        row[pair[0]] = row.get(pair[0], 0) + scaled
-        col[pair[1]] = col.get(pair[1], 0) + scaled
-    return scale, weights, row, col
-
-
 @dataclass(frozen=True)
 class BoundWitness:
     x_index: int
@@ -567,39 +868,45 @@ def relational_adversary_value(scheme: WeightScheme) -> RelationalBound:
     randomized scheme (u = v = w) is the intended input.  The weights are
     scaled to integers, so candidates compare by cross-multiplication; the
     witness is the first minimal candidate in relation and position order.
+    A stock scheme is scanned over x < y and orbit representatives only
+    (see `_FamilyReader`), which keeps that witness.
     """
-    pairs = scheme.relation.pairs
-    if not pairs:
+    if not len(scheme.relation):
         raise ValueError("empty relation")
-    if any(weight <= 0 for weight in scheme.w.values()):
+    reader = _reader(scheme, orbits=True)
+    if any(weight <= 0 for weight in reader.weights()):
         raise ValueError("weights must be positive")
-    family = scheme.family
-    _, weights, row, col = _scaled_weight_sums(scheme)
-    row_at: dict[tuple[int, Vertex], int] = {}
-    col_at: dict[tuple[int, Vertex], int] = {}
-    pair_positions = []
-    for pair in pairs:
-        ix, iy = pair
-        weight = weights[pair]
-        positions = differing_positions(family, pair)
-        pair_positions.append(positions)
-        for pos in positions:
-            row_at[ix, pos] = row_at.get((ix, pos), 0) + weight
-            col_at[iy, pos] = col_at.get((iy, pos), 0) + weight
+    scale, row, col = reader.weight_sums()
+
+    def reduce(cells: dict) -> dict:
+        # the scaled sum of w over the tallied pairs
+        out = {}
+        for pos, cell in cells.items():
+            total = 0
+            for key, count in cell.items():
+                w = reader.weight(key)
+                total += count * w.numerator * (scale // w.denominator)
+            out[pos] = total
+        return out
+
+    row_at, col_at = reader.rows(lambda pair, pos: ((scheme.w[pair],),) * 2, reduce)
     best_num, best_den = 1, 0  # +infinity
     witness = None
-    for pair, positions in zip(pairs, pair_positions):
-        ix, iy = pair
-        x_all, y_all = row[ix], col[iy]
+    for ix, iy, positions in reader.candidates():
+        x_all, y_all, x_row, y_row = row[ix], col[iy], row_at[ix], col_at[iy]
         for pos in positions:
-            x_at, y_at = row_at[ix, pos], col_at[iy, pos]
+            x_at, y_at = x_row[pos], y_row[pos]
             # max(x_all / x_at, y_all / y_at)
             num, den = (x_all, x_at) if x_all * y_at >= y_all * x_at else (y_all, y_at)
             if num * best_den < best_num * den:
                 best_num, best_den = num, den
-                witness = BoundWitness(ix, iy, pos)
+                witness = (ix, iy, pos)
     assert witness is not None
-    return RelationalBound(value=Fraction(best_num, best_den), witness=witness)
+    ix, iy, pos = witness
+    return RelationalBound(
+        value=Fraction(best_num, best_den),
+        witness=BoundWitness(ix, iy, reader.vertex(pos)),
+    )
 
 
 @dataclass(frozen=True)
@@ -623,30 +930,6 @@ class QuantumBound:
 #: Relative width of the float shortlist.  The scan's float radicands are
 #: within a few ulps of the exact ones, so nothing outside it can be minimal.
 _SHORTLIST_TOL = 1e-9
-
-
-def _summed(terms: dict) -> tuple[dict, dict]:
-    """Each key's tallied terms as a SurdSum, and that sum's float.
-
-    Adding the terms in first-seen order keeps the order (and so the float)
-    that adding them one position at a time would give.  Keys whose sums
-    have the same terms in the same order share one SurdSum object, so one
-    object stands for one exact value and one float.
-    """
-    by_tally: dict = {}
-    by_form: dict = {}
-    sums, floats = {}, {}
-    for key, cell in terms.items():
-        tally = tuple((ident, entry[1]) for ident, entry in cell.items())
-        hit = by_tally.get(tally)
-        if hit is None:
-            total = SurdSum()
-            for surd, count in cell.values():
-                total.add(Surd(surd.coef * count, surd.mono))
-            form = tuple(total._terms.items())
-            hit = by_tally[tally] = by_form.setdefault(form, (total, float(total)))
-        sums[key], floats[key] = hit
-    return sums, floats
 
 
 def _decimal(value: SurdSum, digits: int):
@@ -680,50 +963,96 @@ def _compare_ratios(num_a: SurdSum, den_a: SurdSum, num_b: SurdSum, den_b: SurdS
     raise ArithmeticError(f"cannot separate {lhs} from {rhs}")
 
 
+def _orbits_keep_floats(scheme: WeightScheme) -> bool:
+    """Whether an orbit image's u and v sums have the same floats.
+
+    The images have the same terms, added in another order.  With at most
+    one irrational monomial among the multipliers, every sum has at most
+    two monomials, and a float sum of two terms does not depend on their
+    order.  This holds for every hypercube family within the family limit.
+    """
+    monos = {
+        term.mono
+        for s in range(1, scheme.family.T + 2)
+        for term in scheme.multiplier_pair(0, s, 0)
+    }
+    return len(monos - {()}) <= 1
+
+
 def quantum_adversary_value(scheme: WeightScheme) -> QuantumBound:
     """Exact-radicand evaluation of the quantum bound.
 
-    Refuses schemes that fail the u*v >= w^2 validity gate, checked during
-    the same pass that sums u and v.  A float scan shortlists the candidates
+    Refuses schemes that fail the u*v >= w^2 validity gate, checked once
+    per distinct (w, u, v) term that the tally meets.  u is tallied per
+    (walk, position) and summed once per distinct tally, its terms in the
+    order the pairs meet them.  A float scan shortlists the candidates
     within a relative 1e-9 of the float minimum; among them the radicand is
     minimized exactly, so the returned radicand is the certified minimum.
     When several candidates share it exactly, the witness is the one with
     the smallest float(num) / float(den), the first in relation and position
     order among equal floats.
+
+    A stock scheme (see `_FamilyReader`) is read from the walks: one u tally
+    serves as the v tally too, since v(x, y, pos) == u(y, x, pos), and the
+    scan visits x < y only, since (y, x, pos) has the same radicand and
+    scan key as (x, y, pos) and comes later.  The mirror's exact
+    denominator multiplies the same sums in the other order, so its float
+    can differ in the last ulp; the shortlist takes the mirrors back, in
+    relation order, before the exact comparison.  On hypercube families the
+    tally and the scan run x over orbit representatives only, each orbit's
+    lowest-index walk, when the orbit images' sums have the same floats
+    (`_orbits_keep_floats`); their products' floats then agree too.  So
+    every candidate of the full shortlist has an image in this one with the
+    same radicand and floats, and the first of them in relation order, the
+    full scan's witness, is among them.
     """
-    pairs = scheme.relation.pairs
-    if not pairs:
+    if not len(scheme.relation):
         raise ValueError("empty relation")
-    family, uv = scheme.family, scheme.uv
-    scale, _, row, col = _scaled_weight_sums(scheme)
+    reader = _reader(scheme, orbits=_orbits_keep_floats(scheme))
+    scale, row, col = reader.weight_sums()
     checked: dict = {}
-    u_terms: dict[tuple[int, Vertex], dict] = {}
-    v_terms: dict[tuple[int, Vertex], dict] = {}
-    pair_positions = []
-    for pair in pairs:
-        ix, iy = pair
+    by_tally: dict = {}
+    by_form: dict = {}
+
+    def reduce(cells: dict) -> dict:
+        """Each position's tally as (SurdSum, float).  Tallies with the same
+        terms in the same order, and sums with the same terms in the same
+        order, share one object, so one object stands for one exact value
+        and one float."""
+        out = {}
+        for pos, cell in cells.items():
+            tally = tuple(cell.items())
+            hit = by_tally.get(tally)
+            if hit is None:
+                total = SurdSum()
+                for key, count in tally:
+                    w, term, other = reader.terms(key)
+                    if not _uv_valid(checked, w, term, other):
+                        raise ValueError("scheme violates u*v >= w^2")
+                    total.add(Surd(term.coef * count, term.mono))
+                form = tuple(total._terms.items())
+                hit = by_tally[tally] = by_form.setdefault(form, (total, float(total)))
+            out[pos] = hit
+        return out
+
+    def key_of(pair, pos):
         w = scheme.w[pair]
-        positions = differing_positions(family, pair)
-        pair_positions.append(positions)
-        for pos in positions:
-            u, v = uv(pair, pos)
-            if not _uv_valid(checked, w, u, v):
-                raise ValueError("scheme violates u*v >= w^2")
-            # per (walk, position): each distinct term object and its count
-            u_terms.setdefault((ix, pos), {}).setdefault(id(u), [u, 0])[1] += 1
-            v_terms.setdefault((iy, pos), {}).setdefault(id(v), [v, 0])[1] += 1
-    u_at, u_float = _summed(u_terms)
-    v_at, v_float = _summed(v_terms)
+        u, v = scheme.uv(pair, pos)
+        return (w, u, v), (w, v, u)
+
+    u_rows, v_rows = reader.rows(key_of, reduce)
 
     best, limit = inf, inf
     shortlist = []
-    for pair, positions in zip(pairs, pair_positions):
-        ix, iy = pair
+    for ix, iy, positions in reader.candidates():
+        u_row, v_row = u_rows[ix], v_rows[iy]
         top = (row[ix] / scale) * (col[iy] / scale)
-        for pos in positions:
-            key = top / (u_float[ix, pos] * v_float[iy, pos])
+        keys = [top / (u_row[pos][1] * v_row[pos][1]) for pos in positions]
+        if min(keys, default=inf) > limit:
+            continue
+        for pos, key in zip(positions, keys):
             if key <= limit:
-                shortlist.append((key, pair, pos))
+                shortlist.append((key, ix, iy, pos))
                 if key < best:
                     best, limit = key, key * (1 + _SHORTLIST_TOL)
                     shortlist = [c for c in shortlist if c[0] <= limit]
@@ -732,8 +1061,8 @@ def quantum_adversary_value(scheme: WeightScheme) -> QuantumBound:
     # have the same radicand and float key, so only the first can win
     seen = set()
     win = None
-    for _, (ix, iy), pos in shortlist:
-        top, u_sum, v_sum = row[ix] * col[iy], u_at[ix, pos], v_at[iy, pos]
+    for _, ix, iy, pos in reader.in_relation_order(shortlist):
+        top, u_sum, v_sum = row[ix] * col[iy], u_rows[ix][pos][0], v_rows[iy][pos][0]
         if (top, id(u_sum), id(v_sum)) in seen:
             continue
         seen.add((top, id(u_sum), id(v_sum)))
@@ -744,7 +1073,7 @@ def quantum_adversary_value(scheme: WeightScheme) -> QuantumBound:
             order = _compare_ratios(num, den, win[0], win[1])
             if order > 0 or (order == 0 and not key < win[2]):
                 continue
-        win = (num, den, key, BoundWitness(ix, iy, pos))
+        win = (num, den, key, BoundWitness(ix, iy, reader.vertex(pos)))
     assert win is not None
     num, den, key, witness = win
     return QuantumBound(

@@ -85,7 +85,13 @@ class ExperimentConfig:
         raw = data.get("cells")
         if not isinstance(raw, list) or not raw:
             raise ConfigError("config needs a nonempty 'cells' list")
-        return cls(cells=tuple(ExperimentCell.from_dict(c) for c in raw))
+        cells = []
+        for index, cell in enumerate(raw):
+            try:
+                cells.append(ExperimentCell.from_dict(cell))
+            except ConfigError as exc:
+                raise ConfigError(f"cell {index}: {exc}") from exc
+        return cls(cells=tuple(cells))
 
     @classmethod
     def from_file(cls, path: str) -> "ExperimentConfig":
@@ -141,13 +147,21 @@ def instance_oracle(inst: WalkInstance) -> tuple[ValueOracle, Vertex]:
 
 def make_oracle(family: str, params: Mapping) -> Callable[[int], tuple[ValueOracle, Vertex]]:
     """Check a family's size parameters (smooth-l1: n and an optional d,
-    default 2) and return seed -> (oracle, start); ConfigError otherwise."""
+    default 2), types and values, and return seed -> (oracle, start);
+    ConfigError otherwise."""
     if family == SMOOTH:
         n = typed_param(params, "n", PARAM_TYPES["n"], ConfigError)
         d = typed_param(params, "d", OPTIONAL_INT, ConfigError)
-        return partial(_smooth_oracle, n, 2 if d is None else d)
-    spec, args = family_params(family, params, ConfigError)
-    return lambda seed: instance_oracle(spec.generate(*args, seed))
+        args = (n, 2 if d is None else d)
+        check, make = GridShape, partial(_smooth_oracle, *args)
+    else:
+        spec, args = family_params(family, params, ConfigError)
+        check, make = spec.check, lambda seed: instance_oracle(spec.generate(*args, seed))
+    try:
+        check(*args)
+    except ValueError as exc:
+        raise ConfigError(f"{family}: {exc}") from exc
+    return make
 
 
 def solve(

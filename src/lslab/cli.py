@@ -91,6 +91,8 @@ def _cmd_stats(args) -> int:
 
 def _cmd_adversary(args) -> int:
     kind = HYPERCUBE_KIND if args.kind == "hypercube" else GRID_KIND
+    if args.side is not None and kind != GRID_KIND:
+        raise ConfigError("--side applies to grid families only")
     family = enumerate_paths(kind, args.m, args.T, side=args.side)
     relation = endpoint_relation(family)
     if args.scheme == "randomized":

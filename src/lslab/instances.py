@@ -209,6 +209,17 @@ def _replay_hypercube(n: int, m: int, steps: tuple[int, ...], seed: int | None) 
     )
 
 
+def _hypercube_ticks(n: int, m: int, max_trajectory: int = DEFAULT_TRAJECTORY_LIMIT) -> int:
+    """The 2^(n-m) ticks of a hypercube-walk instance; ValueError for sizes
+    no instance has."""
+    if not 1 <= m < n:
+        raise ValueError(f"walk dimensions must satisfy 1 <= m < n, got m={m}, n={n}")
+    ticks = 1 << (n - m)
+    if 2 * ticks > max_trajectory:
+        raise BudgetExceeded(f"trajectory of {2 * ticks} points exceeds {max_trajectory}")
+    return ticks
+
+
 def gen_hypercube_instance(
     n: int, m: int, seed: int, max_trajectory: int = DEFAULT_TRAJECTORY_LIMIT
 ) -> WalkInstance:
@@ -218,11 +229,7 @@ def gen_hypercube_instance(
     uniformly random walk bit per tick while the clock advances one snake
     step.
     """
-    if not 1 <= m < n:
-        raise ValueError(f"walk dimensions must satisfy 1 <= m < n, got m={m}, n={n}")
-    ticks = 1 << (n - m)
-    if 2 * ticks > max_trajectory:
-        raise BudgetExceeded(f"trajectory of {2 * ticks} points exceeds {max_trajectory}")
+    ticks = _hypercube_ticks(n, m, max_trajectory)
     rng = random.Random(seed)
     steps = tuple(rng.randrange(m) for _ in range(ticks))
     return _replay_hypercube(n, m, steps, seed)
@@ -248,6 +255,19 @@ def _replay_grid(
     return _build_walk_instance(GRID, shape, m, (n // 2,) * m, steps, step, n, d, seed)
 
 
+def _grid_ticks(n: int, d: int, m: int, max_trajectory: int = DEFAULT_TRAJECTORY_LIMIT) -> int:
+    """The n^(d-m) ticks of a grid-walk instance; ValueError for sizes no
+    instance has."""
+    if not 1 <= m < d:
+        raise ValueError(f"walk dimensions must satisfy 1 <= m < d, got m={m}, d={d}")
+    if n < 2:
+        raise ValueError(f"side length must be >= 2, got n={n}")
+    ticks = n ** (d - m)
+    if 2 * ticks > max_trajectory:
+        raise BudgetExceeded(f"trajectory of {2 * ticks} points exceeds {max_trajectory}")
+    return ticks
+
+
 def gen_grid_instance(
     n: int, d: int, m: int, seed: int, max_trajectory: int = DEFAULT_TRAJECTORY_LIMIT
 ) -> WalkInstance:
@@ -257,11 +277,7 @@ def gen_grid_instance(
     moves axis t mod m by a uniformly random sign, re-aimed inward at the
     grid border.
     """
-    if not 1 <= m < d:
-        raise ValueError(f"walk dimensions must satisfy 1 <= m < d, got m={m}, d={d}")
-    ticks = n ** (d - m)
-    if 2 * ticks > max_trajectory:
-        raise BudgetExceeded(f"trajectory of {2 * ticks} points exceeds {max_trajectory}")
+    ticks = _grid_ticks(n, d, m, max_trajectory)
     rng = random.Random(seed)
     steps = tuple(1 if rng.randrange(2) else -1 for _ in range(ticks))
     return _replay_grid(n, d, m, steps, seed)
@@ -355,6 +371,19 @@ def _replay_blocks(
     )
 
 
+def _block_sizes(
+    n: int, d: int, r: float, max_trajectory: int = DEFAULT_TRAJECTORY_LIMIT
+) -> BlockLayout:
+    """The block layout of a grid-blocks instance; ValueError for sizes no
+    instance has."""
+    lay = block_layout(n, d, r)
+    if 4 * lay.iterations > max_trajectory:
+        raise BudgetExceeded(
+            f"trajectory of about {4 * lay.iterations} points exceeds {max_trajectory}"
+        )
+    return lay
+
+
 def gen_block_instance(
     n: int, d: int, r: float, seed: int, max_trajectory: int = DEFAULT_TRAJECTORY_LIMIT
 ) -> WalkInstance:
@@ -364,11 +393,7 @@ def gen_block_instance(
     axis sweeps alternately up and down as the in-block clock, and block
     changes follow the snake path of the block grid.
     """
-    lay = block_layout(n, d, r)
-    if 4 * lay.iterations > max_trajectory:
-        raise BudgetExceeded(
-            f"trajectory of about {4 * lay.iterations} points exceeds {max_trajectory}"
-        )
+    lay = _block_sizes(n, d, r, max_trajectory)
     rng = random.Random(seed)
     steps = tuple(1 if rng.randrange(2) else -1 for _ in range(lay.iterations))
     return _replay_blocks(n, d, r, steps, seed)
@@ -419,11 +444,13 @@ def _block_value(inst: WalkInstance, v: Vertex) -> int:
 
 
 class Family(NamedTuple):
-    """A registry entry: the size parameters in the order ``generate(*params,
-    seed)`` and ``replay(*params, steps, seed)`` take them, and the trusted
-    value and membership functions."""
+    """A registry entry: the size parameters in the order ``check(*params)``,
+    ``generate(*params, seed)`` and ``replay(*params, steps, seed)`` take
+    them, and the trusted value and membership functions.  ``check`` raises
+    ValueError for sizes no instance has, without building one."""
 
     params: tuple[str, ...]
+    check: Callable[..., object]
     generate: Callable[..., WalkInstance]
     replay: Callable[..., WalkInstance]
     value: Callable[[WalkInstance, Vertex], int]
@@ -435,10 +462,13 @@ PARAM_TYPES = {"n": (int,), "d": (int,), "m": (int,), "r": (float, int)}
 
 _WALK = (_walk_value, _walk_membership)
 FAMILIES = {
-    HYPERCUBE: Family(("n", "m"), gen_hypercube_instance, _replay_hypercube, *_WALK),
-    GRID: Family(("n", "d", "m"), gen_grid_instance, _replay_grid, *_WALK),
+    HYPERCUBE: Family(
+        ("n", "m"), _hypercube_ticks, gen_hypercube_instance, _replay_hypercube, *_WALK
+    ),
+    GRID: Family(("n", "d", "m"), _grid_ticks, gen_grid_instance, _replay_grid, *_WALK),
     BLOCKS: Family(
-        ("n", "d", "r"), gen_block_instance, _replay_blocks, _block_value, _block_membership
+        ("n", "d", "r"), _block_sizes, gen_block_instance, _replay_blocks,
+        _block_value, _block_membership,
     ),
 }
 

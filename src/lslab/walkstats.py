@@ -277,7 +277,12 @@ def line_walk_bruteforce(
 def line_walk_endpoint_counts(
     n: int, t: int, i: int, limit: int = DEFAULT_ENUM_LIMIT
 ) -> list[int]:
-    """Endpoint tallies of all 2^t move strings from i (one enumeration pass)."""
+    """Endpoint tallies of all 2^t move strings from i (one enumeration pass).
+
+    The strings are extended one move at a time: the list holds one endpoint
+    per string, and each move splits it into the strings ending with a step
+    down and those ending with a step up.  Every string is still walked, so
+    this stays independent of the table's recurrence."""
     if n < 2:
         raise ValueError("the short walk needs at least two points")
     if not 1 <= i <= n:
@@ -286,16 +291,10 @@ def line_walk_endpoint_counts(
         raise ValueError("negative step count")
     if (1 << t) > limit:
         raise BudgetExceeded(f"2^t = {1 << t} exceeds enumeration limit {limit}")
-    tallies = [0] * (n + 1)
-    for word in range(1 << t):
-        pos = i
-        for s in range(t):
-            if (word >> s) & 1:
-                pos = pos + 1 if pos < n else pos
-            else:
-                pos = pos - 1 if pos > 1 else pos
-        tallies[pos] += 1
-    return tallies
+    ends = [i]
+    for _ in range(t):
+        ends = [p - 1 if p > 1 else p for p in ends] + [p + 1 if p < n else p for p in ends]
+    return [ends.count(j) for j in range(n + 1)]
 
 
 def round_robin_step_counts(m: int, t: int, first_dim: int) -> list[int]:

@@ -1,6 +1,7 @@
 """Adversary bound tests, including independent re-derivations of both bounds."""
 
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -475,9 +476,16 @@ REFERENCE_FAMILIES = [
     (HYPERCUBE_KIND, 3, 1),
 ] + [(GRID_KIND, m, T) for m in (1, 2) for T in range(5)]
 
+# the benchmark's two families, and grid m=3 T=4, whose quantum witness
+# (14, 6, ...) is a mirror (y, x) of a scanned x < y candidate that wins on
+# the float of its exact denominator
+LARGER_REFERENCE_FAMILIES = [(HYPERCUBE_KIND, 3, 3), (GRID_KIND, 2, 5), (GRID_KIND, 3, 4)]
+
 
 @pytest.mark.parametrize(
-    "fam_args", REFERENCE_FAMILIES, ids=lambda a: f"{a[0]}-m{a[1]}-T{a[2]}"
+    "fam_args",
+    REFERENCE_FAMILIES + LARGER_REFERENCE_FAMILIES,
+    ids=lambda a: f"{a[0]}-m{a[1]}-T{a[2]}",
 )
 def test_evaluators_match_reference(fam_args):
     fam = enumerate_paths(*fam_args)
@@ -567,3 +575,47 @@ def test_irrational_product_just_below_w_squared_is_invalid():
 def test_enumerate_rejects_empty_walk_space(kind):
     with pytest.raises(ValueError, match="m >= 1"):
         enumerate_paths(kind, 0, 3)
+
+
+def uv_terms(scheme):
+    """u at (x, pos) over the pairs (x, .) and v at (y, pos) over the pairs
+    (., y), term by term in relation order, straight from scheme.uv."""
+    u_terms, v_terms = {}, {}
+    for pair in scheme.relation.pairs:
+        for pos in differing_positions(scheme.family, pair):
+            u, v = scheme.uv(pair, pos)
+            u_terms.setdefault((pair[0], pos), []).append(u)
+            v_terms.setdefault((pair[1], pos), []).append(v)
+    return u_terms, v_terms
+
+
+@pytest.mark.parametrize(
+    "kind,fam_args",
+    [(QUANTUM_HYPERCUBE, (HYPERCUBE_KIND, 3, 3)), (QUANTUM_GRID, (GRID_KIND, 2, 4))],
+)
+def test_v_sum_is_u_sum_term_for_term(kind, fam_args):
+    # v(x, y, pos) == u(y, x, pos), and the pairs (., y) meet y in the order
+    # of the pairs (y, .), so one tally serves both sides
+    fam = enumerate_paths(*fam_args)
+    u_terms, v_terms = uv_terms(build_scheme(kind, fam, endpoint_relation(fam)))
+    assert u_terms.keys() == v_terms.keys()
+    for key, terms in u_terms.items():
+        assert v_terms[key] == terms, key
+
+
+def test_u_sums_invariant_under_coordinate_permutations():
+    fam = enumerate_paths(HYPERCUBE_KIND, 3, 3)
+    u_terms, _ = uv_terms(build_scheme(QUANTUM_HYPERCUBE, fam, endpoint_relation(fam)))
+    u_sum = {}
+    for key, terms in u_terms.items():
+        u_sum[key] = SurdSum()
+        for term in terms:
+            u_sum[key].add(term)
+    index = {x.steps: ix for ix, x in enumerate(fam.walks)}
+    m = fam.m
+    for sigma in permutations(range(m)):
+        inverse = sorted(range(m), key=sigma.__getitem__)
+        for (ix, pos), total in u_sum.items():
+            image = index[tuple(sigma[s] for s in fam.walks[ix].steps)]
+            moved = tuple(pos[i] for i in inverse) + pos[m:]
+            assert u_sum[image, moved] == total, (sigma, ix, pos)

@@ -238,6 +238,16 @@ class TestCli:
         assert main(["adversary", "--kind", kind, "--m", "0", "--T", "3"]) == 2
         assert "m >= 1" in capsys.readouterr().err
 
+    def test_adversary_single_walk_family_exits_2(self, capsys):
+        # m=1 has one walk and no pair; it was a ZeroDivisionError traceback
+        assert main(["adversary", "--kind", "hypercube", "--m", "1", "--T", "1"]) == 2
+        assert "empty relation" in capsys.readouterr().err
+
+    def test_adversary_side_on_hypercube_exits_2(self, capsys):
+        argv = ["adversary", "--kind", "hypercube", "--m", "2", "--T", "3", "--side", "5"]
+        assert main(argv) == 2
+        assert "--side applies to grid families only" in capsys.readouterr().err
+
     def test_gen_into_missing_directory_exits_2(self, tmp_path, capsys):
         out = str(tmp_path / "missing" / "inst.json")
         argv = ["gen", "--family", "hypercube-walk", "--n", "6", "--m", "3", "--out", out]

@@ -2,11 +2,15 @@
 fails with the loader's typed error, never with anything else."""
 
 import copy
+import json
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lslab import bench
 from lslab.bench import ExperimentConfig
+from lslab.cli import main
 from lslab.errors import ConfigError, InstanceFormatError
 from lslab.instances import (
     WalkInstance,
@@ -111,3 +115,26 @@ def test_unmutated_documents_load():
     for doc in DOCUMENTS:
         assert instance_to_dict(instance_from_dict(doc)) == doc
     assert len(ExperimentConfig.from_dict(CONFIG).cells) == 4
+
+
+# sizes of the right type that no family can take
+OUT_OF_RANGE_CELLS = {
+    "smooth-l1 d=0": {"family": "smooth-l1", "algo": "grid2d-quantum", "n": 8, "d": 0},
+    "grid-walk m above d": {"family": "grid-walk", "algo": "steepest", "n": 4, "d": 2, "m": 5},
+    "hypercube-walk n=1": {"family": "hypercube-walk", "algo": "steepest", "n": 1, "m": 1},
+}
+
+
+@pytest.mark.parametrize("name", sorted(OUT_OF_RANGE_CELLS))
+def test_out_of_range_sizes_rejected_at_load(tmp_path, monkeypatch, capsys, name):
+    def no_trial(cell, seed):
+        raise AssertionError("a trial ran before the config was rejected")
+
+    monkeypatch.setattr(bench, "run_trial", no_trial)
+    config = {"cells": [CONFIG["cells"][0], OUT_OF_RANGE_CELLS[name]]}
+    with pytest.raises(ConfigError, match="^cell 1: "):
+        ExperimentConfig.from_dict(config)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert main(["bench", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: cell 1: ")

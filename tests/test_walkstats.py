@@ -185,6 +185,25 @@ class TestLineWalk:
                     for j in range(1, n + 1):
                         assert table.count(t, i, j) == tallies[j]
 
+    def test_endpoint_counts_match_word_by_word_walk(self):
+        # the plain enumeration: every t-bit word walked bit by bit (1 = up)
+        def walk_every_word(n, t, i):
+            tallies = [0] * (n + 1)
+            for word in range(1 << t):
+                pos = i
+                for s in range(t):
+                    if (word >> s) & 1:
+                        pos = pos + 1 if pos < n else pos
+                    else:
+                        pos = pos - 1 if pos > 1 else pos
+                tallies[pos] += 1
+            return tallies
+
+        for n in range(2, 7):
+            for t in range(13):
+                for i in range(1, n + 1):
+                    assert line_walk_endpoint_counts(n, t, i) == walk_every_word(n, t, i)
+
     @pytest.mark.parametrize("n, t, i", [(1, 2, 1), (3, 2, 0), (3, 2, 4), (3, -1, 1)])
     def test_endpoint_counts_reject_bad_arguments(self, n, t, i):
         # i > n used to be an IndexError; now every bad argument is a ValueError
