@@ -49,7 +49,8 @@ class GridShape:
         return len(v) == self.l and 1 <= min(v) and max(v) <= self.k
 
     def require(self, v: Vertex) -> None:
-        if not self.contains(v):
+        # contains() written out: this runs once per public read
+        if len(v) != self.l or min(v) < 1 or max(v) > self.k:
             raise ValueError(f"vertex {v!r} is not in [{self.k}]^{self.l}")
 
     def iter_vertices(self, limit: int = DEFAULT_SCAN_LIMIT) -> Iterator[Vertex]:
@@ -86,6 +87,11 @@ def l1_distance(u: Vertex, v: Vertex) -> int:
     """Sum of per-coordinate absolute differences; Hamming distance when k=2."""
     if len(u) != len(v):
         raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")
+    return _l1(u, v)
+
+
+def _l1(u: Vertex, v: Vertex) -> int:
+    # trusts u and v to have the same length
     return sum(map(abs, map(sub, u, v)))
 
 

@@ -37,7 +37,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Mapping, NamedTuple
 
@@ -46,8 +46,7 @@ from .grid import (
     DEFAULT_SCAN_LIMIT,
     GridShape,
     Vertex,
-    _snake_rank,
-    l1_distance,
+    _l1,
     snake_successor,
     snake_unrank,
 )
@@ -120,8 +119,9 @@ class WalkInstance:
 
     ``trajectory`` lists every visited vertex in order; all entries are
     pairwise distinct.  For the walk-with-clock families it holds exactly
-    2(T+1) points and ``walk_positions[s]`` is the walk part after s steps,
-    giving O(1) membership from the clock coordinate alone.  Block instances
+    2(T+1) points, ``walk_positions[s]`` is the walk part after s steps and
+    ``clock_ticks`` maps each clock point to its tick (0-based), giving O(1)
+    membership from the clock coordinate alone.  Block instances
     instead carry a full point -> value map (linear in trajectory length).
     An off-trajectory vertex is valued at its distance to the start plus
     ``off_path_base``: 2T for the walk families, 2 * stride * L for blocks.
@@ -141,6 +141,7 @@ class WalkInstance:
     trajectory: tuple[Vertex, ...]
     off_path_base: int
     walk_positions: tuple[Vertex, ...] | None = None
+    clock_ticks: dict[Vertex, int] | None = None
     block: BlockLayout | None = None
     value_by_vertex: dict | None = None
 
@@ -174,8 +175,10 @@ def _build_walk_instance(
         w = apply_step(w, t, s)
         positions.append(w)
     trajectory = []
+    ticks: dict[Vertex, int] = {}
     for t in range(T + 1):
         clock = snake_unrank(clock_shape, t + 1)
+        ticks[clock] = t
         trajectory.append(positions[t] + clock)
         trajectory.append(positions[t + 1] + clock)
     return WalkInstance(
@@ -193,6 +196,7 @@ def _build_walk_instance(
         trajectory=tuple(trajectory),
         off_path_base=2 * T,
         walk_positions=tuple(positions),
+        clock_ticks=ticks,
     )
 
 
@@ -404,27 +408,23 @@ def gen_block_instance(
 # ---------------------------------------------------------------------------
 
 
-def _clock_tick(inst: WalkInstance, v: Vertex) -> int:
-    return _snake_rank(inst.shape.k, v[inst.m :]) - 1
-
-
 # The trusted forms below take v to lie in inst.shape and check nothing.
 
 
 def _walk_membership(inst: WalkInstance, v: Vertex) -> bool:
-    t = _clock_tick(inst, v)
+    t = inst.clock_ticks[v[inst.m :]]
     w = v[: inst.m]
     return w == inst.walk_positions[t] or w == inst.walk_positions[t + 1]
 
 
 def _walk_value(inst: WalkInstance, v: Vertex) -> int:
-    t = _clock_tick(inst, v)
+    t = inst.clock_ticks[v[inst.m :]]
     w = v[: inst.m]
     if w == inst.walk_positions[t + 1]:
         return 2 * (inst.T - t) - 1
     if w == inst.walk_positions[t]:
         return 2 * (inst.T - t)
-    return l1_distance(v, inst.start) + inst.off_path_base
+    return _l1(v, inst.start) + inst.off_path_base
 
 
 def _block_membership(inst: WalkInstance, v: Vertex) -> bool:
@@ -435,7 +435,7 @@ def _block_value(inst: WalkInstance, v: Vertex) -> int:
     hit = inst.value_by_vertex.get(v)
     if hit is not None:
         return hit
-    return l1_distance(v, inst.start) + inst.off_path_base
+    return _l1(v, inst.start) + inst.off_path_base
 
 
 # ---------------------------------------------------------------------------
@@ -553,25 +553,25 @@ def verify_instance(
 
     family = FAMILIES[inst.family]
     value, membership = family.value, family.membership
-    values: dict[Vertex, int] = {}
+    shape = inst.shape
+    # values in iter_vertices order, where the last coordinate runs fastest:
+    # moving coordinate i by +/-1 moves the index by k**(l-1-i)
+    values: list[int] = []
     membership_consistent = True
-    for v in inst.shape.iter_vertices(scan_limit):
-        values[v] = value(inst, v)
+    for v in shape.iter_vertices(scan_limit):
+        values.append(value(inst, v))
         if membership(inst, v) != (v in point_set):
             membership_consistent = False
 
-    k = inst.shape.k
+    k, l = shape.k, shape.l
+    strides = [k ** (l - 1 - i) for i in range(l)]
     minima = []
-    for v, fv in values.items():
-        is_min = True
-        for i, c in enumerate(v):  # inline neighbor walk so most vertices exit early
-            if c > 1 and values[v[:i] + (c - 1,) + v[i + 1 :]] < fv:
-                is_min = False
+    for index, v in enumerate(shape.iter_vertices(scan_limit)):
+        fv = values[index]
+        for c, s in zip(v, strides):  # most vertices exit at their first lower neighbour
+            if c > 1 and values[index - s] < fv or c < k and values[index + s] < fv:
                 break
-            if c < k and values[v[:i] + (c + 1,) + v[i + 1 :]] < fv:
-                is_min = False
-                break
-        if is_min:
+        else:
             minima.append(v)
             if len(minima) > 8:
                 break
@@ -659,7 +659,11 @@ def recommended_params(
 @dataclass(frozen=True)
 class ClockMeta:
     """What a value-query simulator may know: parameters, start, clock
-    structure, trajectory length -- never the trajectory itself."""
+    structure, trajectory length -- never the trajectory itself.
+
+    For a walk family the clock structure is the snake order of the clock
+    axes, as a table both ways: ``clock_ticks`` maps a clock point to its
+    tick (0-based) and ``clock_points[t]`` is the clock point of tick t."""
 
     family: str
     shape: GridShape
@@ -667,11 +671,13 @@ class ClockMeta:
     start: Vertex
     T: int
     off_path_base: int
-    clock_shape: GridShape | None  # the clock axes of a walk family
+    clock_ticks: dict[Vertex, int] | None = field(default=None, compare=False, repr=False)
+    clock_points: tuple[Vertex, ...] | None = field(default=None, compare=False, repr=False)
     block: BlockLayout | None = None
 
 
 def clock_metadata(inst: WalkInstance) -> ClockMeta:
+    ticks = inst.clock_ticks
     return ClockMeta(
         family=inst.family,
         shape=inst.shape,
@@ -679,7 +685,9 @@ def clock_metadata(inst: WalkInstance) -> ClockMeta:
         start=inst.start,
         T=inst.T,
         off_path_base=inst.off_path_base,
-        clock_shape=None if inst.m is None else GridShape(inst.shape.k, inst.shape.l - inst.m),
+        clock_ticks=ticks,
+        # the table's keys, in insertion order, are the clock points by tick
+        clock_points=None if ticks is None else tuple(ticks),
         block=inst.block,
     )
 

@@ -15,8 +15,13 @@ A vertex is validated once, where it enters lslab: the public functions
 ``simulate_value_via_membership``) and each oracle ``query``/``peek`` check it
 against the grid and raise ``ValueError`` when it lies outside.  Past that
 point lslab calls trusted helpers, which check nothing: ``_snake_rank``,
-``_neighbors``, and the family's registered value and membership functions,
-which the instance oracles bind once.
+``_neighbors``, ``_l1`` (the l1 distance without its dimension check), and
+the family's registered value and membership functions, which the instance
+oracles bind once.  The walk families' functions find a vertex's clock tick
+in the instance's tick table (clock point -> tick), built while the
+trajectory is generated, rather than ranking the clock point on the snake
+path.  ``simulate_value_via_membership`` checks v once and reads the
+oracle's trusted membership function for v and for the probe it builds.
 ``ValueOracle._peek`` is the trusted form of ``peek`` (uncharged, unchecked)
 for vertices lslab made itself: grid2d's region draws and sphere vertices,
 which lie in the grid by construction.
@@ -28,7 +33,7 @@ from contextlib import contextmanager
 from functools import partial
 from typing import Callable, Mapping
 
-from .grid import GridShape, Vertex, _snake_rank, l1_distance, snake_unrank
+from .grid import GridShape, Vertex, _l1
 from .instances import BLOCKS, FAMILIES, ClockMeta, WalkInstance, block_on_path_value
 
 
@@ -36,13 +41,16 @@ class QueryLedger:
     """Monotone per-phase counters of classical and charged quantum queries.
 
     Phase labels are pushed and popped by solvers so benchmark output can
-    attribute cost to sampling, descent, or subroutine charges.  Totals are
-    always the sums over phases.
+    attribute cost to sampling, descent, or subroutine charges.  The totals
+    ``classical_queries`` and ``charged_quantum_queries`` are kept running
+    next to the phase buckets and always equal the sums over phases.
     """
 
     def __init__(self) -> None:
         self._phases: dict[str, list[int]] = {}
         self._stack: list[str] = ["main"]
+        self.classical_queries = 0
+        self.charged_quantum_queries = 0
 
     def _bucket(self) -> list[int]:
         return self._phases.setdefault(self._stack[-1], [0, 0])
@@ -51,11 +59,13 @@ class QueryLedger:
         if count < 0:
             raise ValueError("ledger counts only grow")
         self._bucket()[0] += count
+        self.classical_queries += count
 
     def record_quantum(self, count: int) -> None:
         if count < 0:
             raise ValueError("ledger counts only grow")
         self._bucket()[1] += count
+        self.charged_quantum_queries += count
 
     @contextmanager
     def phase(self, label: str):
@@ -64,14 +74,6 @@ class QueryLedger:
             yield self
         finally:
             self._stack.pop()
-
-    @property
-    def classical_queries(self) -> int:
-        return sum(c for c, _ in self._phases.values())
-
-    @property
-    def charged_quantum_queries(self) -> int:
-        return sum(q for _, q in self._phases.values())
 
     def breakdown(self) -> dict[str, tuple[int, int]]:
         return {label: (c, q) for label, (c, q) in self._phases.items()}
@@ -157,20 +159,33 @@ def simulate_value_via_membership(
     separate the pair; the parity of the walk part's distance to the start
     (which advances by one per step) settles it and the probe answer is
     cross-checked against it.
+
+    v is checked once, against ``meta.shape``, and the oracle must be on the
+    same grid (ValueError otherwise, before any charge).  Each read then
+    charges ``membership.ledger`` and goes to the oracle's trusted membership
+    function, since v has been checked and the probe is built from v and the
+    clock tables.
     """
     meta.shape.require(v)
-    if not membership.query(v):
-        return l1_distance(v, meta.start) + meta.off_path_base
+    # the two shapes are one object when both come from the same instance
+    if membership.shape is not meta.shape and membership.shape != meta.shape:
+        raise ValueError(
+            f"membership oracle on {membership.shape} cannot serve metadata on {meta.shape}"
+        )
+    member, ledger = membership._member, membership.ledger
+    ledger.record_classical()
+    if not member(v):
+        return _l1(v, meta.start) + meta.off_path_base
     if meta.family == BLOCKS:
         return block_on_path_value(meta, v)
     mw = meta.walk_dims
     assert mw is not None
-    clock_shape = meta.clock_shape
-    t = _snake_rank(clock_shape.k, v[mw:]) - 1
+    t = meta.clock_ticks[v[mw:]]
     if t == 0:
         return 2 * meta.T if v == meta.start else 2 * meta.T - 1
-    b = (l1_distance(v[:mw], meta.start[:mw]) - t) % 2
-    probe = v[:mw] + snake_unrank(clock_shape, t)
-    if not membership.query(probe) and b == 0:
+    w = v[:mw]
+    b = (_l1(w, meta.start[:mw]) - t) % 2
+    ledger.record_classical()
+    if not member(w + meta.clock_points[t - 1]) and b == 0:
         raise RuntimeError("membership oracle inconsistent with the clock structure")
     return 2 * (meta.T - t) - b

@@ -247,21 +247,35 @@ def line_walk_table(n: int, t_max: int) -> LineWalkTable:
 
 
 def line_walk_max_counts(n: int, t_max: int) -> list[int]:
-    """max_ij of the t-step path counts, for t = 0..t_max, streamed.
+    """max_ij of the t-step path counts, for t = 0..t_max, from one vector.
 
-    The same layer step as line_walk_table, keeping one layer so long
-    horizons (envelope checks out to 4n^2 steps) stay in bounded memory.
-    The walk is symmetric under i -> n+1-i, so row n-1-i of a layer is row i
-    reversed and only rows 0..(n-1)//2 are kept.  The probability envelope
-    at time t is the returned count over 2^t.
+    The short walk on 1..n is the +/-1 walk on the cycle Z_2n folded by
+    x -> x for x in 1..n and x -> 2n+1-x for x in n+1..2n: a step down from
+    1 reaches 0 = 2n, which folds back to 1, and a step up from n reaches
+    n+1, which folds back to n, so the folded walk stands still at the ends
+    exactly when the short walk does.  Reading a cycle move made from the
+    folded half n+1..2n with its sign flipped maps the 2^t cycle move
+    strings one to one onto the short walk's, with equal endpoints.  With
+    g_t(d) the number of t-step cycle walks of displacement d mod 2n,
+
+        C^t_ij = g_t(j - i) + g_t(2n + 1 - i - j).
+
+    The two displacements differ by the odd 2n + 1 - 2j, and g_t(d) is zero
+    unless d = t mod 2 (2n is even, so every step flips the parity of d mod
+    2n); at most one term is nonzero.  As i, j range over 1..n, j - i takes
+    every residue but n and 2n + 1 - i - j every residue but 0, so every d
+    is the nonzero term of some pair and max_ij C^t_ij = max_d g_t(d).
+    g_t(d) = g_t(-d), so the vector is kept for d = 0..n only, and a step is
+    g_{t+1}(d) = g_t(d - 1) + g_t(d + 1), reflected at d = 0 and d = n.
+    The probability envelope at time t is the returned count over 2^t.
     """
     if n < 2:
         raise ValueError("the short walk needs at least two points")
-    layer = [[1 if i == j else 0 for j in range(n)] for i in range((n + 1) // 2)]
+    g = [1] + [0] * n
     maxima = [1]
     for _ in range(t_max):
-        layer = [_line_step(row) for row in layer]
-        maxima.append(max(map(max, layer)))
+        g = [2 * g[1], *map(int.__add__, g, g[2:]), 2 * g[n - 1]]
+        maxima.append(max(g))
     return maxima
 
 

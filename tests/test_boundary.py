@@ -2,6 +2,7 @@
 trusted ``_`` helpers agree with them on valid input, and importing the
 package stays light."""
 
+import dataclasses
 import os
 import random
 import subprocess
@@ -18,8 +19,11 @@ from lslab.instances import (
     gen_block_instance,
     gen_grid_instance,
     gen_hypercube_instance,
+    instance_from_dict,
     instance_membership,
+    instance_to_dict,
     instance_value,
+    verify_instance,
 )
 from lslab.oracles import MembershipOracle, ValueOracle, simulate_value_via_membership
 from lslab.solvers import RegionState
@@ -77,6 +81,65 @@ def test_trusted_helpers_equal_public_functions(inst):
         assert _membership(inst, v) == instance_membership(inst, v)
         assert _snake_rank(k, v) == snake_rank(shape, v)
         assert _neighbors(k, v) == neighbors(shape, v)
+
+
+@pytest.mark.parametrize("inst", SMALL, ids=lambda i: f"{i.family}-{i.shape.k}^{i.shape.l}")
+def test_tick_table_is_the_clock_snake_rank(inst):
+    for case in (inst, instance_from_dict(instance_to_dict(inst))):
+        meta = clock_metadata(case)
+        if case.m is None:  # blocks have no clock axes
+            assert case.clock_ticks is meta.clock_ticks is meta.clock_points is None
+            continue
+        clocks = list(GridShape(case.shape.k, case.shape.l - case.m).iter_vertices())
+        expected = {c: _snake_rank(case.shape.k, c) - 1 for c in clocks}
+        assert case.clock_ticks == meta.clock_ticks == expected
+        assert [meta.clock_ticks[c] for c in meta.clock_points] == list(range(case.T + 1))
+        assert all(p[case.m :] == meta.clock_points[i // 2] for i, p in enumerate(case.trajectory))
+
+
+def _reference_report(inst):
+    # the definition verify_instance's stride scan must match: a dict of
+    # public values and neighbors() lookups
+    shape = inst.shape
+    points = set(inst.trajectory)
+    values = {v: instance_value(inst, v) for v in shape.iter_vertices()}
+    minima = [
+        v for v, fv in values.items() if all(values[w] >= fv for w in neighbors(shape, v))
+    ]
+    return dict(
+        self_avoiding=len(points) == len(inst.trajectory),
+        unique_local_min=minima == [inst.endpoint],
+        membership_consistent=all(
+            instance_membership(inst, v) == (v in points) for v in shape.iter_vertices()
+        ),
+        local_min_count=min(len(minima), 9),  # the scan stops after nine
+        minimum=minima[0] if len(minima) == 1 else None,
+    )
+
+
+@pytest.mark.parametrize("inst", SMALL, ids=lambda i: f"{i.family}-{i.shape.k}^{i.shape.l}")
+def test_verify_matches_neighbour_scan(inst):
+    report = verify_instance(inst)
+    assert dataclasses.asdict(report) == _reference_report(inst)
+    assert report.ok
+    # the function's minimum is no longer at the stored endpoint
+    moved = dataclasses.replace(inst, endpoint=inst.start)
+    report = verify_instance(moved)
+    assert dataclasses.asdict(report) == _reference_report(moved)
+    assert not report.unique_local_min
+    if inst.walk_positions is not None:
+        # a walk read backwards: membership at odds with the stored points
+        backwards = dataclasses.replace(inst, walk_positions=inst.walk_positions[::-1])
+        report = verify_instance(backwards)
+        assert dataclasses.asdict(report) == _reference_report(backwards)
+        assert not report.membership_consistent
+    else:
+        # isolated pits at every all-odd vertex: more minima than the scan counts
+        pits = [v for v in inst.shape.iter_vertices() if all(c % 2 for c in v)]
+        pitted = dataclasses.replace(inst, value_by_vertex=dict.fromkeys(pits, 0))
+        report = verify_instance(pitted)
+        assert dataclasses.asdict(report) == _reference_report(pitted)
+        assert report.local_min_count == 9
 
 
 def _regions():

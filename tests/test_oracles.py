@@ -47,6 +47,31 @@ class TestLedger:
         with pytest.raises(ValueError):
             led.record_classical(-1)
 
+    def test_running_totals_equal_breakdown_sums(self):
+        # the totals are kept next to the buckets, not summed on read
+        led = QueryLedger()
+
+        def sums():
+            bd = led.breakdown()
+            return sum(c for c, _ in bd.values()), sum(q for _, q in bd.values())
+
+        led.record_quantum(2)
+        with led.phase("sample"):
+            led.record_classical(3)
+            with led.phase("dh"):
+                led.record_quantum(11)
+                led.record_classical()
+                with led.phase("sample"):  # a label re-entered inside itself
+                    led.record_classical(4)
+                    led.record_quantum(1)
+            assert (led.classical_queries, led.charged_quantum_queries) == sums() == (8, 14)
+        led.record_classical(0)
+        assert (led.classical_queries, led.charged_quantum_queries) == sums() == (8, 14)
+        for record in (led.record_classical, led.record_quantum):
+            with pytest.raises(ValueError):
+                record(-3)
+        assert (led.classical_queries, led.charged_quantum_queries) == sums() == (8, 14)
+
 
 class TestValueOracle:
     def test_table_query_counts(self):
@@ -156,6 +181,17 @@ class TestValueSimulation:
             assert simulate_value_via_membership(meta, mo, v) == instance_value(
                 inst, v
             )
+
+    def test_shape_mismatch_rejected_before_any_charge(self):
+        # the simulator hands v, checked against meta.shape only, to the
+        # oracle's unchecked membership function, so the shapes must agree
+        meta = clock_metadata(gen_hypercube_instance(5, 2, seed=1))
+        mo = MembershipOracle(gen_hypercube_instance(4, 2, seed=1))
+        for v in ((1,) * 5, (2, 1, 2, 1, 1)):
+            with pytest.raises(ValueError, match="cannot serve"):
+                simulate_value_via_membership(meta, mo, v)
+        assert mo.ledger.classical_queries == 0
+        assert mo.ledger.breakdown() == {}
 
     @pytest.mark.parametrize(
         "inst",
