@@ -568,11 +568,11 @@ class _TableReader:
     The evaluators read every scheme through a reader:
     - `weight_sums()` gives (scale, row, col): the sums of w over the pairs
       (x, .) and (., y), times the common denominator `scale`;
-    - `rows(key_of, reduce)` gives the u-side and v-side rows, walk ->
+    - `rows(reduce)` gives the u-side and v-side rows, walk ->
       {position: reduce(counts)}, where counts maps each term key, in
       first-seen order, to its number of occurrences at (walk, position)
-      over the pairs (walk, .) or (., walk) in relation order, and
-      key_of(pair, pos) gives the pair's key on each side;
+      over the pairs (walk, .) or (., walk) in relation order; a pair's key
+      is (w, u, v) on its u side and (w, v, u) on its v side;
     - `candidates()` gives each pair (x, y) and its differing positions,
       in relation and position order.
     This reader assumes nothing about the scheme, so it serves hand-built
@@ -597,12 +597,14 @@ class _TableReader:
             col[pair[1]] = col.get(pair[1], 0) + scaled
         return scale, row, col
 
-    def rows(self, key_of, reduce) -> tuple[dict, dict]:
-        family = self.scheme.family
+    def rows(self, reduce) -> tuple[dict, dict]:
+        scheme = self.scheme
         sides: tuple[dict, dict] = ({}, {})
-        for pair in self.scheme.relation.pairs:
-            for pos in differing_positions(family, pair):
-                for walk, key, cells in zip(pair, key_of(pair, pos), sides):
+        for pair in scheme.relation.pairs:
+            w = scheme.w[pair]
+            for pos in differing_positions(scheme.family, pair):
+                u, v = scheme.uv(pair, pos)
+                for walk, key, cells in zip(pair, ((w, u, v), (w, v, u)), sides):
                     cell = cells.setdefault(walk, {}).setdefault(pos, {})
                     cell[key] = cell.get(key, 0) + 1
         return tuple({walk: reduce(c) for walk, c in side.items()} for side in sides)
@@ -734,7 +736,7 @@ class _FamilyReader:
             ))
         return scale, row, row
 
-    def rows(self, key_of, reduce) -> tuple[list, list]:
+    def rows(self, reduce) -> tuple[list, list]:
         T, bits, codes, sets, roles, ends = (
             self.T, self.bits, self.codes, self.sets, self.roles, self.ends
         )
@@ -889,7 +891,7 @@ def relational_adversary_value(scheme: WeightScheme) -> RelationalBound:
             out[pos] = total
         return out
 
-    row_at, col_at = reader.rows(lambda pair, pos: ((scheme.w[pair],),) * 2, reduce)
+    row_at, col_at = reader.rows(reduce)
     best_num, best_den = 1, 0  # +infinity
     witness = None
     for ix, iy, positions in reader.candidates():
@@ -1035,12 +1037,7 @@ def quantum_adversary_value(scheme: WeightScheme) -> QuantumBound:
             out[pos] = hit
         return out
 
-    def key_of(pair, pos):
-        w = scheme.w[pair]
-        u, v = scheme.uv(pair, pos)
-        return (w, u, v), (w, v, u)
-
-    u_rows, v_rows = reader.rows(key_of, reduce)
+    u_rows, v_rows = reader.rows(reduce)
 
     best, limit = inf, inf
     shortlist = []

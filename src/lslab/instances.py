@@ -43,7 +43,6 @@ from typing import Callable, Mapping, NamedTuple
 
 from .errors import BudgetExceeded, ConfigError, InstanceFormatError
 from .grid import (
-    DEFAULT_SCAN_LIMIT,
     GridShape,
     Vertex,
     _l1,
@@ -51,7 +50,7 @@ from .grid import (
     snake_unrank,
 )
 
-#: Generators refuse trajectories longer than this unless overridden.
+#: Generators refuse trajectories longer than this.
 DEFAULT_TRAJECTORY_LIMIT = 1 << 21
 
 HYPERCUBE = "hypercube-walk"
@@ -213,27 +212,31 @@ def _replay_hypercube(n: int, m: int, steps: tuple[int, ...], seed: int | None) 
     )
 
 
-def _hypercube_ticks(n: int, m: int, max_trajectory: int = DEFAULT_TRAJECTORY_LIMIT) -> int:
+def _check_trajectory(points: int, about: str = "") -> None:
+    if points > DEFAULT_TRAJECTORY_LIMIT:
+        raise BudgetExceeded(
+            f"trajectory of {about}{points} points exceeds {DEFAULT_TRAJECTORY_LIMIT}"
+        )
+
+
+def _hypercube_ticks(n: int, m: int) -> int:
     """The 2^(n-m) ticks of a hypercube-walk instance; ValueError for sizes
     no instance has."""
     if not 1 <= m < n:
         raise ValueError(f"walk dimensions must satisfy 1 <= m < n, got m={m}, n={n}")
     ticks = 1 << (n - m)
-    if 2 * ticks > max_trajectory:
-        raise BudgetExceeded(f"trajectory of {2 * ticks} points exceeds {max_trajectory}")
+    _check_trajectory(2 * ticks)
     return ticks
 
 
-def gen_hypercube_instance(
-    n: int, m: int, seed: int, max_trajectory: int = DEFAULT_TRAJECTORY_LIMIT
-) -> WalkInstance:
+def gen_hypercube_instance(n: int, m: int, seed: int) -> WalkInstance:
     """Flip-walk instance on {0,1}^n with an m-bit walk space.
 
     T = 2^(n-m) - 1 ticks; the walk starts at the all-zeros point and flips a
     uniformly random walk bit per tick while the clock advances one snake
     step.
     """
-    ticks = _hypercube_ticks(n, m, max_trajectory)
+    ticks = _hypercube_ticks(n, m)
     rng = random.Random(seed)
     steps = tuple(rng.randrange(m) for _ in range(ticks))
     return _replay_hypercube(n, m, steps, seed)
@@ -259,7 +262,7 @@ def _replay_grid(
     return _build_walk_instance(GRID, shape, m, (n // 2,) * m, steps, step, n, d, seed)
 
 
-def _grid_ticks(n: int, d: int, m: int, max_trajectory: int = DEFAULT_TRAJECTORY_LIMIT) -> int:
+def _grid_ticks(n: int, d: int, m: int) -> int:
     """The n^(d-m) ticks of a grid-walk instance; ValueError for sizes no
     instance has."""
     if not 1 <= m < d:
@@ -267,21 +270,18 @@ def _grid_ticks(n: int, d: int, m: int, max_trajectory: int = DEFAULT_TRAJECTORY
     if n < 2:
         raise ValueError(f"side length must be >= 2, got n={n}")
     ticks = n ** (d - m)
-    if 2 * ticks > max_trajectory:
-        raise BudgetExceeded(f"trajectory of {2 * ticks} points exceeds {max_trajectory}")
+    _check_trajectory(2 * ticks)
     return ticks
 
 
-def gen_grid_instance(
-    n: int, d: int, m: int, seed: int, max_trajectory: int = DEFAULT_TRAJECTORY_LIMIT
-) -> WalkInstance:
+def gen_grid_instance(n: int, d: int, m: int, seed: int) -> WalkInstance:
     """Round-robin +/-1 walk instance on [n]^d with an m-axis walk space.
 
     T = n^(d-m) - 1 ticks; all walk coordinates start at floor(n/2); tick t
     moves axis t mod m by a uniformly random sign, re-aimed inward at the
     grid border.
     """
-    ticks = _grid_ticks(n, d, m, max_trajectory)
+    ticks = _grid_ticks(n, d, m)
     rng = random.Random(seed)
     steps = tuple(1 if rng.randrange(2) else -1 for _ in range(ticks))
     return _replay_grid(n, d, m, steps, seed)
@@ -375,29 +375,22 @@ def _replay_blocks(
     )
 
 
-def _block_sizes(
-    n: int, d: int, r: float, max_trajectory: int = DEFAULT_TRAJECTORY_LIMIT
-) -> BlockLayout:
+def _block_sizes(n: int, d: int, r: float) -> BlockLayout:
     """The block layout of a grid-blocks instance; ValueError for sizes no
     instance has."""
     lay = block_layout(n, d, r)
-    if 4 * lay.iterations > max_trajectory:
-        raise BudgetExceeded(
-            f"trajectory of about {4 * lay.iterations} points exceeds {max_trajectory}"
-        )
+    _check_trajectory(4 * lay.iterations, "about ")
     return lay
 
 
-def gen_block_instance(
-    n: int, d: int, r: float, seed: int, max_trajectory: int = DEFAULT_TRAJECTORY_LIMIT
-) -> WalkInstance:
+def gen_block_instance(n: int, d: int, r: float, seed: int) -> WalkInstance:
     """Block-threaded walk instance on [n']^d with block exponent r.
 
     One uniformly random sign per tick drives the in-block walk; the last
     axis sweeps alternately up and down as the in-block clock, and block
     changes follow the snake path of the block grid.
     """
-    lay = _block_sizes(n, d, r, max_trajectory)
+    lay = _block_sizes(n, d, r)
     rng = random.Random(seed)
     steps = tuple(1 if rng.randrange(2) else -1 for _ in range(lay.iterations))
     return _replay_blocks(n, d, r, steps, seed)
@@ -535,30 +528,24 @@ class VerificationReport:
         return self.self_avoiding and self.unique_local_min and self.membership_consistent
 
 
-def verify_instance(
-    inst: WalkInstance, scan_limit: int = DEFAULT_SCAN_LIMIT
-) -> VerificationReport:
+def verify_instance(inst: WalkInstance) -> VerificationReport:
     """Exhaustively scan the domain: exactly one local minimum located at the
     endpoint, pairwise-distinct trajectory points, and membership answers that
     agree with the stored point set.  Refuses (rather than sampling) when the
-    domain exceeds the scan limit."""
-    n_vertices = inst.shape.vertex_count
-    if n_vertices > scan_limit:
-        raise BudgetExceeded(
-            f"domain of {n_vertices} vertices exceeds scan limit {scan_limit}"
-        )
+    domain exceeds the scan limit (``GridShape.iter_vertices`` checks it)."""
+    shape = inst.shape
+    scan = shape.iter_vertices()
     points = inst.trajectory
     point_set = set(points)
     self_avoiding = len(point_set) == len(points)
 
     family = FAMILIES[inst.family]
     value, membership = family.value, family.membership
-    shape = inst.shape
     # values in iter_vertices order, where the last coordinate runs fastest:
     # moving coordinate i by +/-1 moves the index by k**(l-1-i)
     values: list[int] = []
     membership_consistent = True
-    for v in shape.iter_vertices(scan_limit):
+    for v in scan:
         values.append(value(inst, v))
         if membership(inst, v) != (v in point_set):
             membership_consistent = False
@@ -566,7 +553,7 @@ def verify_instance(
     k, l = shape.k, shape.l
     strides = [k ** (l - 1 - i) for i in range(l)]
     minima = []
-    for index, v in enumerate(shape.iter_vertices(scan_limit)):
+    for index, v in enumerate(shape.iter_vertices()):
         fv = values[index]
         for c, s in zip(v, strides):  # most vertices exit at their first lower neighbour
             if c > 1 and values[index - s] < fv or c < k and values[index + s] < fv:

@@ -52,19 +52,21 @@ class QueryLedger:
         self.classical_queries = 0
         self.charged_quantum_queries = 0
 
-    def _bucket(self) -> list[int]:
-        return self._phases.setdefault(self._stack[-1], [0, 0])
-
-    def record_classical(self, count: int = 1) -> None:
+    def _bucket(self, count: int) -> list[int]:
+        # a phase's [classical, quantum] pair is made on its first record, even of 0
         if count < 0:
             raise ValueError("ledger counts only grow")
-        self._bucket()[0] += count
+        try:
+            return self._phases[self._stack[-1]]
+        except KeyError:
+            return self._phases.setdefault(self._stack[-1], [0, 0])
+
+    def record_classical(self, count: int = 1) -> None:
+        self._bucket(count)[0] += count
         self.classical_queries += count
 
     def record_quantum(self, count: int) -> None:
-        if count < 0:
-            raise ValueError("ledger counts only grow")
-        self._bucket()[1] += count
+        self._bucket(count)[1] += count
         self.charged_quantum_queries += count
 
     @contextmanager

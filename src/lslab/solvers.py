@@ -50,15 +50,29 @@ class SolveResult:
     phase_breakdown: dict
     trace: tuple | None = None
 
-    @property
-    def total_charged_queries(self) -> int:
-        return self.classical_queries + self.charged_quantum_queries
-
 
 def verify_local_min(oracle: ValueOracle, v: Vertex) -> bool:
     """Uncharged exhaustive neighbor check of local minimality."""
     fv = oracle.peek(v)  # validates v, so its neighbors need no check
     return all(oracle.peek(w) >= fv for w in _neighbors(oracle.shape.k, v))
+
+
+def _result(
+    oracle: ValueOracle, found: Vertex, rounds: int, outcome: str = "success", trace=None
+) -> SolveResult:
+    """The run's result: the ledger's totals and phases, and whether
+    ``found`` is verified a local minimum."""
+    ledger = oracle.ledger
+    return SolveResult(
+        found=found,
+        outcome=outcome,
+        is_local_min=verify_local_min(oracle, found),
+        rounds=rounds,
+        classical_queries=ledger.classical_queries,
+        charged_quantum_queries=ledger.charged_quantum_queries,
+        phase_breakdown=ledger.breakdown(),
+        trace=trace,
+    )
 
 
 class _Memo:
@@ -75,11 +89,10 @@ class _Memo:
         return hit
 
 
-def _descend(oracle: ValueOracle, start: Vertex, memo: _Memo | None = None):
+def _descend(val: _Memo, start: Vertex):
     """Follow the decreasing path: repeatedly move to the minimum-value
     neighbor while it improves strictly.  Returns (local minimum, moves)."""
-    k = oracle.shape.k
-    val = memo if memo is not None else _Memo(oracle)
+    k = val.oracle.shape.k
     v = start
     fv = val(v)  # the charged query validates start
     moves = 0
@@ -100,22 +113,28 @@ def steepest_descent(oracle: ValueOracle, start: Vertex) -> SolveResult:
     """Generic descent from ``start``; every probe is a classical query."""
     oracle.shape.require(start)
     with oracle.ledger.phase("descent"):
-        found, moves = _descend(oracle, start)
-    return SolveResult(
-        found=found,
-        outcome="success",
-        is_local_min=verify_local_min(oracle, found),
-        rounds=moves,
-        classical_queries=oracle.ledger.classical_queries,
-        charged_quantum_queries=oracle.ledger.charged_quantum_queries,
-        phase_breakdown=oracle.ledger.breakdown(),
-    )
+        found, moves = _descend(_Memo(oracle), start)
+    return _result(oracle, found, moves)
 
 
 def _check_eps(eps: float) -> None:
     # the charge's ceil(log2(1/eps)) is undefined at eps <= 0 and 0 at eps >= 1
     if not 0 < eps < 1:
         raise ValueError(f"error budget must lie strictly between 0 and 1, got eps={eps}")
+
+
+def _charge(ledger: QueryLedger, size: int, eps: float) -> None:
+    """Record the search charge ceil(sqrt(size)) * ceil(log2(1/eps))."""
+    ledger.record_quantum(math.ceil(math.sqrt(size)) * math.ceil(math.log2(1 / eps)))
+
+
+def _fails(rng: random.Random | None, eps: float, faithful: bool) -> bool:
+    """Whether a faithful-mode stand-in errs (probability eps); exact mode draws nothing."""
+    if not faithful:
+        return False
+    if rng is None:
+        raise ValueError("faithful mode needs an rng")
+    return rng.random() < eps
 
 
 def durr_hoyer_min(
@@ -136,16 +155,12 @@ def durr_hoyer_min(
     values = list(values)
     if not values:
         raise ValueError("minimum of an empty sequence")
-    size = len(values)
-    ledger.record_quantum(math.ceil(math.sqrt(size)) * math.ceil(math.log2(1 / eps)))
+    _charge(ledger, len(values), eps)
     best = values.index(min(values))
-    if faithful:
-        if rng is None:
-            raise ValueError("faithful mode needs an rng")
-        if rng.random() < eps:
-            losers = [i for i in range(size) if values[i] != values[best]]
-            if losers:
-                return rng.choice(losers)
+    if _fails(rng, eps, faithful):
+        losers = [i for i, x in enumerate(values) if x != values[best]]
+        if losers:
+            return rng.choice(losers)
     return best
 
 
@@ -167,16 +182,9 @@ def grover_exists(
     items = list(items)
     if not items:
         return False
-    ledger.record_quantum(
-        math.ceil(math.sqrt(len(items))) * math.ceil(math.log2(1 / eps))
-    )
+    _charge(ledger, len(items), eps)
     answer = any(predicate(w) for w in items)
-    if faithful:
-        if rng is None:
-            raise ValueError("faithful mode needs an rng")
-        if rng.random() < eps:
-            answer = not answer
-    return answer
+    return not answer if _fails(rng, eps, faithful) else answer
 
 
 def sample_then_descend(
@@ -184,13 +192,12 @@ def sample_then_descend(
     samples: int,
     seed: int,
     charging: str = "classical",
-    eps: float = 0.25,
 ) -> SolveResult:
     """Sample vertices uniformly with replacement, descend from the best.
 
     Classical charging queries each sampled value; quantum charging reads
-    the samples uncharged and applies the minimum-finding charge formula
-    (by default at error budget 1/4).
+    the samples uncharged and applies the minimum-finding charge formula at
+    the fixed error budget eps = 1/4.
     """
     shape = oracle.shape
     n_vertices = shape.vertex_count
@@ -207,19 +214,11 @@ def sample_then_descend(
             best = values.index(min(values))
         else:
             values = [oracle.peek(v) for v in drawn]
-            best = durr_hoyer_min(values, eps, oracle.ledger)
+            best = durr_hoyer_min(values, 0.25, oracle.ledger)
             memo.values[drawn[best]] = values[best]
     with oracle.ledger.phase("descent"):
-        found, moves = _descend(oracle, drawn[best], memo)
-    return SolveResult(
-        found=found,
-        outcome="success",
-        is_local_min=verify_local_min(oracle, found),
-        rounds=moves,
-        classical_queries=oracle.ledger.classical_queries,
-        charged_quantum_queries=oracle.ledger.charged_quantum_queries,
-        phase_breakdown=oracle.ledger.breakdown(),
-    )
+        found, moves = _descend(memo, drawn[best])
+    return _result(oracle, found, moves)
 
 
 # ---------------------------------------------------------------------------
@@ -374,11 +373,6 @@ def grid2d_quantum(
     oracle: ValueOracle,
     seed: int,
     mode: str = "exact",
-    eps: float | None = None,
-    eps1: float | None = None,
-    eps2: float | None = None,
-    eps3: float | None = None,
-    eps4: float | None = None,
     collect_trace: bool = False,
 ) -> SolveResult:
     """Divide-and-conquer local search on [n]^2 with charged quantum phases.
@@ -396,8 +390,8 @@ def grid2d_quantum(
     the region shrinks to the accepted ball and, after the loop, a classical
     descent from the anchor finishes the job.
 
-    Defaults: eps = 1/(2 log2 n), eps1 = eps2 = eps3 = eps/4 and
-    eps4 = eps/(4 log2(4/eps)); any of the five may be overridden.
+    The error budgets are fixed: eps = 1/(2 log2 n), eps1 = eps2 = eps3 =
+    eps/4 and eps4 = eps/(4 log2(4/eps)).
     """
     shape = oracle.shape
     if shape.l != 2:
@@ -409,22 +403,18 @@ def grid2d_quantum(
     rng = random.Random(seed)
     ledger = oracle.ledger
 
-    if eps is None:
-        eps = 1 / (2 * math.log2(n)) if n > 1 else 0.25
-    eps1 = eps / 4 if eps1 is None else eps1
-    eps2 = eps / 4 if eps2 is None else eps2
-    eps3 = eps / 4 if eps3 is None else eps3
-    eps4 = eps / (4 * math.log2(4 / eps)) if eps4 is None else eps4
+    eps = 1 / (2 * math.log2(n))  # GridShape guarantees n >= 2
+    eps1 = eps2 = eps3 = eps / 4
+    eps4 = eps / (4 * math.log2(4 / eps))
 
     region = RegionState(n=n)
     radius = n
     anchor: Vertex | None = None
     anchor_value: int | None = None
     tries_budget = math.ceil(math.log2(1 / eps3))
-    round_cap = math.floor(math.log2(n)) if n > 1 else 0
+    round_cap = math.floor(math.log2(n))
     rounds = 0
-    trace: list[RoundRecord] = []
-    failed = False
+    records: list[RoundRecord] = []
 
     peek = oracle._peek  # region draws and sphere vertices lie in the grid
     while radius > math.sqrt(n) and rounds < round_cap:
@@ -438,10 +428,8 @@ def grid2d_quantum(
         if anchor is None or not anchor_value < candidate_value:
             anchor, anchor_value = candidate, candidate_value
         chosen = None
-        tries = 0
         with ledger.phase("sphere-test"):
-            for _ in range(tries_budget):
-                tries += 1
+            for tries in range(1, tries_budget + 1):  # eps3 <= 1/8, so at least 3 tries
                 m_new = rng.randint(radius // 4, math.ceil(3 * radius / 4))
                 sphere = region.sphere(anchor, m_new)
                 below = grover_exists(
@@ -456,7 +444,7 @@ def grid2d_quantum(
                     chosen = m_new
                     break
         if collect_trace:
-            trace.append(
+            records.append(
                 RoundRecord(
                     index=rounds,
                     region_size=region_size,
@@ -469,28 +457,18 @@ def grid2d_quantum(
                 )
             )
         if chosen is None:
-            failed = True
             break
         region = region.with_ball(anchor, chosen)
         radius = chosen
         rounds += 1
 
-    # grids have side >= 2, so n > sqrt(n) and the loop ran at least once
+    # grids have side >= 2, so n > sqrt(n) and the loop ran at least once;
+    # it ends with chosen None exactly when a round ran out of tries
     assert anchor is not None and anchor_value is not None
 
-    if failed:
-        found = anchor
-    else:
-        with ledger.phase("descent"):
-            found, _ = _descend(oracle, anchor)
-
-    return SolveResult(
-        found=found,
-        outcome="fail" if failed else "success",
-        is_local_min=verify_local_min(oracle, found),
-        rounds=rounds,
-        classical_queries=ledger.classical_queries,
-        charged_quantum_queries=ledger.charged_quantum_queries,
-        phase_breakdown=ledger.breakdown(),
-        trace=tuple(trace) if collect_trace else None,
-    )
+    trace = tuple(records) if collect_trace else None
+    if chosen is None:
+        return _result(oracle, anchor, rounds, "fail", trace)
+    with ledger.phase("descent"):
+        found, _ = _descend(_Memo(oracle), anchor)
+    return _result(oracle, found, rounds, trace=trace)

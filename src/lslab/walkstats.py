@@ -26,7 +26,8 @@ from math import comb
 
 from .errors import BudgetExceeded
 
-#: Hard cap on m^t / 2^t for the raw enumeration helpers.
+#: Hard cap on m^t / 2^t for the raw enumeration helpers, and on the 2^m
+#: parity tally and the n^2 (t_max + 1) line-walk table.
 DEFAULT_ENUM_LIMIT = 1 << 22
 
 
@@ -35,8 +36,9 @@ DEFAULT_ENUM_LIMIT = 1 << 22
 # ---------------------------------------------------------------------------
 
 
-def _parity_counts(m: int, t: int, excluded_first_bin: int | None) -> list[int]:
-    """Exact count of placement sequences per parity mask.
+def _parity_counts(m: int, t: int, excluded_first_bin: int | None) -> tuple[list[int], int]:
+    """Exact count of placement sequences per parity mask, and the number of
+    sequences.
 
     Walks the full sequence space layer by layer: entry `mask` after s steps
     holds the number of length-s sequences whose occupancy parities equal the
@@ -54,6 +56,8 @@ def _parity_counts(m: int, t: int, excluded_first_bin: int | None) -> list[int]:
             raise ValueError("cannot exclude the only bin")
         if t == 0:
             raise ValueError("conditional placement needs at least one ball")
+    if m >= DEFAULT_ENUM_LIMIT.bit_length():  # 2^m > DEFAULT_ENUM_LIMIT
+        raise BudgetExceeded(f"2^{m} parity masks exceed table limit {DEFAULT_ENUM_LIMIT}")
     counts = [0] * (1 << m)
     counts[0] = 1
     first_choices = range(m)
@@ -68,7 +72,9 @@ def _parity_counts(m: int, t: int, excluded_first_bin: int | None) -> list[int]:
                 for i in choices:
                     nxt[mask ^ (1 << i)] += c
         counts = nxt
-    return counts
+    if excluded_first_bin is None:
+        return counts, m**t
+    return counts, (m - 1) * m ** (t - 1)
 
 
 def parity_prob_bruteforce(
@@ -84,12 +90,8 @@ def parity_prob_bruteforce(
     """
     if len(bits) != m or any(b not in (0, 1) for b in bits):
         raise ValueError("parity vector must be m bits of 0/1")
-    counts = _parity_counts(m, t, excluded_first_bin)
+    counts, denom = _parity_counts(m, t, excluded_first_bin)
     mask = sum(1 << i for i, b in enumerate(bits) if b)
-    if excluded_first_bin is None:
-        denom = m**t
-    else:
-        denom = (m - 1) * m ** (t - 1)
     return Fraction(counts[mask], denom)
 
 
@@ -97,11 +99,7 @@ def parity_prob_table(
     m: int, t: int, excluded_first_bin: int | None = None
 ) -> dict[tuple[int, ...], Fraction]:
     """All 2^m parity probabilities at once, by the same exhaustive tally."""
-    counts = _parity_counts(m, t, excluded_first_bin)
-    if excluded_first_bin is None:
-        denom = m**t
-    else:
-        denom = (m - 1) * m ** (t - 1)
+    counts, denom = _parity_counts(m, t, excluded_first_bin)
     out = {}
     for mask, c in enumerate(counts):
         bits = tuple((mask >> i) & 1 for i in range(m))
@@ -109,15 +107,10 @@ def parity_prob_table(
     return out
 
 
-def parity_prob_enumerated(
-    m: int,
-    t: int,
-    bits: tuple[int, ...],
-    limit: int = DEFAULT_ENUM_LIMIT,
-) -> Fraction:
+def parity_prob_enumerated(m: int, t: int, bits: tuple[int, ...]) -> Fraction:
     """Rawest possible check: literally iterate the m^t placement sequences."""
-    if m**t > limit:
-        raise BudgetExceeded(f"m^t = {m**t} exceeds enumeration limit {limit}")
+    if m**t > DEFAULT_ENUM_LIMIT:
+        raise BudgetExceeded(f"m^t = {m**t} exceeds enumeration limit {DEFAULT_ENUM_LIMIT}")
     hits = 0
     for seq in product(range(m), repeat=t):
         occ = [0] * m
@@ -220,9 +213,6 @@ class LineWalkTable:
             raise ValueError("line point out of range")
         return Fraction(self.counts[t][i - 1][j - 1], 1 << t)
 
-    def max_prob(self, t: int) -> Fraction:
-        return Fraction(max(max(row) for row in self.counts[t]), 1 << t)
-
 
 def _line_step(row: list[int]) -> list[int]:
     """One more step of the short walk, applied to one row of path counts.
@@ -238,6 +228,10 @@ def line_walk_table(n: int, t_max: int) -> LineWalkTable:
         raise ValueError("the short walk needs at least two points")
     if t_max < 0:
         raise ValueError("negative horizon")
+    if n * n * (t_max + 1) > DEFAULT_ENUM_LIMIT:
+        raise BudgetExceeded(
+            f"n^2 (t_max + 1) = {n * n * (t_max + 1)} exceeds table limit {DEFAULT_ENUM_LIMIT}"
+        )
     layer = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     layers = [tuple(map(tuple, layer))]
     for _ in range(t_max):
@@ -279,18 +273,14 @@ def line_walk_max_counts(n: int, t_max: int) -> list[int]:
     return maxima
 
 
-def line_walk_bruteforce(
-    n: int, t: int, i: int, j: int, limit: int = DEFAULT_ENUM_LIMIT
-) -> Fraction:
+def line_walk_bruteforce(n: int, t: int, i: int, j: int) -> Fraction:
     """Enumerate all 2^t move strings and count the ones taking i to j."""
     if not 1 <= j <= n:
         raise ValueError("line point out of range")
-    return Fraction(line_walk_endpoint_counts(n, t, i, limit)[j], 1 << t)
+    return Fraction(line_walk_endpoint_counts(n, t, i)[j], 1 << t)
 
 
-def line_walk_endpoint_counts(
-    n: int, t: int, i: int, limit: int = DEFAULT_ENUM_LIMIT
-) -> list[int]:
+def line_walk_endpoint_counts(n: int, t: int, i: int) -> list[int]:
     """Endpoint tallies of all 2^t move strings from i (one enumeration pass).
 
     The strings are extended one move at a time: the list holds one endpoint
@@ -303,8 +293,8 @@ def line_walk_endpoint_counts(
         raise ValueError("line point out of range")
     if t < 0:
         raise ValueError("negative step count")
-    if (1 << t) > limit:
-        raise BudgetExceeded(f"2^t = {1 << t} exceeds enumeration limit {limit}")
+    if (1 << t) > DEFAULT_ENUM_LIMIT:
+        raise BudgetExceeded(f"2^t = {1 << t} exceeds enumeration limit {DEFAULT_ENUM_LIMIT}")
     ends = [i]
     for _ in range(t):
         ends = [p - 1 if p > 1 else p for p in ends] + [p + 1 if p < n else p for p in ends]

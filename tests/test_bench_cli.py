@@ -197,6 +197,18 @@ class TestCli:
         out = capsys.readouterr().out.splitlines()
         assert "2,1,1,1,1,2" in out
 
+    @pytest.mark.parametrize(
+        "argv, needle",
+        [
+            (["stats", "balls", "--m", "40"], "2^40 parity masks"),
+            (["stats", "line", "--n", "100000000"], "n^2 (t_max + 1)"),
+        ],
+    )
+    def test_stats_over_the_table_limit_exits_2(self, capsys, argv, needle):
+        # refused before the table is allocated, as a usage error
+        assert main(argv) == 2
+        assert needle in capsys.readouterr().err
+
     def test_adversary_command(self, capsys):
         assert (
             main(
@@ -307,3 +319,69 @@ def test_malformed_config_exits_2_before_any_trial(tmp_path, monkeypatch, capsys
     cfg.write_text(json.dumps(BAD_CONFIGS[name]))
     assert main(["bench", "--config", str(cfg)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+# `lslab solve --json` payloads, phase_breakdown key order included: the query
+# counts are the lab's cited outputs, so any change to how results or quantum
+# charges are built must leave them byte for byte.  The faithful seed 17 run
+# fails a round and exits 1.
+GRID_WALK_INSTANCE = ["--family", "grid-walk", "--n", "16", "--d", "2", "--m", "1", "--seed", "2"]
+CONE = ["--function", "l1-cone", "--n", "12"]
+PINNED_SOLVES = {
+    "steepest": (
+        CONE + ["--algo", "steepest", "--seed", "5"],
+        0,
+        '{"found": [7, 6], "outcome": "success", "is_local_min": true, "rounds": 4, '
+        '"classical_queries": 16, "charged_quantum_queries": 0, '
+        '"phase_breakdown": {"descent": [16, 0]}}',
+    ),
+    "sample-descend": (
+        CONE + ["--algo", "sample-descend", "--seed", "7"],
+        0,
+        '{"found": [11, 7], "outcome": "success", "is_local_min": true, "rounds": 0, '
+        '"classical_queries": 26, "charged_quantum_queries": 0, '
+        '"phase_breakdown": {"sample": [23, 0], "descent": [3, 0]}}',
+    ),
+    "sample-descend-quantum": (
+        CONE + ["--algo", "sample-descend", "--seed", "7", "--quantum-charging"],
+        0,
+        '{"found": [11, 7], "outcome": "success", "is_local_min": true, "rounds": 0, '
+        '"classical_queries": 4, "charged_quantum_queries": 10, '
+        '"phase_breakdown": {"sample": [0, 10], "descent": [4, 0]}}',
+    ),
+    "grid2d-exact": (
+        ["--function", "l1-cone", "--n", "32", "--algo", "grid2d-quantum", "--seed", "3"],
+        0,
+        '{"found": [25, 16], "outcome": "success", "is_local_min": true, "rounds": 3, '
+        '"classical_queries": 5, "charged_quantum_queries": 550, '
+        '"phase_breakdown": {"sample-min": [0, 414], "sphere-test": [0, 136], '
+        '"descent": [5, 0]}}',
+    ),
+    "grid2d-faithful": (
+        ["--algo", "grid2d-quantum", "--mode", "faithful", "--seed", "1"],
+        0,
+        '{"found": [8, 16], "outcome": "success", "is_local_min": true, "rounds": 4, '
+        '"classical_queries": 4, "charged_quantum_queries": 433, '
+        '"phase_breakdown": {"sample-min": [0, 305], "sphere-test": [0, 128], '
+        '"descent": [4, 0]}}',
+    ),
+    "grid2d-faithful-fail": (
+        ["--algo", "grid2d-quantum", "--mode", "faithful", "--seed", "17"],
+        1,
+        '{"found": [3, 16], "outcome": "fail", "is_local_min": false, "rounds": 0, '
+        '"classical_queries": 0, "charged_quantum_queries": 226, '
+        '"phase_breakdown": {"sample-min": [0, 90], "sphere-test": [0, 136]}}',
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_SOLVES))
+def test_solve_json_accounting_is_pinned(tmp_path, capsys, name):
+    argv, code, expected = PINNED_SOLVES[name]
+    if "--function" not in argv:  # the faithful runs use one grid-walk instance
+        inst = str(tmp_path / "inst.json")
+        assert main(["gen", *GRID_WALK_INSTANCE, "--out", inst]) == 0
+        argv = ["--inst", inst, *argv]
+        capsys.readouterr()
+    assert main(["solve", *argv, "--json"]) == code
+    assert capsys.readouterr().out == expected + "\n"

@@ -42,6 +42,18 @@ class TestLedger:
         assert led.classical_queries == sum(c for c, _ in bd.values())
         assert led.charged_quantum_queries == sum(q for _, q in bd.values())
 
+    def test_phase_appears_on_its_first_record_even_of_zero(self):
+        led = QueryLedger()
+        with led.phase("idle"):
+            pass
+        assert led.breakdown() == {}
+        with led.phase("sample"):
+            led.record_quantum(0)
+            with led.phase("idle"):
+                pass
+        led.record_classical(0)
+        assert list(led.breakdown().items()) == [("sample", (0, 0)), ("main", (0, 0))]
+
     def test_negative_rejected(self):
         led = QueryLedger()
         with pytest.raises(ValueError):

@@ -25,6 +25,14 @@ from lslab.walkstats import (
 
 
 class TestParityProbabilities:
+    @pytest.mark.parametrize("m", [23, 40])
+    def test_tally_budget(self, m):
+        # 2^m parity masks over the limit are refused before the tally is built
+        with pytest.raises(BudgetExceeded):
+            parity_prob_table(m, 2)
+        with pytest.raises(BudgetExceeded):
+            parity_prob_bruteforce(m, 2, (0,) * m)
+
     def test_two_bins_two_balls(self):
         assert parity_prob_bruteforce(2, 2, (0, 0)) == Fraction(1, 2)
 
@@ -220,6 +228,12 @@ class TestLineWalk:
     def test_bruteforce_budget(self):
         with pytest.raises(BudgetExceeded):
             line_walk_bruteforce(3, 40, 1, 1)
+
+    @pytest.mark.parametrize("n, t_max", [(10**8, 0), (2049, 0), (1000, 4)])
+    def test_table_budget(self, n, t_max):
+        # n^2 (t_max + 1) over the limit is refused before any row is built
+        with pytest.raises(BudgetExceeded):
+            line_walk_table(n, t_max)
 
     def test_streaming_maxima_match_table(self):
         from lslab.walkstats import line_walk_max_counts
