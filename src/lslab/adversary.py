@@ -49,8 +49,8 @@ from math import ceil, inf, lcm
 from operator import itemgetter
 
 from .errors import BudgetExceeded
-from .grid import GridShape, Vertex
-from .instances import _replay_hypercube
+from .grid import GridShape, Vertex, snake_unrank
+from .instances import _hypercube_step
 
 #: Cap on the number of enumerated walks.
 DEFAULT_FAMILY_LIMIT = 1 << 17
@@ -79,6 +79,20 @@ def _factorize(x: int) -> dict[int, int]:
 Monomial = tuple[tuple[int, Fraction], ...]  # ((prime, exponent in (0,1)), ...)
 
 
+def _canonical(coef: Fraction, exps) -> "Surd":
+    """coef * prod(p^e) over the (prime, e) pairs, in canonical form: each
+    exponent's whole part is folded into the coefficient, so the monomial
+    keeps exponents in (0, 1) only, in prime order."""
+    mono = []
+    for prime, e in sorted(exps):
+        whole = e.numerator // e.denominator
+        if whole:
+            coef *= Fraction(prime) ** whole
+        if e != whole:
+            mono.append((prime, e - whole))
+    return Surd(coef, tuple(mono))
+
+
 @dataclass(frozen=True)
 class Surd:
     """An exact positive number coef * prod(p^e) with fractional exponents."""
@@ -96,35 +110,15 @@ class Surd:
         base = Fraction(base)
         if base <= 0:
             raise ValueError("radical bases must be positive")
-        exps: dict[int, Fraction] = {}
-        for prime, mult in _factorize(base.numerator).items():
-            exps[prime] = exps.get(prime, Fraction(0)) + mult * exponent
-        for prime, mult in _factorize(base.denominator).items():
-            exps[prime] = exps.get(prime, Fraction(0)) - mult * exponent
-        coef = Fraction(1)
-        mono = []
-        for prime in sorted(exps):
-            e = exps[prime]
-            whole = e.numerator // e.denominator
-            frac = e - whole
-            coef *= Fraction(prime) ** whole
-            if frac:
-                mono.append((prime, frac))
-        return cls(coef, tuple(mono))
+        exps = [(p, mult * exponent) for p, mult in _factorize(base.numerator).items()]
+        exps += [(p, -mult * exponent) for p, mult in _factorize(base.denominator).items()]
+        return _canonical(Fraction(1), exps)
 
     def __mul__(self, other: "Surd") -> "Surd":
         exps = dict(self.mono)
-        coef = self.coef * other.coef
         for prime, e in other.mono:
-            e = exps.get(prime, Fraction(0)) + e
-            whole = e.numerator // e.denominator
-            coef *= Fraction(prime) ** whole
-            e -= whole
-            if e:
-                exps[prime] = e
-            else:
-                exps.pop(prime, None)
-        return Surd(coef, tuple(sorted(exps.items())))
+            exps[prime] = exps.get(prime, 0) + e
+        return _canonical(self.coef * other.coef, exps.items())
 
     @property
     def is_rational(self) -> bool:
@@ -235,7 +229,6 @@ class PathFamily:
     m: int
     T: int
     side: int  # walk-space side length (2 for hypercube families)
-    shape: GridShape
     walks: tuple[WalkRecord, ...]
 
     def __len__(self) -> int:
@@ -265,70 +258,59 @@ def enumerate_paths(
 ) -> PathFamily:
     """All step sequences of the family, with derived point sets.
 
-    Hypercube families need T+1 to be a power of two (the clock is a
-    hypercube snake path); grid families take an explicit walk-space side
-    (default T+2) and run their clock on a line of T+1 points.  Grid steps
-    at a border stand still when aimed outward, which keeps distinct sign
-    sequences on distinct point sequences.
+    Hypercube families step as the instance generator does and need T+1
+    to be a power of two, at least 2 (the clock is a hypercube snake path);
+    grid families take an explicit walk-space side (default T+2) and run
+    their clock on a line of T+1 points.  Grid steps at a border stand
+    still when aimed outward, which keeps distinct sign sequences on
+    distinct point sequences.
     """
     if T < 0:
         raise ValueError("T must be nonnegative")
     if m < 1:
         raise ValueError(f"walk dimensions need m >= 1, got m={m}")
     if kind == HYPERCUBE_KIND:
-        count = m ** (T + 1)
-        if count > limit:
-            raise BudgetExceeded(f"{count} walks exceed the family limit {limit}")
-        ticks = T + 1
-        c = (ticks - 1).bit_length()
-        if 1 << c != ticks:
-            raise ValueError("hypercube clocks require T+1 to be a power of two")
-        n = m + c
-        walks = []
-        for steps in product(range(m), repeat=ticks):
-            inst = _replay_hypercube(n, m, steps, seed=None)
-            walks.append(_record(steps, inst.trajectory))
-        expected = count
-        shape = GridShape(2, n)
-        side_out = 2
+        alphabet = range(m)
     elif kind == GRID_KIND:
-        count = 2 ** (T + 1)
-        if count > limit:
-            raise BudgetExceeded(f"{count} walks exceed the family limit {limit}")
+        alphabet = (-1, 1)
+    else:
+        raise ValueError(f"unknown family kind {kind!r}")
+    count = len(alphabet) ** (T + 1)
+    if count > limit:
+        raise BudgetExceeded(f"{count} walks exceed the family limit {limit}")
+    if kind == HYPERCUBE_KIND:
+        if T < 1 or T & (T + 1):
+            raise ValueError(
+                f"hypercube clocks require T+1 to be a power of two, at least 2; got T={T}"
+            )
+        side, start, step = 2, (1,) * m, _hypercube_step
+        clock_shape = GridShape(2, T.bit_length())
+        clocks = [snake_unrank(clock_shape, t + 1) for t in range(T + 1)]
+    else:
         if side is None:
             side = T + 2
         if side < 2:
             raise ValueError("grid walk side must be at least 2")
         start = (side // 2,) * m
-        walks = []
-        for signs in product((-1, 1), repeat=T + 1):
-            points = []
-            w = start
-            for t, sign in enumerate(signs):
-                dim = t % m
-                clock = (t + 1,)
-                points.append(w + clock)
-                c0 = w[dim] + sign
-                if not 1 <= c0 <= side:
-                    c0 = w[dim]  # blocked at the border: stand still
-                w = w[:dim] + (c0,) + w[dim + 1 :]
-                points.append(w + clock)
-            walks.append(_record(signs, tuple(points)))
-        expected = count
-        shape = None  # product space [side]^m x [T+1]; not a square grid
-        side_out = side
-    else:
-        raise ValueError(f"unknown family kind {kind!r}")
-    if len(walks) != expected:
-        raise RuntimeError("enumeration lost walks")
-    return PathFamily(
-        kind=kind,
-        m=m,
-        T=T,
-        side=side_out,
-        shape=shape if shape is not None else GridShape(max(side_out, T + 1), 1),
-        walks=tuple(walks),
-    )
+        clocks = [(t + 1,) for t in range(T + 1)]
+
+        def step(w: Vertex, t: int, sign: int) -> Vertex:
+            dim = t % m
+            c = w[dim] + sign
+            if not 1 <= c <= side:
+                return w  # blocked at the border: stand still
+            return w[:dim] + (c,) + w[dim + 1 :]
+
+    walks = []
+    for steps in product(alphabet, repeat=T + 1):
+        points = []
+        w = start
+        for t, s in enumerate(steps):
+            points.append(w + clocks[t])
+            w = step(w, t, s)
+            points.append(w + clocks[t])
+        walks.append(_record(steps, points))
+    return PathFamily(kind=kind, m=m, T=T, side=side, walks=tuple(walks))
 
 
 def diverge_index(x: WalkRecord, y: WalkRecord) -> int | None:
@@ -399,13 +381,7 @@ def prefix_class_size(family: PathFamily, k: int) -> int:
     return 2**free
 
 
-def _survival(k: int, j: int, b: int) -> int:
-    # how many ticks a differing position at (j, b) outlived the divergence
-    return j - k + b
-
-
-def _hypercube_multiplier(family: PathFamily, k: int, j: int, b: int) -> Surd:
-    s = _survival(k, j, b)
+def _hypercube_multiplier(family: PathFamily, s: int) -> Surd:
     m = family.m
     if s <= 10:
         return Surd.power(m, Fraction(-ceil(Fraction(s, 2)), 2))
@@ -414,8 +390,7 @@ def _hypercube_multiplier(family: PathFamily, k: int, j: int, b: int) -> Surd:
     return Surd.power(2, Fraction(-m, 2))
 
 
-def _grid_multiplier(family: PathFamily, k: int, j: int, b: int) -> Surd:
-    s = _survival(k, j, b)
+def _grid_multiplier(family: PathFamily, s: int) -> Surd:
     m, side = family.m, family.side
     if s == 1:
         return Surd.of(1)
@@ -424,33 +399,37 @@ def _grid_multiplier(family: PathFamily, k: int, j: int, b: int) -> Surd:
     return Surd.power(side, Fraction(-m, 2))
 
 
+#: scheme kind -> (the family kind it needs, None for any; its multiplier
+#: rule a(family, s) for a position that survived s ticks)
+_SCHEMES = {
+    RANDOMIZED: (None, lambda family, s: Surd.of(1)),
+    QUANTUM_HYPERCUBE: (HYPERCUBE_KIND, _hypercube_multiplier),
+    QUANTUM_GRID: (GRID_KIND, _grid_multiplier),
+}
+
+
 def _reciprocal(surd: Surd) -> Surd:
-    coef = Fraction(1) / surd.coef
-    inv_mono = []
-    for prime, e in surd.mono:
-        # p^-e = p^(1-e) / p keeps the exponent inside (0, 1)
-        coef /= prime
-        inv_mono.append((prime, 1 - e))
-    return Surd(coef, tuple(sorted(inv_mono)))
+    return _canonical(1 / surd.coef, [(prime, -e) for prime, e in surd.mono])
 
 
 class WeightScheme:
     """w on the relation plus the u/v multiplier rule.
 
     For a pair (X, Y) diverging at k and a differing position held by X at
-    role (j, b): u(X,Y,i) = a(k,j,b) * w and v(X,Y,i) = w / a(k,j,b); when Y
-    holds the position the factors swap.  The randomized scheme has a = 1,
-    i.e. u = v = w.
+    role (j, b), the position survived s = j - k + b ticks past the
+    divergence: u(X,Y,i) = a(s) * w and v(X,Y,i) = w / a(s); when Y holds
+    the position the factors swap.  The randomized scheme has a = 1, i.e.
+    u = v = w.
 
     Without `w` and `diverge` tables (build_scheme passes none), w(X, Y) is
     the divergence weight 1 / prefix_class_size(family, k), and both tables
     are listed over the relation only when read.  A hand-built scheme
     passes its own tables.
 
-    The multiplier depends on (k, j, b) only through the survival
-    s = j - k + b, and (u, v) only through the integers (k, s, which walk
-    holds the position), plus the weight when a hand-built table gives it;
-    both are memoized on those keys, so equal inputs share one Surd object.
+    (u, v) depends only on the integers (k, s, which walk holds the
+    position), plus the weight when a hand-built table gives it; the
+    multiplier pair is memoized on s and (u, v) on those keys, so equal
+    inputs share one Surd object.
     """
 
     def __init__(
@@ -494,19 +473,11 @@ class WeightScheme:
             Fraction(1, prefix_class_size(self.family, k)) for k in range(self.family.T + 1)
         ]
 
-    def multiplier(self, k: int, j: int, b: int) -> Surd:
-        if self.kind == RANDOMIZED:
-            return Surd.of(1)
-        if self.kind == QUANTUM_HYPERCUBE:
-            return _hypercube_multiplier(self.family, k, j, b)
-        return _grid_multiplier(self.family, k, j, b)
-
-    def multiplier_pair(self, k: int, j: int, b: int) -> tuple[Surd, Surd]:
-        """The scaling factor and its exact reciprocal."""
-        s = _survival(k, j, b)
+    def multiplier_pair(self, s: int) -> tuple[Surd, Surd]:
+        """The scaling factor for survival s and its exact reciprocal."""
         hit = self._pair_memo.get(s)
         if hit is None:
-            a = self.multiplier(k, j, b)
+            a = _SCHEMES[self.kind][1](self.family, s)
             hit = self._pair_memo[s] = (a, _reciprocal(a))
         return hit
 
@@ -518,7 +489,7 @@ class WeightScheme:
         x_holds = pos in x.point_set
         j, b = (x if x_holds else y).role[pos]
         w = None if self.derived else self.w[pair]
-        return self.uv_at(k, _survival(k, j, b), x_holds, w)
+        return self.uv_at(k, j - k + b, x_holds, w)
 
     def uv_at(
         self, k: int, s: int, x_holds: bool, w: Fraction | None = None
@@ -530,7 +501,7 @@ class WeightScheme:
         hit = self._uv_memo.get(key)
         if hit is None:
             wxy = Surd.of(self.divergence_weights[k] if w is None else w)
-            a, a_inv = self.multiplier_pair(k, k + s, 0)
+            a, a_inv = self.multiplier_pair(s)
             hit = (wxy * a, wxy * a_inv) if x_holds else (wxy * a_inv, wxy * a)
             self._uv_memo[key] = hit
         return hit
@@ -543,12 +514,11 @@ def build_scheme(kind: str, family: PathFamily, relation: Relation) -> WeightSch
     1 / prefix_class_size(family, k) for the divergence index k; pairs with
     the same k share one weight object.
     """
-    if kind not in (RANDOMIZED, QUANTUM_HYPERCUBE, QUANTUM_GRID):
+    if kind not in _SCHEMES:
         raise ValueError(f"unknown scheme kind {kind!r}")
-    if kind == QUANTUM_HYPERCUBE and family.kind != HYPERCUBE_KIND:
-        raise ValueError("hypercube scheme on a non-hypercube family")
-    if kind == QUANTUM_GRID and family.kind != GRID_KIND:
-        raise ValueError("grid scheme on a non-grid family")
+    needs = _SCHEMES[kind][0]
+    if needs not in (None, family.kind):
+        raise ValueError(f"{kind} scheme on a {family.kind} family")
     return WeightScheme(kind, family, relation)
 
 
@@ -976,7 +946,7 @@ def _orbits_keep_floats(scheme: WeightScheme) -> bool:
     monos = {
         term.mono
         for s in range(1, scheme.family.T + 2)
-        for term in scheme.multiplier_pair(0, s, 0)
+        for term in scheme.multiplier_pair(s)
     }
     return len(monos - {()}) <= 1
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 from .adversary import (
     GRID_KIND,
@@ -55,9 +55,10 @@ def _cmd_solve(args) -> int:
     charging = "quantum" if args.quantum_charging else "classical"
     result = solve(oracle, start, args.algo, args.seed, args.mode, args.samples, charging)
     if args.json:
-        payload = asdict(result)
+        # grid2d's round records stay out of the payload
+        payload = asdict(replace(result, trace=None))
+        del payload["trace"]
         payload["found"] = list(result.found)
-        payload.pop("trace")
         print(json.dumps(payload))
     else:
         print(
@@ -70,10 +71,14 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_stats(args) -> int:
+    if args.t_max < 0:
+        raise ConfigError(f"--t-max must be nonnegative, got {args.t_max}")
     if args.table == "balls":
+        table = parity_prob_table(args.m, 0)  # refuses an oversized m before any output
         print("m,t,parity,probability_num,probability_den")
         for t in range(args.t_max + 1):
-            table = parity_prob_table(args.m, t)
+            if t:
+                table = parity_prob_table(args.m, t)
             for bits in sorted(table):
                 p = table[bits]
                 parity = "".join(str(b) for b in bits)

@@ -84,33 +84,24 @@ class QueryLedger:
 class ValueOracle:
     """Query-counted access to a function on a grid domain."""
 
-    def __init__(
-        self,
-        shape: GridShape,
-        fn: Callable[[Vertex], int],
-        ledger: QueryLedger | None = None,
-    ) -> None:
+    def __init__(self, shape: GridShape, fn: Callable[[Vertex], int]) -> None:
         self.shape = shape
         self._peek = fn  # trusted: lslab-made vertices only, no check, no charge
-        self.ledger = ledger if ledger is not None else QueryLedger()
+        self.ledger = QueryLedger()
 
     @classmethod
-    def from_table(
-        cls, shape: GridShape, table: Mapping[Vertex, int], ledger: QueryLedger | None = None
-    ) -> "ValueOracle":
+    def from_table(cls, shape: GridShape, table: Mapping[Vertex, int]) -> "ValueOracle":
         def fn(v: Vertex) -> int:
             try:
                 return table[v]
             except KeyError:
                 raise ValueError(f"vertex {v!r} has no table entry") from None
 
-        return cls(shape, fn, ledger)
+        return cls(shape, fn)
 
     @classmethod
-    def for_instance(
-        cls, inst: WalkInstance, ledger: QueryLedger | None = None
-    ) -> "ValueOracle":
-        return cls(inst.shape, partial(FAMILIES[inst.family].value, inst), ledger)
+    def for_instance(cls, inst: WalkInstance) -> "ValueOracle":
+        return cls(inst.shape, partial(FAMILIES[inst.family].value, inst))
 
     def query(self, v: Vertex) -> int:
         """Evaluate the function at v; one classical query."""
@@ -127,10 +118,10 @@ class ValueOracle:
 class MembershipOracle:
     """Query-counted yes/no access to a trajectory's point set."""
 
-    def __init__(self, inst: WalkInstance, ledger: QueryLedger | None = None) -> None:
+    def __init__(self, inst: WalkInstance) -> None:
         self.shape = inst.shape
         self._member = partial(FAMILIES[inst.family].membership, inst)
-        self.ledger = ledger if ledger is not None else QueryLedger()
+        self.ledger = QueryLedger()
 
     def query(self, v: Vertex) -> bool:
         """Is v on the trajectory?  One classical query."""

@@ -38,7 +38,8 @@ class SolveResult:
 
     ``is_local_min`` is established by an uncharged post-hoc scan of the
     found vertex's neighborhood, never assumed; a success outcome always
-    carries a verified local minimum.
+    carries a verified local minimum.  ``trace`` holds grid2d_quantum's
+    RoundRecords, one per round run; the other solvers leave it None.
     """
 
     found: Vertex
@@ -369,12 +370,7 @@ class RoundRecord:
     region: RegionState
 
 
-def grid2d_quantum(
-    oracle: ValueOracle,
-    seed: int,
-    mode: str = "exact",
-    collect_trace: bool = False,
-) -> SolveResult:
+def grid2d_quantum(oracle: ValueOracle, seed: int, mode: str = "exact") -> SolveResult:
     """Divide-and-conquer local search on [n]^2 with charged quantum phases.
 
     Rounds run while the working radius exceeds sqrt(n), and are capped at
@@ -443,19 +439,18 @@ def grid2d_quantum(
                 if not below:
                     chosen = m_new
                     break
-        if collect_trace:
-            records.append(
-                RoundRecord(
-                    index=rounds,
-                    region_size=region_size,
-                    sample_size=sample_size,
-                    anchor=anchor,
-                    anchor_value=anchor_value,
-                    chosen_radius=chosen,
-                    tries_used=tries,
-                    region=region,
-                )
+        records.append(
+            RoundRecord(
+                index=rounds,
+                region_size=region_size,
+                sample_size=sample_size,
+                anchor=anchor,
+                anchor_value=anchor_value,
+                chosen_radius=chosen,
+                tries_used=tries,
+                region=region,
             )
+        )
         if chosen is None:
             break
         region = region.with_ball(anchor, chosen)
@@ -466,9 +461,8 @@ def grid2d_quantum(
     # it ends with chosen None exactly when a round ran out of tries
     assert anchor is not None and anchor_value is not None
 
-    trace = tuple(records) if collect_trace else None
     if chosen is None:
-        return _result(oracle, anchor, rounds, "fail", trace)
+        return _result(oracle, anchor, rounds, "fail", tuple(records))
     with ledger.phase("descent"):
         found, _ = _descend(_Memo(oracle), anchor)
-    return _result(oracle, found, rounds, trace=trace)
+    return _result(oracle, found, rounds, trace=tuple(records))

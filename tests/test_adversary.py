@@ -27,6 +27,7 @@ from lslab.adversary import (
     relational_adversary_value,
     scheme_is_valid,
 )
+from lslab.instances import _replay_hypercube
 
 
 class TestSurds:
@@ -146,13 +147,11 @@ class TestSchemes:
         fam = enumerate_paths(*fam_args)
         rel = endpoint_relation(fam)
         scheme = build_scheme(kind, fam, rel)
-        for k in range(fam.T + 1):
-            for j in range(k, fam.T + 1):
-                for b in (0, 1):
-                    if j - k + b < 1:
-                        continue
-                    a, a_inv = scheme.multiplier_pair(k, j, b)
-                    assert (a * a_inv).as_fraction() == 1
+        # the survivals s = j - k + b of positions held at (j, b) by walks
+        # diverging at k <= j
+        for s in range(1, fam.T + 2):
+            a, a_inv = scheme.multiplier_pair(s)
+            assert (a * a_inv).as_fraction() == 1
 
     def test_validity_both_schemes(self):
         fam = enumerate_paths(HYPERCUBE_KIND, 2, 3)
@@ -261,7 +260,6 @@ class TestRelationalBound:
             m=fam.m,
             T=fam.T,
             side=fam.side,
-            shape=fam.shape,
             walks=tuple(fam.walks[i] for i in perm),
         )
         a = relational_adversary_value(
@@ -401,7 +399,6 @@ class TestQuantumBound:
             m=fam.m,
             T=fam.T,
             side=fam.side,
-            shape=fam.shape,
             walks=tuple(fam.walks[i] for i in perm),
         )
         a = quantum_adversary_value(
@@ -575,6 +572,30 @@ def test_irrational_product_just_below_w_squared_is_invalid():
 def test_enumerate_rejects_empty_walk_space(kind):
     with pytest.raises(ValueError, match="m >= 1"):
         enumerate_paths(kind, 0, 3)
+
+
+@pytest.mark.parametrize(
+    "args, kwargs, error, match",
+    [
+        (("ring", 2, 3), {}, ValueError, "unknown family kind"),
+        ((HYPERCUBE_KIND, 2, 2), {}, ValueError, "power of two"),
+        ((HYPERCUBE_KIND, 2, 0), {}, ValueError, "T=0"),
+        ((GRID_KIND, 1, 3), {"side": 1}, ValueError, "side must be at least 2"),
+        # the budget is checked first: T+1 = 3 is no power of two either
+        ((HYPERCUBE_KIND, 2, 2), {"limit": 7}, BudgetExceeded, "8 walks"),
+    ],
+    ids=["unknown-kind", "hypercube-T2", "hypercube-T0", "grid-side1", "budget-first"],
+)
+def test_enumerate_refusals(args, kwargs, error, match):
+    with pytest.raises(error, match=match):
+        enumerate_paths(*args, **kwargs)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_hypercube_walks_are_generator_trajectories(m):
+    fam = enumerate_paths(HYPERCUBE_KIND, m, 3)
+    for x in fam.walks:
+        assert x.points == _replay_hypercube(m + 2, m, x.steps, seed=None).trajectory
 
 
 def uv_terms(scheme):

@@ -202,12 +202,18 @@ class TestCli:
         [
             (["stats", "balls", "--m", "40"], "2^40 parity masks"),
             (["stats", "line", "--n", "100000000"], "n^2 (t_max + 1)"),
+            (["stats", "balls", "--m", "40", "--t-max", "3"], "2^40 parity masks"),
+            (["stats", "balls", "--t-max", "-1"], "--t-max must be nonnegative"),
+            (["stats", "line", "--t-max", "-1"], "--t-max must be nonnegative"),
         ],
     )
     def test_stats_over_the_table_limit_exits_2(self, capsys, argv, needle):
-        # refused before the table is allocated, as a usage error
+        # refused before the table is allocated or the CSV header printed,
+        # as a usage error
         assert main(argv) == 2
-        assert needle in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert needle in err
+        assert out == ""
 
     def test_adversary_command(self, capsys):
         assert (

@@ -22,9 +22,9 @@ from lslab.solvers import (
 )
 
 
-def cone_oracle(n, center, ledger=None):
+def cone_oracle(n, center):
     shape = GridShape(n, 2)
-    return ValueOracle(shape, lambda v: l1_distance(v, center), ledger)
+    return ValueOracle(shape, lambda v: l1_distance(v, center))
 
 
 class TestSteepestDescent:
@@ -304,7 +304,7 @@ class TestGrid2dQuantum:
     def test_round_bound_and_region_monotonicity(self):
         for seed in range(12):
             oracle = cone_oracle(64, (17, 40))
-            result = grid2d_quantum(oracle, seed=seed, collect_trace=True)
+            result = grid2d_quantum(oracle, seed=seed)
             assert result.rounds <= math.floor(math.log2(64))
             records = result.trace
             for a, b in zip(records, records[1:]):
@@ -315,7 +315,7 @@ class TestGrid2dQuantum:
 
     def test_region_shrinks_to_subsets(self):
         oracle = cone_oracle(32, (9, 9))
-        result = grid2d_quantum(oracle, seed=3, collect_trace=True)
+        result = grid2d_quantum(oracle, seed=3)
         regions = [r.region for r in result.trace]
         for a, b in zip(regions, regions[1:]):
             av = set(a.vertices())
@@ -326,7 +326,7 @@ class TestGrid2dQuantum:
         # accepted sphere, hence inside the union of accepted spheres
         for seed in (0, 5, 11):
             oracle = cone_oracle(32, (20, 13))
-            result = grid2d_quantum(oracle, seed=seed, collect_trace=True)
+            result = grid2d_quantum(oracle, seed=seed)
             assert result.outcome == "success"
             spheres_so_far = set()
             prev_region = RegionState(n=32)
@@ -344,7 +344,7 @@ class TestGrid2dQuantum:
 
     def test_anchor_values_monotone(self):
         oracle = cone_oracle(64, (33, 2))
-        result = grid2d_quantum(oracle, seed=7, collect_trace=True)
+        result = grid2d_quantum(oracle, seed=7)
         values = [r.anchor_value for r in result.trace]
         assert all(a >= b for a, b in zip(values, values[1:]))
 
@@ -353,7 +353,7 @@ class TestGrid2dQuantum:
         # m/4 - 1 radii in the window are good (disjoint spheres absorb the
         # better vertices); checked by direct enumeration
         oracle = cone_oracle(48, (13, 37))
-        result = grid2d_quantum(oracle, seed=2, collect_trace=True)
+        result = grid2d_quantum(oracle, seed=2)
         prev_region = RegionState(n=48)
         prev_radius = 48
         for rec in result.trace:
