@@ -29,11 +29,12 @@ and the row sums from endpoint counts per prefix class.  One u tally per
 (walk, position) serves as the v tally too, since v(x, y, pos) ==
 u(y, x, pos).  The scan visits x < y only, since (y, x, pos) has the same
 radicand; the quantum certification takes the mirrors of the shortlisted
-candidates back.  On hypercube families x runs over orbit representatives
-under permutations of the flip coordinates.  The witness is the one the
-full scan picks: the first minimal candidate in relation order for the
-relational bound; the float-smallest, then first, exact tie for the quantum
-bound.
+candidates back.  On every hypercube family x runs over orbit
+representatives under permutations of the flip coordinates (see
+`quantum_adversary_value` for why that keeps its floats).  The witness is
+the one the full scan picks: the first minimal candidate in relation order
+for the relational bound; the float-smallest, then first, exact tie for the
+quantum bound.
 
 Enumeration and evaluation are single-threaded, and the scans are pure.
 """
@@ -249,21 +250,17 @@ def _record(steps, points) -> WalkRecord:
     )
 
 
-def enumerate_paths(
-    kind: str,
-    m: int,
-    T: int,
-    side: int | None = None,
-    limit: int = DEFAULT_FAMILY_LIMIT,
-) -> PathFamily:
+def enumerate_paths(kind: str, m: int, T: int, side: int | None = None) -> PathFamily:
     """All step sequences of the family, with derived point sets.
 
-    Hypercube families step as the instance generator does and need T+1
-    to be a power of two, at least 2 (the clock is a hypercube snake path);
-    grid families take an explicit walk-space side (default T+2) and run
-    their clock on a line of T+1 points.  Grid steps at a border stand
-    still when aimed outward, which keeps distinct sign sequences on
-    distinct point sequences.
+    Hypercube families step as the instance generator does, take no `side`
+    and need T+1 to be a power of two, at least 2 (the clock is a hypercube
+    snake path); grid families take an explicit walk-space side (default
+    T+2) and run their clock on a line of T+1 points.  Grid steps at a
+    border stand still when aimed outward, which keeps distinct sign
+    sequences on distinct point sequences.  Families of more than
+    DEFAULT_FAMILY_LIMIT walks are refused with BudgetExceeded, before any
+    other size check.
     """
     if T < 0:
         raise ValueError("T must be nonnegative")
@@ -276,9 +273,11 @@ def enumerate_paths(
     else:
         raise ValueError(f"unknown family kind {kind!r}")
     count = len(alphabet) ** (T + 1)
-    if count > limit:
-        raise BudgetExceeded(f"{count} walks exceed the family limit {limit}")
+    if count > DEFAULT_FAMILY_LIMIT:
+        raise BudgetExceeded(f"{count} walks exceed the family limit {DEFAULT_FAMILY_LIMIT}")
     if kind == HYPERCUBE_KIND:
+        if side is not None:
+            raise ValueError(f"side applies to grid families only, got side={side}")
         if T < 1 or T & (T + 1):
             raise ValueError(
                 f"hypercube clocks require T+1 to be a power of two, at least 2; got T={T}"
@@ -618,19 +617,19 @@ class _FamilyReader:
       radicand and the same scan key, and x < y comes first in relation
       order, so only x < y is scanned; `in_relation_order` hands the
       mirrors back for the exact comparison.
-    - With `orbits`, on hypercube families: permuting the m flip
-      coordinates maps the family onto itself and preserves w, u and v
-      (Hoyer-Lee-Spalek's automorphism principle), so x runs over orbit
-      representatives only, each orbit's lowest-index walk.  Any walk's
-      row is its representative's row with the vertices permuted.  The
-      first minimal candidate in relation order always has a
-      representative x, so the witness rules keep their witnesses.
+    - On hypercube families, permuting the m flip coordinates maps the
+      family onto itself and preserves w, u and v (Hoyer-Lee-Spalek's
+      automorphism principle), so x runs over orbit representatives only,
+      each orbit's lowest-index walk.  Any walk's row is its
+      representative's row with the vertices permuted.  The first minimal
+      candidate in relation order always has a representative x, so the
+      witness rules keep their witnesses.
 
     Vertices are numbered in sorted order, so sorting numbers sorts
     vertices.
     """
 
-    def __init__(self, scheme: WeightScheme, orbits: bool) -> None:
+    def __init__(self, scheme: WeightScheme) -> None:
         self.scheme = scheme
         family = scheme.family
         walks = family.walks
@@ -649,7 +648,7 @@ class _FamilyReader:
         self.ends = [ends.setdefault(x.endpoint, len(ends)) for x in walks]
         self.xs = range(len(walks))
         self.orbit = None
-        if orbits and family.kind == HYPERCUBE_KIND:
+        if family.kind == HYPERCUBE_KIND:
             self._find_orbits(vid)
 
     def _find_orbits(self, vid: dict) -> None:
@@ -768,7 +767,7 @@ class _FamilyReader:
         return self.verts[pos]
 
 
-def _reader(scheme: WeightScheme, orbits: bool):
+def _reader(scheme: WeightScheme):
     relation = scheme.relation
     stock = (
         type(scheme) is WeightScheme
@@ -776,7 +775,7 @@ def _reader(scheme: WeightScheme, orbits: bool):
         and isinstance(relation, EndpointRelation)
         and relation.family is scheme.family
     )
-    return _FamilyReader(scheme, orbits) if stock else _TableReader(scheme)
+    return _FamilyReader(scheme) if stock else _TableReader(scheme)
 
 
 # ---------------------------------------------------------------------------
@@ -845,7 +844,7 @@ def relational_adversary_value(scheme: WeightScheme) -> RelationalBound:
     """
     if not len(scheme.relation):
         raise ValueError("empty relation")
-    reader = _reader(scheme, orbits=True)
+    reader = _reader(scheme)
     if any(weight <= 0 for weight in reader.weights()):
         raise ValueError("weights must be positive")
     scale, row, col = reader.weight_sums()
@@ -935,22 +934,6 @@ def _compare_ratios(num_a: SurdSum, den_a: SurdSum, num_b: SurdSum, den_b: SurdS
     raise ArithmeticError(f"cannot separate {lhs} from {rhs}")
 
 
-def _orbits_keep_floats(scheme: WeightScheme) -> bool:
-    """Whether an orbit image's u and v sums have the same floats.
-
-    The images have the same terms, added in another order.  With at most
-    one irrational monomial among the multipliers, every sum has at most
-    two monomials, and a float sum of two terms does not depend on their
-    order.  This holds for every hypercube family within the family limit.
-    """
-    monos = {
-        term.mono
-        for s in range(1, scheme.family.T + 2)
-        for term in scheme.multiplier_pair(s)
-    }
-    return len(monos - {()}) <= 1
-
-
 def quantum_adversary_value(scheme: WeightScheme) -> QuantumBound:
     """Exact-radicand evaluation of the quantum bound.
 
@@ -972,15 +955,17 @@ def quantum_adversary_value(scheme: WeightScheme) -> QuantumBound:
     can differ in the last ulp; the shortlist takes the mirrors back, in
     relation order, before the exact comparison.  On hypercube families the
     tally and the scan run x over orbit representatives only, each orbit's
-    lowest-index walk, when the orbit images' sums have the same floats
-    (`_orbits_keep_floats`); their products' floats then agree too.  So
-    every candidate of the full shortlist has an image in this one with the
-    same radicand and floats, and the first of them in relation order, the
-    full scan's witness, is among them.
+    lowest-index walk.  An orbit image's sums hold the same terms in
+    another order, and every hypercube family within DEFAULT_FAMILY_LIMIT
+    has at most one irrational monomial among its multipliers, so each sum
+    has at most two terms and the same float in any order; the products'
+    floats then agree too.  So every candidate of the full shortlist has an
+    image in this one with the same radicand and floats, and the first of
+    them in relation order, the full scan's witness, is among them.
     """
     if not len(scheme.relation):
         raise ValueError("empty relation")
-    reader = _reader(scheme, orbits=_orbits_keep_floats(scheme))
+    reader = _reader(scheme)
     scale, row, col = reader.weight_sums()
     checked: dict = {}
     by_tally: dict = {}

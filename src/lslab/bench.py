@@ -7,7 +7,8 @@ so any execution order produces identical bytes; the runtime column is the
 one nondeterministic field and comparison tools strip it.
 
 Config files are JSON mirroring ExperimentConfig; unknown keys are rejected
-rather than ignored.
+rather than ignored, and so are settings that the cell's family or algorithm
+does not take.
 """
 
 from __future__ import annotations
@@ -22,15 +23,36 @@ from typing import Callable, Mapping
 
 from .errors import ConfigError
 from .grid import GridShape, Vertex, _l1, snake_unrank
-from .instances import PARAM_TYPES, WalkInstance, family_params, read_json, typed_param
+from .instances import HYPERCUBE, PARAM_TYPES, WalkInstance, family_params, read_json
+from .instances import refuse_untaken, typed_param
 from .oracles import ValueOracle
 from .solvers import SolveResult, grid2d_quantum, sample_then_descend, steepest_descent
 
 SMOOTH = "smooth-l1"
 
-ALGORITHMS = ("steepest", "sample-descend", "grid2d-quantum")
+#: Each algorithm and the settings it takes; grid2d-quantum also needs a
+#: two-dimensional grid.
+ALGORITHMS = {
+    "steepest": (),
+    "sample-descend": ("samples", "charging"),
+    "grid2d-quantum": ("mode",),
+}
+#: Each setting's unset value, the one value an algorithm that does not take it accepts.
+UNSET = {"mode": "exact", "samples": None, "charging": "classical"}
 MODES = ("exact", "faithful")
 OPTIONAL_INT = (int, type(None))
+
+
+def check_settings(algo, settings: Mapping) -> None:
+    """ConfigError for an unknown algorithm, or for a setting in `settings`
+    that `algo` does not take and that differs from its unset value."""
+    takes = ALGORITHMS.get(algo) if isinstance(algo, str) else None
+    if takes is None:
+        raise ConfigError(f"unknown algo {algo!r}")
+    for name, unset in UNSET.items():
+        if name not in takes and settings.get(name, unset) != unset:
+            raise ConfigError(f"{algo} takes no {name}, got {settings[name]!r}")
+
 
 @dataclass(frozen=True)
 class ExperimentCell:
@@ -58,12 +80,16 @@ class ExperimentCell:
             cell = cls(**data)
         except TypeError as exc:
             raise ConfigError(f"bad cell: {exc}") from exc
-        if cell.algo not in ALGORITHMS:
-            raise ConfigError(f"unknown algo {cell.algo!r}")
+        params = vars(cell)
+        check_settings(cell.algo, params)
         if cell.mode not in MODES:
             raise ConfigError(f"unknown mode {cell.mode!r}")
-        params = vars(cell)
         make_oracle(cell.family, params)
+        if cell.algo == "grid2d-quantum":
+            # the axis count from the checked sizes: {0,1}^n has n axes
+            axes = cell.n if cell.family == HYPERCUBE else 2 if cell.d is None else cell.d
+            if axes != 2:
+                raise ConfigError(f"grid2d-quantum runs on two-dimensional grids, got {axes} axes")
         typed_param(params, "samples", OPTIONAL_INT, ConfigError)
         typed_param(params, "seed_start", (int,), ConfigError)
         if typed_param(params, "trials", (int,), ConfigError) < 1:
@@ -149,8 +175,10 @@ def instance_oracle(inst: WalkInstance) -> tuple[ValueOracle, Vertex]:
 def make_oracle(family: str, params: Mapping) -> Callable[[int], tuple[ValueOracle, Vertex]]:
     """Check a family's size parameters (smooth-l1: n and an optional d,
     default 2), types and values, and return seed -> (oracle, start);
-    ConfigError otherwise."""
+    ConfigError otherwise, a size parameter the family does not take
+    included."""
     if family == SMOOTH:
+        refuse_untaken(SMOOTH, ("n", "d"), params, ConfigError)
         n = typed_param(params, "n", PARAM_TYPES["n"], ConfigError)
         d = typed_param(params, "d", OPTIONAL_INT, ConfigError)
         args = (n, 2 if d is None else d)
@@ -170,7 +198,9 @@ def solve(
     mode: str = "exact", samples: int | None = None, charging: str = "classical",
 ) -> SolveResult:
     """The one algorithm dispatch behind ``lslab solve`` and bench; without
-    `samples`, sample-descend draws min(|V|, ceil(sqrt(2 l |V|)))."""
+    `samples`, sample-descend draws min(|V|, ceil(sqrt(2 l |V|))).  A setting
+    that `algo` does not take must keep its unset value (see UNSET)."""
+    check_settings(algo, {"mode": mode, "samples": samples, "charging": charging})
     if algo == "steepest":
         return steepest_descent(oracle, start)
     if algo == "sample-descend":
@@ -181,9 +211,7 @@ def solve(
                 math.ceil(math.sqrt(shape.vertex_count * 2 * shape.l)),
             )
         return sample_then_descend(oracle, samples, seed, charging=charging)
-    if algo == "grid2d-quantum":
-        return grid2d_quantum(oracle, seed, mode=mode)
-    raise ConfigError(f"unknown algo {algo!r}")
+    return grid2d_quantum(oracle, seed, mode=mode)
 
 
 def run_trial(cell: ExperimentCell, seed: int) -> SolveResult:
@@ -243,20 +271,14 @@ def strip_runtime_column(csv_text: str) -> str:
 def fit_loglog_slope(rows, x_field: str, y_field: str) -> tuple[float, float]:
     """Least-squares slope of log2(y) against log2(x) over per-x means.
 
-    Accepts any iterable of mappings or objects carrying the two fields.
-    Raises on fewer than two distinct x values; the standard error is 0 for
-    an exact two-point fit.
+    Takes an iterable of mappings holding the two fields.  Raises on a
+    nonpositive value and on fewer than two distinct x values; the standard
+    error is 0 for an exact two-point fit.
     """
-
-    def get(row, name):
-        if isinstance(row, dict):
-            return row[name]
-        return getattr(row, name)
-
     groups: dict[float, list[float]] = {}
     for row in rows:
-        x = float(get(row, x_field))
-        y = float(get(row, y_field))
+        x = float(row[x_field])
+        y = float(row[y_field])
         if x <= 0 or y <= 0:
             raise ValueError("log-log fit needs positive values")
         groups.setdefault(x, []).append(y)

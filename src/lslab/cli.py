@@ -28,7 +28,7 @@ from .adversary import (
 from .bench import ALGORITHMS, MODES, SMOOTH, ExperimentConfig, instance_oracle, make_oracle
 from .bench import rows_to_csv, run_experiment, solve
 from .errors import ConfigError, InstanceFormatError
-from .instances import FAMILIES, family_params, load_instance, save_instance
+from .instances import FAMILIES, family_params, load_instance, refuse_untaken, save_instance
 from .walkstats import line_walk_table, parity_prob_table
 
 
@@ -44,6 +44,7 @@ def _cmd_solve(args) -> int:
     if (args.inst is None) == (args.function is None):
         raise ConfigError("pass exactly one of --inst or --function")
     if args.inst is not None:
+        refuse_untaken("an instance file", (), vars(args), ConfigError)  # --n, --d
         oracle, start = instance_oracle(load_instance(args.inst))
     else:
         # l1-cone, the one --function choice, is bench's smooth-l1 function:
@@ -96,8 +97,6 @@ def _cmd_stats(args) -> int:
 
 def _cmd_adversary(args) -> int:
     kind = HYPERCUBE_KIND if args.kind == "hypercube" else GRID_KIND
-    if args.side is not None and kind != GRID_KIND:
-        raise ConfigError("--side applies to grid families only")
     family = enumerate_paths(kind, args.m, args.T, side=args.side)
     relation = endpoint_relation(family)
     if args.scheme == "randomized":

@@ -23,8 +23,7 @@ from .errors import BudgetExceeded
 
 Vertex = tuple[int, ...]
 
-#: Exhaustive vertex scans refuse to run above this many vertices unless the
-#: caller passes an explicit higher limit.
+#: Exhaustive vertex scans refuse to run above this many vertices.
 DEFAULT_SCAN_LIMIT = 1 << 16
 
 
@@ -53,12 +52,13 @@ class GridShape:
         if len(v) != self.l or min(v) < 1 or max(v) > self.k:
             raise ValueError(f"vertex {v!r} is not in [{self.k}]^{self.l}")
 
-    def iter_vertices(self, limit: int = DEFAULT_SCAN_LIMIT) -> Iterator[Vertex]:
-        """Yield every vertex; refuses shapes with more than `limit` vertices."""
-        if self.vertex_count > limit:
+    def iter_vertices(self) -> Iterator[Vertex]:
+        """Every vertex, the last coordinate running fastest; BudgetExceeded
+        for shapes with more than DEFAULT_SCAN_LIMIT vertices."""
+        if self.vertex_count > DEFAULT_SCAN_LIMIT:
             raise BudgetExceeded(
                 f"[{self.k}]^{self.l} has {self.vertex_count} vertices, "
-                f"over the scan limit {limit}"
+                f"over the scan limit {DEFAULT_SCAN_LIMIT}"
             )
         return product(range(1, self.k + 1), repeat=self.l)
 

@@ -476,22 +476,23 @@ def typed_param(params: Mapping, key: str, kinds: tuple[type, ...], error: type[
     return value
 
 
+def refuse_untaken(name: str, takes: tuple[str, ...], params: Mapping, error: type[Exception]):
+    """`error` when `params` sets (not None) a size parameter that family
+    `name`, which takes `takes`, does not take."""
+    untaken = [k for k in PARAM_TYPES if k not in takes and params.get(k) is not None]
+    if untaken:
+        raise error(f"{name} takes no {' or '.join(untaken)}")
+
+
 def family_params(name, params: Mapping, error: type[Exception]) -> tuple[Family, tuple]:
     """The registered family `name` and its size parameters from `params`, in
-    order; the caller's `error` for an unknown family or a missing or
-    mistyped parameter."""
+    order; the caller's `error` for an unknown family, a missing or
+    mistyped parameter, or a size parameter the family does not take."""
     family = FAMILIES.get(name) if isinstance(name, str) else None
     if family is None:
         raise error(f"unknown family {name!r}")
+    refuse_untaken(name, family.params, params, error)
     return family, tuple(typed_param(params, k, PARAM_TYPES[k], error) for k in family.params)
-
-
-def _membership(inst: WalkInstance, v: Vertex) -> bool:
-    return FAMILIES[inst.family].membership(inst, v)
-
-
-def _value(inst: WalkInstance, v: Vertex) -> int:
-    return FAMILIES[inst.family].value(inst, v)
 
 
 def instance_membership(inst: WalkInstance, v: Vertex) -> bool:
@@ -584,7 +585,13 @@ def recommended_params(
     """Walk-space sizes and block exponents used by the lower-bound setups.
 
     All logarithms are base 2.  Returns {"m": ...} for the walk-with-clock
-    families and {"r": ...} for blocks.
+    families and {"r": ...} for blocks; ValueError below the sizes named:
+    - hypercube (n >= 2): m = floor((n + log n)/2) randomized, floor((2n -
+      log n)/3) quantum, clamped to 1..n-1;
+    - grid (d >= 2): randomized m = 1, 2 for d in {3, 4}, ceil(d/2) above;
+      quantum m = 1, d - 2 for d in {3, 4, 5}, 4 for d = 6, round(2d/3) above;
+    - blocks (d >= 2): randomized r = 2/3, 3/4 - log log n / (4 log n) for d = 3
+      (n >= 4), d/(2d - 2) for d >= 4; quantum r = d/(d + 1), 2d/(3d - 3) for d >= 6.
     """
     if mode not in ("randomized", "quantum"):
         raise ValueError(f"unknown mode {mode!r}")

@@ -239,18 +239,9 @@ class RegionState:
 
     n: int
     constraints: tuple[tuple[Vertex, int], ...] = ()
-    round_index: int = 0
-    radius: int | None = None
-    anchor: Vertex | None = None
 
     def with_ball(self, center: Vertex, radius: int) -> "RegionState":
-        return RegionState(
-            n=self.n,
-            constraints=self.constraints + ((center, radius),),
-            round_index=self.round_index + 1,
-            radius=radius,
-            anchor=center,
-        )
+        return RegionState(self.n, self.constraints + ((center, radius),))
 
     def contains(self, v: Vertex) -> bool:
         if not (1 <= v[0] <= self.n and 1 <= v[1] <= self.n):
@@ -280,17 +271,10 @@ class RegionState:
             hi -= 1
         return lo, hi
 
-    def count(self) -> int:
-        ulo, uhi, _, _ = self._uw_rect
-        total = 0
-        for u in range(ulo, uhi + 1):
-            lo, hi = self._w_range(u)
-            if lo <= hi:
-                total += (hi - lo) // 2 + 1
-        return total
-
     def sampler(self, rng: random.Random):
-        """Exact uniform sampling via per-diagonal cumulative counts.
+        """Exact uniform sampling via per-diagonal cumulative counts: returns
+        (draw, total), where total is the region's vertex count; ValueError
+        for an empty region.
 
         A batch ``draw(count)`` reads the ``randrange`` stream: each target t
         is ``rng.randrange(total)`` by its ``getrandbits`` rejection rule, and

@@ -7,6 +7,7 @@ import pytest
 
 from lslab.errors import BudgetExceeded
 from lslab.adversary import (
+    DEFAULT_FAMILY_LIMIT,
     GRID_KIND,
     HYPERCUBE_KIND,
     QUANTUM_GRID,
@@ -77,7 +78,7 @@ class TestFamilies:
 
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
-            enumerate_paths(HYPERCUBE_KIND, 4, 15, limit=100)
+            enumerate_paths(HYPERCUBE_KIND, 4, 15)
 
     def test_hypercube_point_sets_distinct(self):
         fam = enumerate_paths(HYPERCUBE_KIND, 2, 3)
@@ -581,10 +582,14 @@ def test_enumerate_rejects_empty_walk_space(kind):
         ((HYPERCUBE_KIND, 2, 2), {}, ValueError, "power of two"),
         ((HYPERCUBE_KIND, 2, 0), {}, ValueError, "T=0"),
         ((GRID_KIND, 1, 3), {"side": 1}, ValueError, "side must be at least 2"),
-        # the budget is checked first: T+1 = 3 is no power of two either
-        ((HYPERCUBE_KIND, 2, 2), {"limit": 7}, BudgetExceeded, "8 walks"),
+        ((HYPERCUBE_KIND, 2, 3), {"side": 9}, ValueError, "grid families only"),
+        # the budget is checked first: T+1 = 18 is no power of two either
+        ((HYPERCUBE_KIND, 2, 17), {}, BudgetExceeded, "262144 walks"),
     ],
-    ids=["unknown-kind", "hypercube-T2", "hypercube-T0", "grid-side1", "budget-first"],
+    ids=[
+        "unknown-kind", "hypercube-T2", "hypercube-T0", "grid-side1", "hypercube-side",
+        "budget-first",
+    ],
 )
 def test_enumerate_refusals(args, kwargs, error, match):
     with pytest.raises(error, match=match):
@@ -640,3 +645,29 @@ def test_u_sums_invariant_under_coordinate_permutations():
             image = index[tuple(sigma[s] for s in fam.walks[ix].steps)]
             moved = tuple(pos[i] for i in inverse) + pos[m:]
             assert u_sum[image, moved] == total, (sigma, ix, pos)
+
+
+def irrational_monomials(m, T):
+    """The irrational monomials among the quantum hypercube multipliers and
+    their reciprocals for survivals s = 1..T+1."""
+    fam = PathFamily(kind=HYPERCUBE_KIND, m=m, T=T, side=2, walks=())
+    scheme = WeightScheme(QUANTUM_HYPERCUBE, fam, Relation(()))
+    return {term.mono for s in range(1, T + 2) for term in scheme.multiplier_pair(s)} - {()}
+
+
+def test_hypercube_multipliers_carry_at_most_one_irrational_monomial():
+    # the evaluators run x over orbit representatives on every hypercube
+    # family; an orbit image's u and v sums hold the same terms in another
+    # order, and have the same floats when each sum has at most two terms.
+    # Every family within the limit (m = 1 has one walk and no pair):
+    pairs = [
+        (m, T)
+        for T in (1, 3, 7, 15)
+        for m in range(2, 400)
+        if m ** (T + 1) <= DEFAULT_FAMILY_LIMIT
+    ]
+    assert len(pairs) == 383
+    for m, T in pairs:
+        assert len(irrational_monomials(m, T)) <= 1, (m, T)
+    # the first family past the limit where it fails: 3^16, 43 million walks
+    assert len(irrational_monomials(3, 15)) == 2

@@ -34,6 +34,9 @@ SMALL_CONFIG = {
     ]
 }
 
+# the builtin function of `lslab solve`
+CONE = ["--function", "l1-cone", "--n", "12"]
+
 
 class TestConfig:
     def test_row_cardinality(self):
@@ -85,6 +88,8 @@ class TestSlopeFit:
     def test_single_x_rejected(self):
         with pytest.raises(ValueError):
             fit_loglog_slope([{"x": 4, "y": 1}, {"x": 4, "y": 2}], "x", "y")
+        with pytest.raises(ValueError, match="positive values"):
+            fit_loglog_slope([{"x": 2, "y": 1}, {"x": 4, "y": 0}], "x", "y")
 
     def test_per_x_means(self):
         rows = [
@@ -264,7 +269,7 @@ class TestCli:
     def test_adversary_side_on_hypercube_exits_2(self, capsys):
         argv = ["adversary", "--kind", "hypercube", "--m", "2", "--T", "3", "--side", "5"]
         assert main(argv) == 2
-        assert "--side applies to grid families only" in capsys.readouterr().err
+        assert "side applies to grid families only" in capsys.readouterr().err
 
     def test_gen_into_missing_directory_exits_2(self, tmp_path, capsys):
         out = str(tmp_path / "missing" / "inst.json")
@@ -288,6 +293,38 @@ class TestCli:
         result = bench.run_trial(cell, 0)
         assert payload["classical_queries"] == result.classical_queries
         assert payload["found"] == list(result.found)
+
+    @pytest.mark.parametrize(
+        "argv, needle",
+        [
+            (CONE + ["--algo", "steepest", "--quantum-charging"], "steepest takes no charging"),
+            (CONE + ["--algo", "steepest", "--mode", "faithful"], "steepest takes no mode"),
+            (CONE + ["--algo", "grid2d-quantum", "--samples", "4"], "grid2d-quantum takes no"),
+            (["gen", "--family", "hypercube-walk", "--n", "6", "--m", "3", "--d", "9"],
+             "hypercube-walk takes no d"),
+            (["gen", "--family", "grid-blocks", "--n", "9", "--d", "2", "--r", "0.5", "--m", "4"],
+             "grid-blocks takes no m"),
+        ],
+    )
+    def test_untaken_settings_exit_2(self, tmp_path, capsys, argv, needle):
+        # a setting that the algorithm or family does not take is refused, not
+        # dropped, before anything is written
+        out = tmp_path / "inst.json"
+        if argv[0] == "gen":
+            argv = argv + ["--out", str(out)]
+        else:
+            argv = ["solve"] + argv
+        assert main(argv) == 2
+        assert needle in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_instance_with_builtin_sizes_exits_2(self, tmp_path, capsys):
+        inst = str(tmp_path / "inst.json")
+        argv = ["gen", "--family", "hypercube-walk", "--n", "6", "--m", "3", "--out", inst]
+        assert main(argv) == 0
+        for flag in ("--n", "--d"):
+            assert main(["solve", "--inst", inst, flag, "5", "--algo", "steepest"]) == 2
+            assert f"an instance file takes no {flag[2:]}" in capsys.readouterr().err
 
     def test_builtin_zero_dimensions_exits_2(self, capsys):
         argv = ["solve", "--function", "l1-cone", "--n", "8", "--d", "0", "--algo", "steepest"]
@@ -332,7 +369,6 @@ def test_malformed_config_exits_2_before_any_trial(tmp_path, monkeypatch, capsys
 # charges are built must leave them byte for byte.  The faithful seed 17 run
 # fails a round and exits 1.
 GRID_WALK_INSTANCE = ["--family", "grid-walk", "--n", "16", "--d", "2", "--m", "1", "--seed", "2"]
-CONE = ["--function", "l1-cone", "--n", "12"]
 PINNED_SOLVES = {
     "steepest": (
         CONE + ["--algo", "steepest", "--seed", "5"],

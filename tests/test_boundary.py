@@ -13,8 +13,7 @@ import pytest
 import lslab
 from lslab.grid import GridShape, _neighbors, _snake_rank, neighbors, snake_rank
 from lslab.instances import (
-    _membership,
-    _value,
+    FAMILIES,
     clock_metadata,
     gen_block_instance,
     gen_grid_instance,
@@ -76,9 +75,10 @@ def test_public_entry_points_reject_off_domain_vertices(inst):
 @pytest.mark.parametrize("inst", SMALL, ids=lambda i: f"{i.family}-{i.shape.k}^{i.shape.l}")
 def test_trusted_helpers_equal_public_functions(inst):
     shape, k = inst.shape, inst.shape.k
+    family = FAMILIES[inst.family]
     for v in shape.iter_vertices():
-        assert _value(inst, v) == instance_value(inst, v)
-        assert _membership(inst, v) == instance_membership(inst, v)
+        assert family.value(inst, v) == instance_value(inst, v)
+        assert family.membership(inst, v) == instance_membership(inst, v)
         assert _snake_rank(k, v) == snake_rank(shape, v)
         assert _neighbors(k, v) == neighbors(shape, v)
 
@@ -169,11 +169,12 @@ def test_region_draws_follow_the_enumeration_order():
     # pins the draw -> vertex map that byte-identical bench CSVs depend on:
     # one batched draw reads the same stream as repeated randrange calls
     edges = list(_edge_regions())
-    assert [region.count() for region, _ in edges] == [total for _, total in edges]
+    assert [region.sampler(random.Random(0))[1] for region, _ in edges] == [
+        total for _, total in edges
+    ]
     for region in [region for region, _ in edges] + list(_regions()):
         vertices = region.vertices()
-        assert region.count() == len(vertices)
-        rng = random.Random(region.n * 1000 + region.round_index)
+        rng = random.Random(region.n * 1000 + len(region.constraints))
         clone = random.Random()
         clone.setstate(rng.getstate())
         draw, total = region.sampler(rng)

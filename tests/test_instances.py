@@ -246,6 +246,38 @@ class TestRecommendedParams:
         assert recommended_params("grid-walk", "randomized", d=6) == {"m": 3}
         assert recommended_params("grid-walk", "quantum", d=5) == {"m": 3}
 
+    @pytest.mark.parametrize(
+        "family, mode, n, d, expected",
+        [
+            # grid randomized: m = 2 for d in {3, 4}
+            ("grid-walk", "randomized", None, 3, {"m": 2}),
+            ("grid-walk", "randomized", None, 4, {"m": 2}),
+            # grid quantum: m = 1 for d = 2, 4 for d = 6, round(2d/3) above
+            ("grid-walk", "quantum", None, 2, {"m": 1}),
+            ("grid-walk", "quantum", None, 6, {"m": 4}),
+            ("grid-walk", "quantum", None, 7, {"m": 5}),
+            ("grid-walk", "quantum", None, 9, {"m": 6}),
+            # blocks randomized, d = 3: r = 3/4 - log log n / (4 log n), n >= 4
+            ("grid-blocks", "randomized", 16, 3, {"r": 3 / 4 - 2 / 16}),
+            ("grid-blocks", "randomized", 256, 3, {"r": 3 / 4 - 3 / 32}),
+            ("grid-blocks", "randomized", 3, 3, ValueError),
+            ("grid-blocks", "randomized", None, 3, ValueError),
+            # the smallest sizes each family takes
+            ("hypercube-walk", "randomized", 1, None, ValueError),
+            ("hypercube-walk", "quantum", None, None, ValueError),
+            ("grid-walk", "randomized", None, 1, ValueError),
+            ("grid-walk", "quantum", None, None, ValueError),
+            ("grid-blocks", "quantum", 16, 1, ValueError),
+            ("grid-blocks", "randomized", 16, None, ValueError),
+        ],
+    )
+    def test_formula_table(self, family, mode, n, d, expected):
+        if expected is ValueError:
+            with pytest.raises(ValueError):
+                recommended_params(family, mode, n=n, d=d)
+        else:
+            assert recommended_params(family, mode, n=n, d=d) == expected
+
     def test_unsupported(self):
         with pytest.raises(ValueError):
             recommended_params("hypercube-walk", "annealed", n=8)

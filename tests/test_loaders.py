@@ -3,16 +3,18 @@ fails with the loader's typed error, never with anything else."""
 
 import copy
 import json
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lslab import bench
-from lslab.bench import ExperimentConfig
+from lslab.bench import ExperimentCell, ExperimentConfig
 from lslab.cli import main
 from lslab.errors import ConfigError, InstanceFormatError
 from lslab.instances import (
+    PARAM_TYPES,
     WalkInstance,
     gen_block_instance,
     gen_grid_instance,
@@ -53,12 +55,15 @@ VALUES = st.recursive(
     ),
     max_leaves=6,
 )
+# keys a loader knows, so an added key can be a setting the target does not take
+KNOWN_KEYS = sorted({f.name for f in fields(ExperimentCell)} | set(PARAM_TYPES) | {"seed"})
 
 
 @st.composite
 def mutated(draw, base):
     """`base` with one to three edits: a value replaced, a key dropped or
-    added, or a list element replaced, dropped or appended."""
+    added (short text, a key of the target, or a key some loader knows), or a
+    list element replaced, dropped or appended."""
     doc = copy.deepcopy(base)
     for _ in range(draw(st.integers(1, 3))):
         # walk down to a random container inside the document
@@ -76,7 +81,8 @@ def mutated(draw, base):
         if isinstance(target, dict):
             keys = list(target)
             if action == "add" or not keys:
-                target[draw(st.text(max_size=3) | st.sampled_from(keys or ["n"]))] = draw(VALUES)
+                new_key = draw(st.text(max_size=3) | st.sampled_from(keys + KNOWN_KEYS))
+                target[new_key] = draw(VALUES)
             elif action == "drop":
                 del target[draw(st.sampled_from(keys))]
             else:
@@ -117,11 +123,26 @@ def test_unmutated_documents_load():
     assert len(ExperimentConfig.from_dict(CONFIG).cells) == 4
 
 
-# sizes of the right type that no family can take
+# sizes of the right type that no family can take, and settings of the right
+# type that the cell's family or algorithm does not take
 OUT_OF_RANGE_CELLS = {
     "smooth-l1 d=0": {"family": "smooth-l1", "algo": "grid2d-quantum", "n": 8, "d": 0},
     "grid-walk m above d": {"family": "grid-walk", "algo": "steepest", "n": 4, "d": 2, "m": 5},
     "hypercube-walk n=1": {"family": "hypercube-walk", "algo": "steepest", "n": 1, "m": 1},
+    "grid-blocks with m": {
+        "family": "grid-blocks", "algo": "steepest", "n": 9, "d": 2, "r": 0.5, "m": 4,
+    },
+    "smooth-l1 with m": {"family": "smooth-l1", "algo": "steepest", "n": 8, "m": 2},
+    "smooth-l1 with r": {"family": "smooth-l1", "algo": "steepest", "n": 8, "r": 0.5},
+    "steepest faithful": {
+        "family": "hypercube-walk", "algo": "steepest", "n": 6, "m": 3, "mode": "faithful",
+    },
+    "steepest with samples": {
+        "family": "hypercube-walk", "algo": "steepest", "n": 6, "m": 3, "samples": 4,
+    },
+    "grid2d on hypercube-walk n=8": {
+        "family": "hypercube-walk", "algo": "grid2d-quantum", "n": 8, "m": 5,
+    },
 }
 
 
