@@ -50,7 +50,7 @@ from math import ceil, inf, lcm
 from operator import itemgetter
 
 from .errors import BudgetExceeded
-from .grid import GridShape, Vertex, snake_unrank
+from .grid import Vertex, _snake_path
 from .instances import _hypercube_step
 
 #: Cap on the number of enumerated walks.
@@ -283,8 +283,7 @@ def enumerate_paths(kind: str, m: int, T: int, side: int | None = None) -> PathF
                 f"hypercube clocks require T+1 to be a power of two, at least 2; got T={T}"
             )
         side, start, step = 2, (1,) * m, _hypercube_step
-        clock_shape = GridShape(2, T.bit_length())
-        clocks = [snake_unrank(clock_shape, t + 1) for t in range(T + 1)]
+        clocks = _snake_path(2, T.bit_length())
     else:
         if side is None:
             side = T + 2

@@ -23,8 +23,8 @@ from typing import Callable, Mapping
 
 from .errors import ConfigError
 from .grid import GridShape, Vertex, _l1, snake_unrank
-from .instances import HYPERCUBE, PARAM_TYPES, WalkInstance, family_params, read_json
-from .instances import refuse_untaken, typed_param
+from .instances import BLOCKS, HYPERCUBE, PARAM_TYPES, WalkInstance, block_layout
+from .instances import family_params, read_json, refuse_untaken, typed_param
 from .oracles import ValueOracle
 from .solvers import SolveResult, grid2d_quantum, sample_then_descend, steepest_descent
 
@@ -85,16 +85,27 @@ class ExperimentCell:
         if cell.mode not in MODES:
             raise ConfigError(f"unknown mode {cell.mode!r}")
         make_oracle(cell.family, params)
-        if cell.algo == "grid2d-quantum":
-            # the axis count from the checked sizes: {0,1}^n has n axes
-            axes = cell.n if cell.family == HYPERCUBE else 2 if cell.d is None else cell.d
-            if axes != 2:
-                raise ConfigError(f"grid2d-quantum runs on two-dimensional grids, got {axes} axes")
-        typed_param(params, "samples", OPTIONAL_INT, ConfigError)
+        shape = _cell_shape(cell)
+        if cell.algo == "grid2d-quantum" and shape.l != 2:
+            raise ConfigError(f"grid2d-quantum runs on two-dimensional grids, got {shape.l} axes")
+        samples = typed_param(params, "samples", OPTIONAL_INT, ConfigError)
+        if samples is not None and not 1 <= samples <= shape.vertex_count:
+            raise ConfigError(f"samples must lie in 1..{shape.vertex_count}, got {samples}")
         typed_param(params, "seed_start", (int,), ConfigError)
         if typed_param(params, "trials", (int,), ConfigError) < 1:
             raise ConfigError("trials must be positive")
         return cell
+
+
+def _cell_shape(cell: ExperimentCell) -> GridShape:
+    """The grid a cell's instances lie on, from its checked sizes alone:
+    {0,1}^n for hypercube walks, [n']^d for blocks, [n]^d otherwise (smooth-l1
+    defaults to d=2)."""
+    if cell.family == HYPERCUBE:
+        return GridShape(2, cell.n)
+    if cell.family == BLOCKS:
+        return GridShape(block_layout(cell.n, cell.d, cell.r).nprime, cell.d)
+    return GridShape(cell.n, 2 if cell.d is None else cell.d)
 
 
 @dataclass(frozen=True)

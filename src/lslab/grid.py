@@ -6,7 +6,10 @@ recursive boustrophedon order: the path for [k]^(l+1) walks the [k]^l path with
 the last coordinate fixed at 1, then walks it backwards at 2, forwards at 3,
 and so on.  Ranking and unranking use closed-form mixed-radix arithmetic with
 per-level reversal, so a single step costs O(l) and never materializes the
-path; grids far too large to enumerate remain addressable.
+path; grids far too large to enumerate remain addressable.  A caller that
+needs a whole path it can afford (an instance's clock) builds it level by
+level with ``_snake_path``.  A vertex of [k]^l has l coordinates, each equal
+to an integer in 1..k, so (1.5, 2) lies in no grid.
 
 Everything here is pure and deterministic; values are immutable after
 construction and safe for unrestricted concurrent use.
@@ -15,6 +18,7 @@ construction and safe for unrestricted concurrent use.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from operator import sub
 from typing import Iterator
@@ -44,12 +48,17 @@ class GridShape:
     def vertex_count(self) -> int:
         return self.k ** self.l
 
+    @cached_property
+    def coords(self) -> frozenset[int]:
+        """The coordinate values 1..k, built on the first vertex check."""
+        return frozenset(range(1, self.k + 1))
+
     def contains(self, v: Vertex) -> bool:
-        return len(v) == self.l and 1 <= min(v) and max(v) <= self.k
+        return len(v) == self.l and self.coords.issuperset(v)
 
     def require(self, v: Vertex) -> None:
         # contains() written out: this runs once per public read
-        if len(v) != self.l or min(v) < 1 or max(v) > self.k:
+        if len(v) != self.l or not self.coords.issuperset(v):
             raise ValueError(f"vertex {v!r} is not in [{self.k}]^{self.l}")
 
     def iter_vertices(self) -> Iterator[Vertex]:
@@ -133,6 +142,17 @@ def snake_unrank(shape: GridShape, t: int) -> Vertex:
         size //= k
     coords[0] = r + 1
     return tuple(coords)
+
+
+def _snake_path(k: int, l: int) -> list[Vertex]:
+    """The whole snake path of [k]^l, in order: the [k]^(j+1) path is the
+    [k]^j path with last coordinate 1, reversed with 2, forward with 3, ...
+    Trusted: the caller's budget bounds k^l."""
+    path = [(c,) for c in range(1, k + 1)]
+    for _ in range(l - 1):
+        back = path[::-1]
+        path = [v + (c,) for c in range(1, k + 1) for v in (back if c % 2 == 0 else path)]
+    return path
 
 
 def snake_successor(shape: GridShape, v: Vertex) -> Vertex | None:

@@ -39,16 +39,12 @@ import math
 import random
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import product
+from operator import mul
 from typing import Callable, Mapping, NamedTuple
 
 from .errors import BudgetExceeded, ConfigError, InstanceFormatError
-from .grid import (
-    GridShape,
-    Vertex,
-    _l1,
-    snake_successor,
-    snake_unrank,
-)
+from .grid import GridShape, Vertex, _l1, _snake_path, snake_successor
 
 #: Generators refuse trajectories longer than this.
 DEFAULT_TRAJECTORY_LIMIT = 1 << 21
@@ -161,11 +157,10 @@ def _build_walk_instance(
     d: int | None,
     seed: int | None,
 ) -> WalkInstance:
-    clock_shape = GridShape(shape.k, shape.l - m)
-    if len(steps) != clock_shape.vertex_count:
+    ticks_needed = shape.k ** (shape.l - m)
+    if len(steps) != ticks_needed:
         raise InstanceFormatError(
-            f"walk needs one step per clock tick ({clock_shape.vertex_count}), "
-            f"got {len(steps)}"
+            f"walk needs one step per clock tick ({ticks_needed}), got {len(steps)}"
         )
     T = len(steps) - 1
     positions = [start_walk]
@@ -173,13 +168,12 @@ def _build_walk_instance(
     for t, s in enumerate(steps):
         w = apply_step(w, t, s)
         positions.append(w)
+    # the clock's snake path, one point per tick; the step count checked above bounds it
+    clocks = _snake_path(shape.k, shape.l - m)
+    ticks = {clock: t for t, clock in enumerate(clocks)}
     trajectory = []
-    ticks: dict[Vertex, int] = {}
-    for t in range(T + 1):
-        clock = snake_unrank(clock_shape, t + 1)
-        ticks[clock] = t
-        trajectory.append(positions[t] + clock)
-        trajectory.append(positions[t + 1] + clock)
+    for w, w_next, clock in zip(positions, positions[1:], clocks):
+        trajectory += (w + clock, w_next + clock)
     return WalkInstance(
         family=family,
         n=n,
@@ -529,30 +523,66 @@ class VerificationReport:
         return self.self_avoiding and self.unique_local_min and self.membership_consistent
 
 
+def _strides(shape: GridShape) -> list[int]:
+    # in iter_vertices order, where the last coordinate runs fastest, moving
+    # coordinate i by +/-1 moves the index by k**(l-1-i)
+    return [shape.k ** (shape.l - 1 - i) for i in range(shape.l)]
+
+
+def _value_table(inst: WalkInstance) -> list[int]:
+    """The registered value of every vertex, in ``iter_vertices`` order, built
+    in one pass rather than one call per vertex.  Off-path values (distance to
+    the start plus ``off_path_base``) are folded one axis at a time from
+    per-axis distance tables; on-path entries are then overwritten, at the
+    index sum(c * stride) - sum(stride) of each point: from the walk
+    positions and the clock tick table for the walk families, from
+    ``value_by_vertex`` for blocks."""
+    shape = inst.shape
+    values = [inst.off_path_base]
+    for s in inst.start:
+        dist = [abs(c - s) for c in range(1, shape.k + 1)]
+        values = [x + d for x in values for d in dist]
+    strides = _strides(shape)
+    if inst.value_by_vertex is not None:
+        offset = sum(strides)
+        for p, value in inst.value_by_vertex.items():
+            values[sum(map(mul, p, strides)) - offset] = value
+        return values
+    # the clock axes run fastest, so the j-th clock point of the clock grid's
+    # own scan sits j past the index of its walk part
+    m, top = inst.m, 2 * inst.T
+    walk_strides = strides[:m]
+    offset = sum(walk_strides)
+    walk_index = [sum(map(mul, w, walk_strides)) - offset for w in inst.walk_positions]
+    clocks = product(range(1, shape.k + 1), repeat=shape.l - m)
+    for j, t in enumerate(map(inst.clock_ticks.__getitem__, clocks)):
+        # tick t's pre-step point, then its post-step point, so the post-step
+        # value wins where the two meet, as in _walk_value
+        values[walk_index[t] + j] = top - 2 * t
+        values[walk_index[t + 1] + j] = top - 2 * t - 1
+    return values
+
+
 def verify_instance(inst: WalkInstance) -> VerificationReport:
     """Exhaustively scan the domain: exactly one local minimum located at the
     endpoint, pairwise-distinct trajectory points, and membership answers that
     agree with the stored point set.  Refuses (rather than sampling) when the
-    domain exceeds the scan limit (``GridShape.iter_vertices`` checks it)."""
+    domain exceeds the scan limit (``GridShape.iter_vertices`` checks it).
+    The values come from ``_value_table``, which tests hold equal to the
+    family's registered value function."""
     shape = inst.shape
-    scan = shape.iter_vertices()
     points = inst.trajectory
     point_set = set(points)
     self_avoiding = len(point_set) == len(points)
 
-    family = FAMILIES[inst.family]
-    value, membership = family.value, family.membership
-    # values in iter_vertices order, where the last coordinate runs fastest:
-    # moving coordinate i by +/-1 moves the index by k**(l-1-i)
-    values: list[int] = []
-    membership_consistent = True
-    for v in scan:
-        values.append(value(inst, v))
-        if membership(inst, v) != (v in point_set):
-            membership_consistent = False
+    # the membership answer on every vertex against the stored points; no
+    # vertex outlives its comparison, so the scan allocates no tuple list
+    answers = map(partial(FAMILIES[inst.family].membership, inst), shape.iter_vertices())
+    stored = map(point_set.__contains__, shape.iter_vertices())
+    membership_consistent = list(answers) == list(stored)
+    values = _value_table(inst)
 
-    k, l = shape.k, shape.l
-    strides = [k ** (l - 1 - i) for i in range(l)]
+    k, strides = shape.k, _strides(shape)
     minima = []
     for index, v in enumerate(shape.iter_vertices()):
         fv = values[index]

@@ -283,10 +283,13 @@ def line_walk_bruteforce(n: int, t: int, i: int, j: int) -> Fraction:
 def line_walk_endpoint_counts(n: int, t: int, i: int) -> list[int]:
     """Endpoint tallies of all 2^t move strings from i (one enumeration pass).
 
-    The strings are extended one move at a time: the list holds one endpoint
-    per string, and each move splits it into the strings ending with a step
-    down and those ending with a step up.  Every string is still walked, so
-    this stays independent of the table's recurrence."""
+    The strings are extended one move at a time: a byte string holds one
+    endpoint per string, as an offset from max(1, i - t), and each move
+    splits it into the strings ending with a step down and those ending with
+    a step up (one ``bytes.translate`` each).  Every string is still walked,
+    so this stays independent of the table's recurrence.  Endpoints stay
+    within t of i, so the offsets span at most 2t + 1 <= 45 values at the
+    enumeration limit and fit a byte for any n."""
     if n < 2:
         raise ValueError("the short walk needs at least two points")
     if not 1 <= i <= n:
@@ -295,10 +298,20 @@ def line_walk_endpoint_counts(n: int, t: int, i: int) -> list[int]:
         raise ValueError("negative step count")
     if (1 << t) > DEFAULT_ENUM_LIMIT:
         raise BudgetExceeded(f"2^t = {1 << t} exceeds enumeration limit {DEFAULT_ENUM_LIMIT}")
-    ends = [i]
+    lo, hi = max(1, i - t), min(n, i + t)
+    window = range(lo, hi + 1)
+    # move tables over the window's offsets, clamped to the window: at 1 and
+    # n that is the walk's own stay-put rule, and any other edge lies t from
+    # i, where only the last move arrives; bytes past the window are never read
+    down = bytes(max(p - 1, lo) - lo for p in window).ljust(256, b"\0")
+    up = bytes(min(p + 1, hi) - lo for p in window).ljust(256, b"\0")
+    ends = bytes([i - lo])
     for _ in range(t):
-        ends = [p - 1 if p > 1 else p for p in ends] + [p + 1 if p < n else p for p in ends]
-    return [ends.count(j) for j in range(n + 1)]
+        ends = ends.translate(down) + ends.translate(up)
+    counts = [0] * (n + 1)
+    for p in window:
+        counts[p] = ends.count(p - lo)
+    return counts
 
 
 def round_robin_step_counts(m: int, t: int, first_dim: int) -> list[int]:

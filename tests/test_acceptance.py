@@ -38,6 +38,8 @@ from lslab.bench import (
     strip_runtime_column,
 )
 from lslab.instances import (
+    FAMILIES,
+    _value_table,
     block_layout,
     clock_metadata,
     gen_block_instance,
@@ -174,6 +176,17 @@ def test_criterion_05_instance_verification():
         checked += 1
     elapsed = time.monotonic() - t0
     print(f"CRITERION 5: PASS ({checked} instances verified exhaustively; {elapsed:.0f}s)")
+
+
+def test_value_table_equals_registered_value_on_criterion_5_sizes():
+    # one seed of every criterion-5 parameter set: verify_instance's table is
+    # the family's registered value function on every vertex
+    for label, make in instance_specs():
+        if label.endswith(" seed=0"):
+            inst = make()
+            value = FAMILIES[inst.family].value
+            expected = [value(inst, v) for v in inst.shape.iter_vertices()]
+            assert _value_table(inst) == expected, label
 
 
 def test_criterion_06_membership_reduction():

@@ -14,6 +14,7 @@ import lslab
 from lslab.grid import GridShape, _neighbors, _snake_rank, neighbors, snake_rank
 from lslab.instances import (
     FAMILIES,
+    _value_table,
     clock_metadata,
     gen_block_instance,
     gen_grid_instance,
@@ -70,6 +71,24 @@ def test_public_entry_points_reject_off_domain_vertices(inst):
                 entry(v)
     # a rejected vertex is never charged
     assert all(ledger.classical_queries == 0 for ledger in ledgers)
+
+
+def test_non_integer_coordinates_rejected():
+    # each of these used to answer: 7.5, 5.5, [(0.5, 2), ...] and 8.5
+    inst = gen_grid_instance(4, 2, 1, seed=0)
+    oracle = ValueOracle.for_instance(inst)
+    probes = [
+        lambda: instance_value(inst, (1.5, 2)),
+        lambda: snake_rank(GridShape(3, 2), (1.5, 2)),
+        lambda: neighbors(GridShape(3, 2), (1.5, 2)),
+        lambda: oracle.query((2.5, 3)),
+    ]
+    for probe in probes:
+        with pytest.raises(ValueError):
+            probe()
+    assert oracle.ledger.classical_queries == 0
+    # a coordinate equal to an integer of the grid still passes
+    assert instance_value(inst, (1.0, True)) == instance_value(inst, (1, 1))
 
 
 @pytest.mark.parametrize("inst", SMALL, ids=lambda i: f"{i.family}-{i.shape.k}^{i.shape.l}")
@@ -140,6 +159,26 @@ def test_verify_matches_neighbour_scan(inst):
         report = verify_instance(pitted)
         assert dataclasses.asdict(report) == _reference_report(pitted)
         assert report.local_min_count == 9
+
+
+def _table_cases():
+    # the instances of test_verify_matches_neighbour_scan, with the reversed
+    # walk and the pitted blocks it verifies
+    for inst in SMALL:
+        yield inst
+        if inst.walk_positions is not None:
+            yield dataclasses.replace(inst, walk_positions=inst.walk_positions[::-1])
+        else:
+            pits = [v for v in inst.shape.iter_vertices() if all(c % 2 for c in v)]
+            yield dataclasses.replace(inst, value_by_vertex=dict.fromkeys(pits, 0))
+
+
+@pytest.mark.parametrize(
+    "inst", list(_table_cases()), ids=lambda i: f"{i.family}-{i.shape.k}^{i.shape.l}"
+)
+def test_value_table_equals_registered_value(inst):
+    value = FAMILIES[inst.family].value
+    assert _value_table(inst) == [value(inst, v) for v in inst.shape.iter_vertices()]
 
 
 def _regions():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from lslab.errors import BudgetExceeded
 from lslab.grid import (
     GridShape,
+    _snake_path,
     l1_distance,
     neighbors,
     snake_predecessor,
@@ -36,6 +37,10 @@ class TestShape:
         assert s.contains((1, 3))
         assert not s.contains((0, 2))
         assert not s.contains((1, 1, 1))
+        # a coordinate must equal an integer of 1..k, so 1.0 and True pass
+        assert not s.contains((1.5, 2))
+        assert not s.contains((2, 2.5))
+        assert s.contains((1.0, True))
 
     def test_iter_budget(self):
         with pytest.raises(BudgetExceeded):
@@ -148,6 +153,11 @@ class TestSnakePath:
             else:
                 assert succ == snake_unrank(shape, t + 1)
                 assert snake_predecessor(shape, succ) == v
+
+    @pytest.mark.parametrize("k", range(2, 6))
+    @pytest.mark.parametrize("l", range(1, 5))
+    def test_whole_path_matches_unrank(self, k, l):
+        assert _snake_path(k, l) == snake_path(GridShape(k, l))
 
     def test_no_materialization_needed(self):
         # ranks stay addressable on grids far beyond enumeration size

@@ -6,7 +6,7 @@ import json
 from dataclasses import fields
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from lslab import bench
@@ -117,6 +117,38 @@ def test_mutated_config_loads_or_raises_config_error(doc):
     assert config.cells
 
 
+# the keys a cell can hold: ExperimentCell's fields, the size parameters among them
+CELL_KEYS = sorted({f.name for f in fields(ExperimentCell)} | set(PARAM_TYPES))
+
+
+@st.composite
+def one_cell_edited(draw):
+    """CONFIG with exactly one cell edited once: a key dropped, added or
+    replaced, the key drawn from CELL_KEYS and a new value from SCALARS."""
+    doc = copy.deepcopy(CONFIG)
+    cell = draw(st.sampled_from(doc["cells"]))
+    action = draw(st.sampled_from(["drop", "add", "replace"]))
+    if action == "drop":
+        del cell[draw(st.sampled_from(sorted(cell)))]
+    elif action == "add":
+        cell[draw(st.sampled_from([k for k in CELL_KEYS if k not in cell]))] = draw(SCALARS)
+    else:
+        cell[draw(st.sampled_from(sorted(cell)))] = draw(SCALARS)
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(one_cell_edited())
+def test_config_with_one_cell_edited_loads_or_raises_config_error(doc):
+    try:
+        config = ExperimentConfig.from_dict(doc)
+    except ConfigError:
+        event("refused")
+        return
+    event("loaded")
+    assert len(config.cells) == len(CONFIG["cells"])
+
+
 def test_unmutated_documents_load():
     for doc in DOCUMENTS:
         assert instance_to_dict(instance_from_dict(doc)) == doc
@@ -142,6 +174,12 @@ OUT_OF_RANGE_CELLS = {
     },
     "grid2d on hypercube-walk n=8": {
         "family": "hypercube-walk", "algo": "grid2d-quantum", "n": 8, "m": 5,
+    },
+    "sample-descend samples=0": {
+        "family": "hypercube-walk", "algo": "sample-descend", "n": 6, "m": 3, "samples": 0,
+    },
+    "sample-descend samples above |V|": {
+        "family": "hypercube-walk", "algo": "sample-descend", "n": 6, "m": 3, "samples": 1000,
     },
 }
 
