@@ -23,8 +23,8 @@ from typing import Callable, Mapping
 
 from .errors import ConfigError
 from .grid import GridShape, Vertex, _l1, snake_unrank
-from .instances import BLOCKS, HYPERCUBE, PARAM_TYPES, WalkInstance, block_layout
-from .instances import family_params, read_json, refuse_untaken, typed_param
+from .instances import PARAM_TYPES, WalkInstance, family_params, read_json
+from .instances import refuse_untaken, typed_param
 from .oracles import ValueOracle
 from .solvers import SolveResult, grid2d_quantum, sample_then_descend, steepest_descent
 
@@ -84,8 +84,7 @@ class ExperimentCell:
         check_settings(cell.algo, params)
         if cell.mode not in MODES:
             raise ConfigError(f"unknown mode {cell.mode!r}")
-        make_oracle(cell.family, params)
-        shape = _cell_shape(cell)
+        shape, _ = make_oracle(cell.family, params)
         if cell.algo == "grid2d-quantum" and shape.l != 2:
             raise ConfigError(f"grid2d-quantum runs on two-dimensional grids, got {shape.l} axes")
         samples = typed_param(params, "samples", OPTIONAL_INT, ConfigError)
@@ -95,17 +94,6 @@ class ExperimentCell:
         if typed_param(params, "trials", (int,), ConfigError) < 1:
             raise ConfigError("trials must be positive")
         return cell
-
-
-def _cell_shape(cell: ExperimentCell) -> GridShape:
-    """The grid a cell's instances lie on, from its checked sizes alone:
-    {0,1}^n for hypercube walks, [n']^d for blocks, [n]^d otherwise (smooth-l1
-    defaults to d=2)."""
-    if cell.family == HYPERCUBE:
-        return GridShape(2, cell.n)
-    if cell.family == BLOCKS:
-        return GridShape(block_layout(cell.n, cell.d, cell.r).nprime, cell.d)
-    return GridShape(cell.n, 2 if cell.d is None else cell.d)
 
 
 @dataclass(frozen=True)
@@ -183,11 +171,13 @@ def instance_oracle(inst: WalkInstance) -> tuple[ValueOracle, Vertex]:
     return ValueOracle.for_instance(inst), inst.start
 
 
-def make_oracle(family: str, params: Mapping) -> Callable[[int], tuple[ValueOracle, Vertex]]:
+def make_oracle(
+    family: str, params: Mapping
+) -> tuple[GridShape, Callable[[int], tuple[ValueOracle, Vertex]]]:
     """Check a family's size parameters (smooth-l1: n and an optional d,
-    default 2), types and values, and return seed -> (oracle, start);
-    ConfigError otherwise, a size parameter the family does not take
-    included."""
+    default 2), types and values, and return the grid its instances lie on
+    and seed -> (oracle, start); ConfigError otherwise, a size parameter the
+    family does not take included."""
     if family == SMOOTH:
         refuse_untaken(SMOOTH, ("n", "d"), params, ConfigError)
         n = typed_param(params, "n", PARAM_TYPES["n"], ConfigError)
@@ -198,10 +188,10 @@ def make_oracle(family: str, params: Mapping) -> Callable[[int], tuple[ValueOrac
         spec, args = family_params(family, params, ConfigError)
         check, make = spec.check, lambda seed: instance_oracle(spec.generate(*args, seed))
     try:
-        check(*args)
+        shape = check(*args)
     except ValueError as exc:
         raise ConfigError(f"{family}: {exc}") from exc
-    return make
+    return shape, make
 
 
 def solve(
@@ -227,7 +217,8 @@ def solve(
 
 def run_trial(cell: ExperimentCell, seed: int) -> SolveResult:
     """One (cell, seed) run with a fresh oracle and ledger."""
-    oracle, start = make_oracle(cell.family, vars(cell))(seed)
+    _, make = make_oracle(cell.family, vars(cell))
+    oracle, start = make(seed)
     return solve(oracle, start, cell.algo, seed, cell.mode, cell.samples)
 
 

@@ -51,7 +51,8 @@ def _cmd_solve(args) -> int:
         # same n, d and seed, same oracle
         if args.n is None:
             raise ConfigError("builtin functions need --n")
-        oracle, start = make_oracle(SMOOTH, vars(args))(args.seed)
+        _, make = make_oracle(SMOOTH, vars(args))
+        oracle, start = make(args.seed)
 
     charging = "quantum" if args.quantum_charging else "classical"
     result = solve(oracle, start, args.algo, args.seed, args.mode, args.samples, charging)

@@ -9,10 +9,13 @@ per-level reversal, so a single step costs O(l) and never materializes the
 path; grids far too large to enumerate remain addressable.  A caller that
 needs a whole path it can afford (an instance's clock) builds it level by
 level with ``_snake_path``.  A vertex of [k]^l has l coordinates, each equal
-to an integer in 1..k, so (1.5, 2) lies in no grid.
+to an integer in 1..k, so (1.5, 2) lies in no grid.  The check costs O(l)
+whatever k is: a shape with k up to DEFAULT_SCAN_LIMIT keeps the set of its
+coordinate values, built on its first check, and a wider one compares each
+coordinate arithmetically.
 
-Everything here is pure and deterministic; values are immutable after
-construction and safe for unrestricted concurrent use.
+Everything here is pure and deterministic; a shape's only state besides k
+and l is that set, and every value is safe for unrestricted concurrent use.
 """
 
 from __future__ import annotations
@@ -49,16 +52,27 @@ class GridShape:
         return self.k ** self.l
 
     @cached_property
-    def coords(self) -> frozenset[int]:
-        """The coordinate values 1..k, built on the first vertex check."""
-        return frozenset(range(1, self.k + 1))
+    def coords(self) -> frozenset[int] | None:
+        """The coordinate values 1..k, built on the first vertex check; None
+        when k is over DEFAULT_SCAN_LIMIT, so the set stays small."""
+        return frozenset(range(1, self.k + 1)) if self.k <= DEFAULT_SCAN_LIMIT else None
+
+    def _in_range(self, v: Vertex) -> bool:
+        # the check without the set: every coordinate in 1..k and equal to an integer
+        return 1 <= min(v) and max(v) <= self.k and all(c == int(c) for c in v)
 
     def contains(self, v: Vertex) -> bool:
-        return len(v) == self.l and self.coords.issuperset(v)
+        coords = self.coords
+        return len(v) == self.l and (
+            self._in_range(v) if coords is None else coords.issuperset(v)
+        )
 
     def require(self, v: Vertex) -> None:
         # contains() written out: this runs once per public read
-        if len(v) != self.l or not self.coords.issuperset(v):
+        coords = self.coords
+        if len(v) != self.l or not (
+            self._in_range(v) if coords is None else coords.issuperset(v)
+        ):
             raise ValueError(f"vertex {v!r} is not in [{self.k}]^{self.l}")
 
     def iter_vertices(self) -> Iterator[Vertex]:

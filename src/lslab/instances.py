@@ -20,6 +20,7 @@ duplicate a trajectory point and break both self-avoidance and the
 membership-to-value reduction.
 
 The ``FAMILIES`` registry holds each family's ordered, typed size parameters,
+size check (which returns the grid an instance of those sizes lies on),
 generator, replay and trusted value and membership functions; ``lslab gen``,
 bench, the loader, the oracles and ``verify_instance`` dispatch through it,
 and ``family_params`` is the one parameter check they share.
@@ -66,6 +67,11 @@ class BlockLayout:
     block_count: int  # beta^(d-1)
     iterations: int  # L = sweep * block_count
     stride: int  # value gap per tick, 4*alpha + 2
+
+    @property
+    def shape(self) -> GridShape:
+        """The trimmed grid [n']^d an instance lies on."""
+        return GridShape(self.nprime, self.d)
 
     @property
     def block_shape(self) -> GridShape:
@@ -157,10 +163,12 @@ def _build_walk_instance(
     d: int | None,
     seed: int | None,
 ) -> WalkInstance:
-    ticks_needed = shape.k ** (shape.l - m)
-    if len(steps) != ticks_needed:
+    # GridShape refuses a clock with no axes (m >= l)
+    clock_shape = GridShape(shape.k, shape.l - m)
+    if len(steps) != clock_shape.vertex_count:
         raise InstanceFormatError(
-            f"walk needs one step per clock tick ({ticks_needed}), got {len(steps)}"
+            f"walk needs one step per clock tick ({clock_shape.vertex_count}), "
+            f"got {len(steps)}"
         )
     T = len(steps) - 1
     positions = [start_walk]
@@ -169,7 +177,7 @@ def _build_walk_instance(
         w = apply_step(w, t, s)
         positions.append(w)
     # the clock's snake path, one point per tick; the step count checked above bounds it
-    clocks = _snake_path(shape.k, shape.l - m)
+    clocks = _snake_path(clock_shape.k, clock_shape.l)
     ticks = {clock: t for t, clock in enumerate(clocks)}
     trajectory = []
     for w, w_next, clock in zip(positions, positions[1:], clocks):
@@ -213,14 +221,13 @@ def _check_trajectory(points: int, about: str = "") -> None:
         )
 
 
-def _hypercube_ticks(n: int, m: int) -> int:
-    """The 2^(n-m) ticks of a hypercube-walk instance; ValueError for sizes
-    no instance has."""
+def _hypercube_shape(n: int, m: int) -> GridShape:
+    """{0,1}^n, the grid of a hypercube-walk instance, whose 2^(n-m) ticks
+    the trajectory budget bounds; ValueError for sizes no instance has."""
     if not 1 <= m < n:
         raise ValueError(f"walk dimensions must satisfy 1 <= m < n, got m={m}, n={n}")
-    ticks = 1 << (n - m)
-    _check_trajectory(2 * ticks)
-    return ticks
+    _check_trajectory(2 << (n - m))
+    return GridShape(2, n)
 
 
 def gen_hypercube_instance(n: int, m: int, seed: int) -> WalkInstance:
@@ -230,9 +237,9 @@ def gen_hypercube_instance(n: int, m: int, seed: int) -> WalkInstance:
     uniformly random walk bit per tick while the clock advances one snake
     step.
     """
-    ticks = _hypercube_ticks(n, m)
+    _hypercube_shape(n, m)
     rng = random.Random(seed)
-    steps = tuple(rng.randrange(m) for _ in range(ticks))
+    steps = tuple(rng.randrange(m) for _ in range(1 << (n - m)))
     return _replay_hypercube(n, m, steps, seed)
 
 
@@ -256,16 +263,15 @@ def _replay_grid(
     return _build_walk_instance(GRID, shape, m, (n // 2,) * m, steps, step, n, d, seed)
 
 
-def _grid_ticks(n: int, d: int, m: int) -> int:
-    """The n^(d-m) ticks of a grid-walk instance; ValueError for sizes no
-    instance has."""
+def _grid_shape(n: int, d: int, m: int) -> GridShape:
+    """[n]^d, the grid of a grid-walk instance, whose n^(d-m) ticks the
+    trajectory budget bounds; ValueError for sizes no instance has."""
     if not 1 <= m < d:
         raise ValueError(f"walk dimensions must satisfy 1 <= m < d, got m={m}, d={d}")
     if n < 2:
         raise ValueError(f"side length must be >= 2, got n={n}")
-    ticks = n ** (d - m)
-    _check_trajectory(2 * ticks)
-    return ticks
+    _check_trajectory(2 * n ** (d - m))
+    return GridShape(n, d)
 
 
 def gen_grid_instance(n: int, d: int, m: int, seed: int) -> WalkInstance:
@@ -275,9 +281,9 @@ def gen_grid_instance(n: int, d: int, m: int, seed: int) -> WalkInstance:
     moves axis t mod m by a uniformly random sign, re-aimed inward at the
     grid border.
     """
-    ticks = _grid_ticks(n, d, m)
+    _grid_shape(n, d, m)
     rng = random.Random(seed)
-    steps = tuple(1 if rng.randrange(2) else -1 for _ in range(ticks))
+    steps = tuple(1 if rng.randrange(2) else -1 for _ in range(n ** (d - m)))
     return _replay_grid(n, d, m, steps, seed)
 
 
@@ -296,7 +302,7 @@ def _replay_blocks(
         )
     if any(s not in (-1, 1) for s in steps):
         raise InstanceFormatError("block steps must be signs -1/+1")
-    shape = GridShape(lay.nprime, d)
+    shape = lay.shape
     bshape = lay.block_shape
     stride = lay.stride
     L = lay.iterations
@@ -433,11 +439,12 @@ def _block_value(inst: WalkInstance, v: Vertex) -> int:
 class Family(NamedTuple):
     """A registry entry: the size parameters in the order ``check(*params)``,
     ``generate(*params, seed)`` and ``replay(*params, steps, seed)`` take
-    them, and the trusted value and membership functions.  ``check`` raises
-    ValueError for sizes no instance has, without building one."""
+    them, and the trusted value and membership functions.  ``check`` returns
+    the grid an instance of those sizes lies on, and raises ValueError for
+    sizes no instance has, without building one."""
 
     params: tuple[str, ...]
-    check: Callable[..., object]
+    check: Callable[..., GridShape]
     generate: Callable[..., WalkInstance]
     replay: Callable[..., WalkInstance]
     value: Callable[[WalkInstance, Vertex], int]
@@ -450,11 +457,12 @@ PARAM_TYPES = {"n": (int,), "d": (int,), "m": (int,), "r": (float, int)}
 _WALK = (_walk_value, _walk_membership)
 FAMILIES = {
     HYPERCUBE: Family(
-        ("n", "m"), _hypercube_ticks, gen_hypercube_instance, _replay_hypercube, *_WALK
+        ("n", "m"), _hypercube_shape, gen_hypercube_instance, _replay_hypercube, *_WALK
     ),
-    GRID: Family(("n", "d", "m"), _grid_ticks, gen_grid_instance, _replay_grid, *_WALK),
+    GRID: Family(("n", "d", "m"), _grid_shape, gen_grid_instance, _replay_grid, *_WALK),
     BLOCKS: Family(
-        ("n", "d", "r"), _block_sizes, gen_block_instance, _replay_blocks,
+        ("n", "d", "r"), lambda *sizes: _block_sizes(*sizes).shape,
+        gen_block_instance, _replay_blocks,
         _block_value, _block_membership,
     ),
 }
@@ -568,8 +576,11 @@ def verify_instance(inst: WalkInstance) -> VerificationReport:
     endpoint, pairwise-distinct trajectory points, and membership answers that
     agree with the stored point set.  Refuses (rather than sampling) when the
     domain exceeds the scan limit (``GridShape.iter_vertices`` checks it).
-    The values come from ``_value_table``, which tests hold equal to the
-    family's registered value function."""
+    The values come from ``_value_table``, not from the family's registered
+    value function, which stays the definition.  The two agree by
+    construction; tests check them equal on every vertex of every
+    criterion-5 instance and of the hand-edited instances of
+    tests/test_boundary.py, and on no other instance."""
     shape = inst.shape
     points = inst.trajectory
     point_set = set(points)

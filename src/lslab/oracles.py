@@ -15,8 +15,9 @@ A vertex is validated once, where it enters lslab: the public functions
 ``simulate_value_via_membership``) and each oracle ``query``/``peek`` check it
 against the grid and raise ``ValueError`` when it lies outside.  The check,
 ``GridShape.require``, is one length test and one C-level subset test
-against the shape's coordinate set 1..k, so a coordinate that is not equal
-to an integer of that range (1.5, say) is refused.  Past that
+against the shape's coordinate set 1..k (an arithmetic test when k is over
+``DEFAULT_SCAN_LIMIT``), so a coordinate that is not equal to an integer of
+that range (1.5, say) is refused.  Past that
 point lslab calls trusted helpers, which check nothing: ``_snake_rank``,
 ``_neighbors``, ``_l1`` (the l1 distance without its dimension check), and
 the family's registered value and membership functions, which the instance

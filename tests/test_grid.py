@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from lslab.errors import BudgetExceeded
 from lslab.grid import (
+    DEFAULT_SCAN_LIMIT,
     GridShape,
     _snake_path,
     l1_distance,
@@ -41,6 +42,24 @@ class TestShape:
         assert not s.contains((1.5, 2))
         assert not s.contains((2, 2.5))
         assert s.contains((1.0, True))
+
+    def test_wide_side_checked_without_a_coordinate_set(self):
+        # a side over the scan limit gets no coordinate set (checked first,
+        # on a side whose set would still be affordable), so on k = 10^12
+        # the check compares coordinates and builds nothing
+        assert len(GridShape(DEFAULT_SCAN_LIMIT, 2).coords) == DEFAULT_SCAN_LIMIT
+        assert GridShape(DEFAULT_SCAN_LIMIT + 1, 2).coords is None
+        s = GridShape(10**12, 2)
+        assert s.contains((10**12, 1)) and s.contains((1.0, True))
+        for v in [(1.5, 2), (0, 1), (1, 10**12 + 1), (1,)]:
+            assert not s.contains(v)
+            with pytest.raises(ValueError):
+                snake_rank(s, v)
+            with pytest.raises(ValueError):
+                neighbors(s, v)
+        assert snake_rank(s, (10**12, 2)) == 10**12 + 1
+        assert neighbors(s, (1, 10**12)) == [(2, 10**12), (1, 10**12 - 1)]
+        assert s.coords is None
 
     def test_iter_budget(self):
         with pytest.raises(BudgetExceeded):

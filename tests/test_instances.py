@@ -351,6 +351,17 @@ class TestInstanceFiles:
         with pytest.raises(InstanceFormatError):
             _replay_grid(4, 2, 0, (1, -1, 1, 1), seed=None)
 
+    def test_walk_space_filling_the_grid_is_refused(self):
+        # m = n leaves the clock no axis; with the endpoints a clockless
+        # replay would give, the file must still be refused
+        data = instance_to_dict(gen_hypercube_instance(3, 2, seed=0))
+        data["params"]["m"] = 3
+        data.update(step_sequence=[0], start=[1, 1, 1, 1], endpoint=[2, 1, 1, 1])
+        with pytest.raises(InstanceFormatError):
+            instance_from_dict(data)
+        with pytest.raises(ValueError):
+            _replay_hypercube(3, 3, (0,), seed=None)
+
     @pytest.mark.parametrize(
         "inst, key",
         [
