@@ -140,12 +140,16 @@ def _snake_rank(k: int, v: Vertex) -> int:
 
 
 def snake_unrank(shape: GridShape, t: int) -> Vertex:
-    """The t-th vertex (1-based) of the snake path, in O(l) time."""
+    """The t-th vertex (1-based) of the snake path, in O(l) time.  Like a
+    coordinate, a rank must equal an integer: 2.0 reads as 2, 2.5 is refused."""
     n = shape.vertex_count
     if not 1 <= t <= n:
         raise ValueError(f"rank {t} out of range 1..{n}")
+    r = int(t)
+    if r != t:
+        raise ValueError(f"rank {t!r} is not an integer")
+    r -= 1
     k = shape.k
-    r = t - 1
     coords = [0] * shape.l
     size = n // k
     for i in range(shape.l - 1, 0, -1):

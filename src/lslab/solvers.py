@@ -27,6 +27,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 
 from .grid import Vertex, _neighbors, _snake_rank, l1_distance, snake_unrank
 from .oracles import QueryLedger, ValueOracle
@@ -145,23 +146,26 @@ def durr_hoyer_min(
     rng: random.Random | None = None,
     faithful: bool = False,
 ) -> int:
-    """Index of the minimum of ``values`` at the quantum-search charge rate.
+    """Index of the minimum of the sequence ``values`` at the quantum-search
+    charge rate; the sequence is read in place, not copied.
 
     Classically exact (ties break to the lowest index); charges
     ceil(sqrt(S)) * ceil(log2(1/eps)) quantum queries for S values.  In
     faithful mode the call instead returns a uniformly random non-minimal
-    index with probability eps (when a non-minimal index exists).
+    index with probability eps (when a non-minimal index exists): the j-th
+    one, j drawn as ``rng.choice`` draws from a list of them.
     """
     _check_eps(eps)
-    values = list(values)
     if not values:
         raise ValueError("minimum of an empty sequence")
     _charge(ledger, len(values), eps)
-    best = values.index(min(values))
+    low = min(values)
+    best = values.index(low)
     if _fails(rng, eps, faithful):
-        losers = [i for i, x in enumerate(values) if x != values[best]]
+        losers = len(values) - values.count(low)
         if losers:
-            return rng.choice(losers)
+            j = rng.choice(range(losers))
+            return next(islice((i for i, x in enumerate(values) if x != low), j, None))
     return best
 
 
@@ -276,9 +280,12 @@ class RegionState:
         (draw, total), where total is the region's vertex count; ValueError
         for an empty region.
 
-        A batch ``draw(count)`` reads the ``randrange`` stream: each target t
-        is ``rng.randrange(total)`` by its ``getrandbits`` rejection rule, and
-        the vertex drawn is ``vertices()[t]``.
+        A batch ``draw(count, read)`` reads the ``randrange`` stream: each
+        target t is ``rng.randrange(total)`` by its ``getrandbits`` rejection
+        rule, and the vertex drawn is ``vertices()[t]``.  Each vertex goes to
+        ``read`` as it is drawn and only t is kept, so a batch holds per
+        sample its target and its value.  It returns (values, vertex), where
+        ``vertex(i)`` rebuilds the i-th vertex drawn.
         """
         ulo, uhi, _, _ = self._uw_rect
         cums: list[int] = []
@@ -295,16 +302,24 @@ class RegionState:
             raise ValueError("empty region")
         getrandbits, bits = rng.getrandbits, total.bit_length()
 
-        def draw(count: int) -> list[Vertex]:
-            out: list[Vertex] = []
-            append = out.append
+        def draw(count: int, read):
+            targets: list[int] = []
+            values = []
+            keep, append = targets.append, values.append
             for _ in range(count):
                 t = getrandbits(bits)
                 while t >= total:
                     t = getrandbits(bits)
                 a, b = offsets[bisect_right(cums, t)]
-                append((t + a, b - t))
-            return out
+                keep(t)
+                append(read((t + a, b - t)))
+
+            def vertex(i: int) -> Vertex:
+                t = targets[i]
+                a, b = offsets[bisect_right(cums, t)]
+                return t + a, b - t
+
+            return values, vertex
 
         return draw, total
 
@@ -361,14 +376,16 @@ def grid2d_quantum(oracle: ValueOracle, seed: int, mode: str = "exact") -> Solve
     floor(log2 n) so the round bound holds deterministically (the nominal
     3/4 shrink alone does not force it); a capped exit only lengthens the
     final classical descent, never the answer's correctness.  Per round:
-    sample ceil((4|U|/m) log2(1/eps1)) vertices from the region, take their
-    minimum at the quantum-minimum charge (error eps2), keep the better of
-    the old and new anchors, then try up to ceil(log2(1/eps3)) radii drawn
-    from [floor(m/4), ceil(3m/4)], accepting the first whose region sphere
-    contains nothing below the anchor (an existence test at the Grover
-    charge, error eps4).  Exhausting the tries reports failure; otherwise
-    the region shrinks to the accepted ball and, after the loop, a classical
-    descent from the anchor finishes the job.
+    sample ceil((4|U|/m) log2(1/eps1)) vertices from the region, keeping per
+    sample only its target and its value (the winner's vertex is rebuilt
+    from its target), take their minimum at the quantum-minimum charge
+    (error eps2), keep the better of the old and new anchors, then try up
+    to ceil(log2(1/eps3)) radii drawn from [floor(m/4), ceil(3m/4)],
+    accepting the first whose region sphere contains nothing below the
+    anchor (an existence test at the Grover charge, error eps4).  Exhausting
+    the tries reports failure; otherwise the region shrinks to the accepted
+    ball and, after the loop, a classical descent from the anchor finishes
+    the job.
 
     The error budgets are fixed: eps = 1/(2 log2 n), eps1 = eps2 = eps3 =
     eps/4 and eps4 = eps/(4 log2(4/eps)).
@@ -401,10 +418,9 @@ def grid2d_quantum(oracle: ValueOracle, seed: int, mode: str = "exact") -> Solve
         draw, region_size = region.sampler(rng)
         sample_size = math.ceil(4 * region_size / radius * math.log2(1 / eps1))
         with ledger.phase("sample-min"):
-            drawn = draw(sample_size)
-            values = [peek(v) for v in drawn]
+            values, vertex = draw(sample_size, peek)
             best = durr_hoyer_min(values, eps2, ledger, rng=rng, faithful=faithful)
-        candidate, candidate_value = drawn[best], values[best]
+        candidate, candidate_value = vertex(best), values[best]
         if anchor is None or not anchor_value < candidate_value:
             anchor, anchor_value = candidate, candidate_value
         chosen = None

@@ -204,6 +204,10 @@ def _edge_regions():
     yield RegionState(n=16), 256
 
 
+def _identity(v):
+    return v
+
+
 def test_region_draws_follow_the_enumeration_order():
     # pins the draw -> vertex map that byte-identical bench CSVs depend on:
     # one batched draw reads the same stream as repeated randrange calls
@@ -218,10 +222,12 @@ def test_region_draws_follow_the_enumeration_order():
         clone.setstate(rng.getstate())
         draw, total = region.sampler(rng)
         assert total == len(vertices)
-        drawn = draw(200)
+        # an identity read hands back the vertices themselves as the values
+        drawn, vertex = draw(200, _identity)
         assert drawn == [vertices[clone.randrange(total)] for _ in range(200)]
+        assert [vertex(i) for i in range(200)] == drawn
         # the stream carries on across batches, as it does across randrange calls
-        assert draw(3) + draw(0) + draw(5) == [
+        assert [v for count in (3, 0, 5) for v in draw(count, _identity)[0]] == [
             vertices[clone.randrange(total)] for _ in range(8)
         ]
 

@@ -142,6 +142,20 @@ class TestSnakePath:
         with pytest.raises(ValueError):
             snake_unrank(GridShape(2, 2), 0)
 
+    def test_rank_must_equal_an_integer(self):
+        # ranks follow GridShape.require's rule for coordinates
+        shape = GridShape(3, 2)
+        for t in (2.5, 1.5, 8.999):
+            with pytest.raises(ValueError, match="not an integer"):
+                snake_unrank(shape, t)
+        for t, want in ((2.0, (2, 1)), (True, (1, 1)), (9.0, (3, 3))):
+            v = snake_unrank(shape, t)
+            assert v == want
+            assert all(type(c) is int for c in v)
+        # a float rank that equals a large integer is read exactly
+        wide = GridShape(2, 70)
+        assert snake_rank(wide, snake_unrank(wide, 1e20)) == 10**20
+
     @pytest.mark.parametrize(
         "shape",
         [

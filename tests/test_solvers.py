@@ -124,6 +124,23 @@ class TestChargedSubroutines:
             idx = durr_hoyer_min([5, 1, 7], 0.5, led, rng=rng, faithful=True)
             assert idx in (0, 1, 2)
 
+    def test_min_faithful_pick_matches_choice_over_losers(self):
+        # the failing call draws as rng.choice over the list of non-minimal
+        # indices would, without building that list
+        gen = random.Random(11)
+        for seed in range(300):
+            values = [gen.randrange(4) for _ in range(gen.randrange(1, 12))]
+            rng, ref = random.Random(seed), random.Random(seed)
+            for _ in range(5):
+                got = durr_hoyer_min(values, 0.75, QueryLedger(), rng=rng, faithful=True)
+                want = values.index(min(values))
+                if ref.random() < 0.75:
+                    losers = [i for i, x in enumerate(values) if x != min(values)]
+                    if losers:
+                        want = ref.choice(losers)
+                assert got == want
+            assert rng.getstate() == ref.getstate()
+
     def test_exists_exact_and_charges(self):
         led = QueryLedger()
         assert grover_exists([1, 2, 3, 4], lambda x: x > 3, 0.25, led) is True
@@ -239,8 +256,9 @@ class TestRegionState:
         region = RegionState(n=5).with_ball((3, 3), 2)
         draw, total = region.sampler(random.Random(0))
         assert total == len(region.vertices())
-        seen = set(draw(800))
-        assert seen == set(region.vertices())
+        drawn, vertex = draw(800, lambda v: v)
+        assert set(drawn) == set(region.vertices())
+        assert [vertex(i) for i in range(800)] == drawn
 
     def test_sphere_examples(self):
         region3 = RegionState(n=3)

@@ -1,21 +1,29 @@
-"""The traced benchmark run finds every binding it wraps.
+"""The traced benchmark run finds every binding it wraps, and its wrappers
+leave a run's output as it is.
 
 `perfbench/tracing.py` looks each FUNCTIONS entry up as a module attribute
 and each METHODS entry in its class's own ``__dict__``; a renamed or moved
-binding would stop `perfbench/run.py --trace 1` at startup.
+binding would stop `perfbench/run.py --trace 1` at startup.  It also unpacks
+what some bindings return (`RegionState.sampler`'s ``(draw, total)``), so a
+changed return shape would fail every traced grid2d op.
 """
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def _tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
     return module
 
 
@@ -25,7 +33,7 @@ def _lslab(module: str):
 
 def test_every_traced_function_is_a_module_attribute():
     missing = [
-        (module, attr) for module, attr, _ in _tracing().FUNCTIONS
+        (module, attr) for module, attr, _ in _load("tracing").FUNCTIONS
         if not callable(getattr(_lslab(module), attr, None))
     ]
     assert missing == []
@@ -33,7 +41,25 @@ def test_every_traced_function_is_a_module_attribute():
 
 def test_every_traced_method_is_in_its_class_dict():
     missing = [
-        (module, cls, attr) for module, cls, attr, _ in _tracing().METHODS
+        (module, cls, attr) for module, cls, attr, _ in _load("tracing").METHODS
         if attr not in vars(getattr(_lslab(module), cls))
     ]
     assert missing == []
+
+
+def test_traced_grid2d_sweep_op_keeps_its_digest():
+    tracing, workloads = _load("tracing"), _load("workloads")
+    ops = [op for op in workloads.make("sweep", "smoke").pass_ops(workloads.DEFAULT_SEED, 0)
+           if op.group == "grid2d"]
+    untraced = [op.run().digest for op in ops]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        traced = []
+        for op in ops:
+            with tracer.op(op.label):
+                traced.append(op.run().digest)
+    finally:
+        tracer.remove()
+    assert ops and traced == untraced
+    assert tracer.calls("solvers.region.draw") > 0
