@@ -23,18 +23,20 @@ that shortlists the candidates within a relative 1e-9 of the float minimum;
 the shortlist is then compared exactly (canonical-form equality, then
 high-precision decimals), so the reported radicand is the certified minimum.
 
-A scheme that build_scheme made over endpoint_relation is evaluated without
-its O(N^2) tables (see `_FamilyReader`).  w comes from the divergence index
-and the row sums from endpoint counts per prefix class.  One u tally per
-(walk, position) serves as the v tally too, since v(x, y, pos) ==
-u(y, x, pos).  The scan visits x < y only, since (y, x, pos) has the same
-radicand; the quantum certification takes the mirrors of the shortlisted
-candidates back.  On every hypercube family x runs over orbit
-representatives under permutations of the flip coordinates (see
-`quantum_adversary_value` for why that keeps its floats).  The witness is
-the one the full scan picks: the first minimal candidate in relation order
-for the relational bound; the float-smallest, then first, exact tie for the
-quantum bound.
+A scheme that build_scheme made over endpoint_relation of a family in
+enumerate_paths' order is evaluated without its O(N^2) tables (see
+`_FamilyReader`).  w comes from the divergence index and the row sums from
+endpoint counts per prefix class.  The u tally per (walk, position) is
+counted over ranges of walk indices, the partners that diverge from the walk
+at one step, and serves as the v tally too, since v(x, y, pos) ==
+u(y, x, pos); each distinct tally is summed once, in integers.  The scan
+visits x < y only, since (y, x, pos) has the same radicand; the quantum
+certification takes the mirrors of the shortlisted candidates back.  On
+every hypercube family x runs over orbit representatives under permutations
+of the flip coordinates (see `quantum_adversary_value` for why that keeps
+its floats).  The witness is the one the full scan picks: the first minimal
+candidate in relation order for the relational bound; the float-smallest,
+then first, exact tie for the quantum bound.
 
 Enumeration and evaluation are single-threaded, and the scans are pure.
 """
@@ -45,8 +47,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
-from math import ceil, inf, lcm
+from itertools import chain, product
+from math import ceil, gcd, inf, lcm
 from operator import itemgetter
 
 from .errors import BudgetExceeded
@@ -143,6 +145,11 @@ class Surd:
         return f"{self.coef}*{parts}"
 
 
+#: Bound on the number of monomial products SurdSum.__mul__ remembers.
+_PRODUCT_MEMO_LIMIT = 4096
+_products: dict[tuple[Monomial, Monomial], Surd] = {}
+
+
 class SurdSum:
     """A finite sum of Surds in canonical form (one coefficient per monomial)."""
 
@@ -175,11 +182,18 @@ class SurdSum:
         return out
 
     def __mul__(self, other: "SurdSum") -> "SurdSum":
+        """The product, term pair by term pair; each monomial pair's product
+        comes from a bounded memo, so `_canonical` runs once per pair."""
         out = SurdSum()
         for mono_a, coef_a in self._terms.items():
-            a = Surd(coef_a, mono_a)
             for mono_b, coef_b in other._terms.items():
-                out.add(a * Surd(coef_b, mono_b))
+                product = _products.get((mono_a, mono_b))
+                if product is None:
+                    if len(_products) >= _PRODUCT_MEMO_LIMIT:
+                        _products.clear()
+                    product = Surd(Fraction(1), mono_a) * Surd(Fraction(1), mono_b)
+                    _products[mono_a, mono_b] = product
+                out.add(Surd(coef_a * coef_b * product.coef, product.mono))
         return out
 
     def __eq__(self, other: object) -> bool:
@@ -604,14 +618,23 @@ class _FamilyReader:
     """A stock scheme, read from its family's walks; no per-pair table is
     built or read.  Stock means build_scheme's tables over
     endpoint_relation of the scheme's own family, with WeightScheme's uv.
+    `_reader` takes this reader only for walks in enumerate_paths' product
+    order (`_in_product_order`), where walk indices encode step prefixes.
 
-    - w(x, y) is the divergence weight of k = diverge_index(x, y), taken
-      from integer step codes.  The row sums come from the number of walks
-      per (prefix class, endpoint); w is symmetric, so col is row.
-    - u at (x, y, pos) is keyed by the integers (k, s, x holds).  Since
-      v(x, y, pos) == u(y, x, pos), and the pairs (., y) meet y in the
-      order of the pairs (y, .), one u tally serves both sides, term for
-      term in the same order.
+    - w(x, y) is the divergence weight of k = diverge_index(x, y).  The
+      walks sharing x's first k steps are x's depth-k block of indices; the
+      row sums come from the number of walks per (block, endpoint); w is
+      symmetric, so col is row.
+    - u at (x, y, pos) is keyed by the integers (k, s, x holds), packed in
+      one int (see `decode`).  The y diverging from x at k fill two index
+      ranges, below and above x's depth-(k + 1) block, so x's tally is
+      counted per range, from Counters over the walks in it that end
+      elsewhere, in the order a scan over increasing y meets its keys.  x
+      holds pos for every such y whose walk misses pos.  The counts of a
+      range are shared by the x of one block and endpoint.
+    - Since v(x, y, pos) == u(y, x, pos), and the pairs (., y) meet y in
+      the order of the pairs (y, .), one u tally serves both sides, term
+      for term in the same order.
     - The candidates (x, y, pos) and (y, x, pos) then have the same
       radicand and the same scan key, and x < y comes first in relation
       order, so only x < y is scanned; `in_relation_order` hands the
@@ -633,12 +656,10 @@ class _FamilyReader:
         family = scheme.family
         walks = family.walks
         self.T = T = family.T
-        symbols = {s: i for i, s in enumerate(sorted({s for x in walks for s in x.steps}))}
-        # step t of a walk is the code's t-th digit of `bits` bits, from the top
-        self.bits = bits = max(1, (len(symbols) - 1).bit_length())
-        self.codes = [
-            sum(symbols[s] << bits * (T - t) for t, s in enumerate(x.steps)) for x in walks
-        ]
+        # in product order, the walks sharing their first k steps with x
+        # fill x's depth-k block, of `blocks[k]` consecutive indices
+        base = len({s for x in walks for s in x.steps})
+        self.blocks = [base ** (T + 1 - k) for k in range(T + 2)]
         self.verts = sorted({p for x in walks for p in x.point_set})
         vid = {v: i for i, v in enumerate(self.verts)}
         self.sets = [frozenset(vid[p] for p in x.point_set) for x in walks]
@@ -673,10 +694,11 @@ class _FamilyReader:
                 sigma = tuple(sigma[i] if i in sigma else next(free) for i in range(m))
                 perm = perms.get(sigma)
                 if perm is None:
+                    # the clock adds at least one coordinate, so `image`
+                    # takes two or more indices and returns a tuple
                     inverse = sorted(range(m), key=sigma.__getitem__)
-                    perm = perms[sigma] = [
-                        vid[tuple(v[i] for i in inverse) + v[m:]] for v in self.verts
-                    ]
+                    image = itemgetter(*inverse, *range(m, len(self.verts[0])))
+                    perm = perms[sigma] = list(map(vid.__getitem__, map(image, self.verts)))
                 self.orbit[y] = (rep, perm)
         self.xs = sorted({rep for rep, _ in self.orbit})
 
@@ -684,11 +706,11 @@ class _FamilyReader:
         return self.scheme.divergence_weights
 
     def weight_sums(self) -> tuple[int, list, list]:
-        family, T, bits = self.scheme.family, self.T, self.bits
+        family, T = self.scheme.family, self.T
         sizes = [prefix_class_size(family, k) for k in range(T + 1)]
         scale = lcm(*sizes)
-        # prefixes[x][k]: the code of x's first k steps
-        prefixes = [[code >> bits * (T + 1 - k) for k in range(T + 2)] for code in self.codes]
+        # prefixes[x][k]: x's depth-k block, which stands for its first k steps
+        prefixes = [[x // block for block in self.blocks] for x in range(len(self.ends))]
         same = Counter(
             (k, prefix, end)
             for pre, end in zip(prefixes, self.ends)
@@ -705,27 +727,59 @@ class _FamilyReader:
         return scale, row, row
 
     def rows(self, reduce) -> tuple[list, list]:
-        T, bits, codes, sets, roles, ends = (
-            self.T, self.bits, self.codes, self.sets, self.roles, self.ends
-        )
-        n, size = len(codes), len(self.verts)
+        T, sets, roles, ends = self.T, self.sets, self.roles, self.ends
+        n, size = len(sets), len(self.verts)
+        # a key packs (k, role, x holds) into 2 * (k * R + role) + holds, and
+        # a walk's (position, role) pairs are packed as p * R + role
+        R = T + 2
+        placed = [[p * R + r for p, r in rx.items()] for rx in roles]
+        blocks = self.blocks
         tallied = {}
+        # per k, the counts of the two ranges around x's depth-(k + 1) block,
+        # per endpoint; x rises, so they are dropped when x leaves the block
+        shared: list[dict] = [{} for _ in range(T + 1)]
+        bordered: list = [None] * (T + 1)
         for x in self.xs:
-            cx, sx, rx, ex = codes[x], sets[x], roles[x], ends[x]
+            sx, rx, ex = sets[x], roles[x], ends[x]
+            # the partners diverging from x at k fill the part of x's depth-k
+            # block below its depth-(k + 1) block and the part above it; in
+            # increasing index order: every part below, then every part above
+            starts = [x - x % block for block in blocks]
+            below = [(k, starts[k], starts[k + 1]) for k in range(T + 1)]
+            above = [
+                (k, starts[k + 1] + blocks[k + 1], starts[k] + blocks[k])
+                for k in reversed(range(T + 1))
+            ]
+            for k in range(T + 1):
+                if bordered[k] != starts[k + 1]:
+                    bordered[k], shared[k] = starts[k + 1], {}
             cells: dict[int, dict] = {}
-            for y in range(n):
-                if ends[y] == ex:
+            for k, lo, hi in below + above:
+                got = shared[k].get((lo, ex))
+                if got is None:
+                    kept = [y for y in range(lo, hi) if ends[y] != ex]
+                    # Counter keeps first occurrence, so keys arrive in the
+                    # order a pair-by-pair scan over increasing y meets them
+                    held = Counter(chain.from_iterable(map(placed.__getitem__, kept)))
+                    got = shared[k][lo, ex] = (
+                        len(kept),
+                        Counter(chain.from_iterable(map(sets.__getitem__, kept))),
+                        [(pair // R, 2 * (k * R + pair % R), n_y) for pair, n_y in held.items()],
+                    )
+                n_kept, hits, y_held = got
+                if not n_kept:
                     continue
-                k = T - ((cx ^ codes[y]).bit_length() - 1) // bits
-                sy, ry = sets[y], roles[y]
-                for p in sx - sy:
-                    cell = cells.setdefault(p, {})
-                    key = (k, rx[p] - k, True)
-                    cell[key] = cell.get(key, 0) + 1
-                for p in sy - sx:
-                    cell = cells.setdefault(p, {})
-                    key = (k, ry[p] - k, False)
-                    cell[key] = cell.get(key, 0) + 1
+                base = 2 * k * R + 1
+                for p in sx:
+                    count = n_kept - hits.get(p, 0)
+                    if count:
+                        cell = cells.setdefault(p, {})
+                        key = base + 2 * rx[p]
+                        cell[key] = cell.get(key, 0) + count
+                for p, key, count in y_held:
+                    if p not in sx:
+                        cell = cells.setdefault(p, {})
+                        cell[key] = cell.get(key, 0) + count
             row = tallied[x] = [None] * size
             for p, value in reduce(cells).items():
                 row[p] = value
@@ -756,11 +810,16 @@ class _FamilyReader:
         mirrors = [(key, y, x, pos) for key, x, y, pos in shortlist]
         return sorted(shortlist + mirrors, key=itemgetter(1, 2, 3))
 
+    def decode(self, key: int) -> tuple[int, int, bool]:
+        """The (k, s, x holds) that `rows` packed into a key."""
+        k, role = divmod(key >> 1, self.T + 2)
+        return k, role - k, bool(key & 1)
+
     def weight(self, key) -> Fraction:
-        return self.scheme.divergence_weights[key[0]]
+        return self.scheme.divergence_weights[self.decode(key)[0]]
 
     def terms(self, key) -> tuple:
-        return (self.weight(key), *self.scheme.uv_at(*key))
+        return (self.weight(key), *self.scheme.uv_at(*self.decode(key)))
 
     def vertex(self, pos: int) -> Vertex:
         return self.verts[pos]
@@ -773,8 +832,18 @@ def _reader(scheme: WeightScheme):
         and scheme.derived
         and isinstance(relation, EndpointRelation)
         and relation.family is scheme.family
+        and _in_product_order(scheme.family)
     )
     return _FamilyReader(scheme) if stock else _TableReader(scheme)
+
+
+def _in_product_order(family: PathFamily) -> bool:
+    """Whether the family lists every step sequence once, in increasing
+    order: the product order of enumerate_paths, which `_FamilyReader`
+    reads from walk indices."""
+    steps = [x.steps for x in family.walks]
+    base = len({s for x in steps for s in x})
+    return len(steps) == base ** (family.T + 1) and all(map(tuple.__lt__, steps, steps[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -848,14 +917,19 @@ def relational_adversary_value(scheme: WeightScheme) -> RelationalBound:
         raise ValueError("weights must be positive")
     scale, row, col = reader.weight_sums()
 
+    scaled: dict = {}  # key -> its weight times scale
+
     def reduce(cells: dict) -> dict:
         # the scaled sum of w over the tallied pairs
         out = {}
         for pos, cell in cells.items():
             total = 0
             for key, count in cell.items():
-                w = reader.weight(key)
-                total += count * w.numerator * (scale // w.denominator)
+                term = scaled.get(key)
+                if term is None:
+                    w = reader.weight(key)
+                    term = scaled[key] = w.numerator * (scale // w.denominator)
+                total += count * term
             out[pos] = total
         return out
 
@@ -939,15 +1013,17 @@ def quantum_adversary_value(scheme: WeightScheme) -> QuantumBound:
     Refuses schemes that fail the u*v >= w^2 validity gate, checked once
     per distinct (w, u, v) term that the tally meets.  u is tallied per
     (walk, position) and summed once per distinct tally, its terms in the
-    order the pairs meet them.  A float scan shortlists the candidates
+    order the pairs meet them, as integer numerators over a common
+    denominator per monomial.  A float scan shortlists the candidates
     within a relative 1e-9 of the float minimum; among them the radicand is
     minimized exactly, so the returned radicand is the certified minimum.
     When several candidates share it exactly, the witness is the one with
     the smallest float(num) / float(den), the first in relation and position
     order among equal floats.
 
-    A stock scheme (see `_FamilyReader`) is read from the walks: one u tally
-    serves as the v tally too, since v(x, y, pos) == u(y, x, pos), and the
+    A stock scheme over walks in enumerate_paths' order (see
+    `_FamilyReader`) is read from the walks: one u tally serves as the v
+    tally too, since v(x, y, pos) == u(y, x, pos), and the
     scan visits x < y only, since (y, x, pos) has the same radicand and
     scan key as (x, y, pos) and comes later.  The mirror's exact
     denominator multiplies the same sums in the other order, so its float
@@ -967,27 +1043,45 @@ def quantum_adversary_value(scheme: WeightScheme) -> QuantumBound:
     reader = _reader(scheme)
     scale, row, col = reader.weight_sums()
     checked: dict = {}
+    # key -> (monomial number, coefficient numerator, denominator) of its term
+    terms: dict = {}
+    monomials: dict = {}  # monomial -> number, in first-seen order
     by_tally: dict = {}
     by_form: dict = {}
 
     def reduce(cells: dict) -> dict:
-        """Each position's tally as (SurdSum, float).  Tallies with the same
-        terms in the same order, and sums with the same terms in the same
-        order, share one object, so one object stands for one exact value
-        and one float."""
+        """Each position's tally as (SurdSum, float).  A sum's coefficients
+        are added as integers over the lcm of their denominators and reduced
+        by the gcd, so equal sums, their monomials in the same order, share
+        one form and one object: one object stands for one exact value and
+        one float."""
         out = {}
         for pos, cell in cells.items():
             tally = tuple(cell.items())
             hit = by_tally.get(tally)
             if hit is None:
-                total = SurdSum()
+                parts = []
                 for key, count in tally:
-                    w, term, other = reader.terms(key)
-                    if not _uv_valid(checked, w, term, other):
-                        raise ValueError("scheme violates u*v >= w^2")
-                    total.add(Surd(term.coef * count, term.mono))
-                form = tuple(total._terms.items())
-                hit = by_tally[tally] = by_form.setdefault(form, (total, float(total)))
+                    term = terms.get(key)
+                    if term is None:
+                        w, u, other = reader.terms(key)
+                        if not _uv_valid(checked, w, u, other):
+                            raise ValueError("scheme violates u*v >= w^2")
+                        mono = monomials.setdefault(u.mono, len(monomials))
+                        term = terms[key] = (mono, u.coef.numerator, u.coef.denominator)
+                    parts.append((term, count))
+                den = lcm(*(term[2] for term, _ in parts))
+                nums: dict[int, int] = {}
+                for (mono, num, d), count in parts:
+                    nums[mono] = nums.get(mono, 0) + count * num * (den // d)
+                common = gcd(den, *nums.values())
+                form = (den // common, *((mono, num // common) for mono, num in nums.items()))
+                hit = by_form.get(form)
+                if hit is None:
+                    listed = list(monomials)
+                    total = SurdSum({listed[mono]: Fraction(num, den) for mono, num in nums.items()})
+                    hit = by_form[form] = (total, float(total))
+                by_tally[tally] = hit
             out[pos] = hit
         return out
 

@@ -211,18 +211,21 @@ def sample_then_descend(
     if charging not in ("classical", "quantum"):
         raise ValueError(f"unknown charging {charging!r}")
     rng = random.Random(seed)
-    drawn = [snake_unrank(shape, rng.randrange(n_vertices) + 1) for _ in range(samples)]
+    # one rank per draw; each vertex is built only to be read, and the
+    # winner is built again from its rank
+    ranks = [rng.randrange(n_vertices) + 1 for _ in range(samples)]
     memo = _Memo(oracle)
+    read = memo if charging == "classical" else oracle.peek
     with oracle.ledger.phase("sample"):
+        values = [read(snake_unrank(shape, rank)) for rank in ranks]
         if charging == "classical":
-            values = [memo(v) for v in drawn]
             best = values.index(min(values))
         else:
-            values = [oracle.peek(v) for v in drawn]
             best = durr_hoyer_min(values, 0.25, oracle.ledger)
-            memo.values[drawn[best]] = values[best]
+    start = snake_unrank(shape, ranks[best])
+    memo.values[start] = values[best]
     with oracle.ledger.phase("descent"):
-        found, moves = _descend(memo, drawn[best])
+        found, moves = _descend(memo, start)
     return _result(oracle, found, moves)
 
 

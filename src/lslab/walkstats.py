@@ -259,16 +259,20 @@ def line_walk_max_counts(n: int, t_max: int) -> list[int]:
     2n); at most one term is nonzero.  As i, j range over 1..n, j - i takes
     every residue but n and 2n + 1 - i - j every residue but 0, so every d
     is the nonzero term of some pair and max_ij C^t_ij = max_d g_t(d).
-    g_t(d) = g_t(-d), so the vector is kept for d = 0..n only, and a step is
-    g_{t+1}(d) = g_t(d - 1) + g_t(d + 1), reflected at d = 0 and d = n.
-    The probability envelope at time t is the returned count over 2^t.
+    g_t(d) = g_t(-d), so the vector is kept for the d in 0..n of t's parity
+    only, and a step is g_{t+1}(d) = g_t(d - 1) + g_t(d + 1), reflected at
+    d = 0 and d = n: the pairwise sums of neighbouring entries, with
+    2 g_t(1) in front when t is odd and 2 g_t(n - 1) behind when n - t is
+    odd.  The probability envelope at time t is the returned count over 2^t.
     """
     if n < 2:
         raise ValueError("the short walk needs at least two points")
-    g = [1] + [0] * n
+    g = [1] + [0] * (n // 2)  # g_0(d) for d = 0, 2, 4, ... <= n
     maxima = [1]
-    for _ in range(t_max):
-        g = [2 * g[1], *map(int.__add__, g, g[2:]), 2 * g[n - 1]]
+    for t in range(t_max):
+        head = [2 * g[0]] if t % 2 else []
+        tail = [2 * g[-1]] if (n - t) % 2 else []
+        g = [*head, *map(int.__add__, g, g[1:]), *tail]
         maxima.append(max(g))
     return maxima
 

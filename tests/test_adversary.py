@@ -1,10 +1,12 @@
 """Adversary bound tests, including independent re-derivations of both bounds."""
 
+import random
 from fractions import Fraction
 from itertools import permutations
 
 import pytest
 
+from lslab import adversary
 from lslab.errors import BudgetExceeded
 from lslab.adversary import (
     DEFAULT_FAMILY_LIMIT,
@@ -18,6 +20,9 @@ from lslab.adversary import (
     Surd,
     SurdSum,
     WeightScheme,
+    _FamilyReader,
+    _reader,
+    _TableReader,
     build_scheme,
     differing_positions,
     diverge_index,
@@ -671,3 +676,158 @@ def test_hypercube_multipliers_carry_at_most_one_irrational_monomial():
         assert len(irrational_monomials(m, T)) <= 1, (m, T)
     # the first family past the limit where it fails: 3^16, 43 million walks
     assert len(irrational_monomials(3, 15)) == 2
+
+
+# ---------------------------------------------------------------------------
+# the range tally against the pair-by-pair tally it replaced
+# ---------------------------------------------------------------------------
+
+
+def pairwise_tally(reader):
+    """The u tally of a `_FamilyReader`, pair by pair over increasing y, as
+    `rows` made it before it read divergence ranges: each walk's row maps a
+    vertex number to {(k, s, x holds): count}, keys in first-seen order."""
+    walks, sets, roles, ends = reader.scheme.family.walks, reader.sets, reader.roles, reader.ends
+    tallied = {}
+    for x in reader.xs:
+        sx, rx, ex = sets[x], roles[x], ends[x]
+        cells = {}
+        for y in range(len(walks)):
+            if ends[y] == ex:
+                continue
+            k = diverge_index(walks[x], walks[y])
+            sy, ry = sets[y], roles[y]
+            for p in sx - sy:
+                cell = cells.setdefault(p, {})
+                key = (k, rx[p] - k, True)
+                cell[key] = cell.get(key, 0) + 1
+            for p in sy - sx:
+                cell = cells.setdefault(p, {})
+                key = (k, ry[p] - k, False)
+                cell[key] = cell.get(key, 0) + 1
+        tallied[x] = cells
+    if reader.orbit is None:
+        return [tallied[x] for x in range(len(walks))]
+    return [
+        tallied[y] if y == rep else {
+            q: tallied[rep][p] for q, p in enumerate(perm) if p in tallied[rep]
+        }
+        for y, (rep, perm) in enumerate(reader.orbit)
+    ]
+
+
+TALLY_FAMILIES = REFERENCE_FAMILIES + LARGER_REFERENCE_FAMILIES + [
+    (HYPERCUBE_KIND, 4, 3),
+    (HYPERCUBE_KIND, 2, 7),
+    (GRID_KIND, 1, 7),
+    (GRID_KIND, 3, 5),
+]
+
+
+def quantum_reader_rows(fam, monkeypatch):
+    """The stock quantum scheme's reader and the reduced u rows that
+    quantum_adversary_value read from it."""
+    kind = QUANTUM_HYPERCUBE if fam.kind == HYPERCUBE_KIND else QUANTUM_GRID
+    scheme = build_scheme(kind, fam, endpoint_relation(fam))
+    seen = {}
+    rows = _FamilyReader.rows
+
+    def spy(self, reduce):
+        seen["reader"] = self
+        seen["rows"] = rows(self, reduce)[0]
+        return seen["rows"], seen["rows"]
+
+    monkeypatch.setattr(_FamilyReader, "rows", spy)
+    quantum_adversary_value(scheme)
+    return scheme, seen["reader"], seen["rows"]
+
+
+@pytest.mark.parametrize("fam_args", TALLY_FAMILIES, ids=lambda a: f"{a[0]}-m{a[1]}-T{a[2]}")
+def test_range_tally_matches_pairwise_tally(fam_args, monkeypatch):
+    fam = enumerate_paths(*fam_args)
+    scheme, reader, reduced = quantum_reader_rows(fam, monkeypatch)
+    expect = pairwise_tally(reader)
+    got, _ = reader.rows(lambda cells: cells)
+    assert len(got) == len(expect) == len(fam)
+    sums = {}
+    for x, (row, cells) in enumerate(zip(got, expect)):
+        decoded = {
+            p: [(reader.decode(key), count) for key, count in cell.items()]
+            for p, cell in enumerate(row)
+            if cell is not None
+        }
+        # same cells, same counts, keys in the same order
+        assert decoded == {p: list(cell.items()) for p, cell in cells.items()}, x
+        for p, cell in cells.items():
+            # the sum of Fraction-coefficient terms in tally order, and its float
+            tally = tuple(cell.items())
+            if tally not in sums:
+                total = SurdSum()
+                for key, count in tally:
+                    term = scheme.uv_at(*key)[0]
+                    total.add(Surd(term.coef * count, term.mono))
+                sums[tally] = (list(total._terms.items()), float(total))
+            value, key = reduced[x][p]
+            assert (list(value._terms.items()), key) == sums[tally], (x, p)
+
+
+@pytest.mark.parametrize(
+    "fam_args",
+    [(HYPERCUBE_KIND, 2, 3), (GRID_KIND, 1, 4), (GRID_KIND, 2, 4)],
+    ids=lambda a: f"{a[0]}-m{a[1]}-T{a[2]}",
+)
+def test_evaluators_exact_on_shuffled_walks(fam_args):
+    # the range tally holds only for walks in enumeration order; a family
+    # listed in any other order is read pair by pair, with the same values
+    fam = enumerate_paths(*fam_args)
+    walks = list(fam.walks)
+    random.Random(sum(fam_args[1:])).shuffle(walks)
+    shuffled = PathFamily(kind=fam.kind, m=fam.m, T=fam.T, side=fam.side, walks=tuple(walks))
+    kind = QUANTUM_HYPERCUBE if fam.kind == HYPERCUBE_KIND else QUANTUM_GRID
+    values = []
+    for family in (fam, shuffled):
+        rel = endpoint_relation(family)
+        quantum = build_scheme(kind, family, rel)
+        randomized = build_scheme(RANDOMIZED, family, rel)
+        values.append((
+            quantum_adversary_value(quantum),
+            relational_adversary_value(randomized).value,
+            type(_reader(quantum)),
+        ))
+    (q_in, r_in, reader_in), (q_out, r_out, reader_out) = values
+    assert (reader_in, reader_out) == (_FamilyReader, _TableReader)
+    assert q_in.radicand_equals(q_out)
+    assert r_in == r_out
+
+
+def termwise_product(a, b):
+    out = SurdSum()
+    for mono_a, coef_a in a._terms.items():
+        for mono_b, coef_b in b._terms.items():
+            out.add(Surd(coef_a, mono_a) * Surd(coef_b, mono_b))
+    return out
+
+
+def test_memoized_products_equal_termwise_products(monkeypatch):
+    sums = set()
+    for fam_args in LARGER_REFERENCE_FAMILIES:
+        _, _, reduced = quantum_reader_rows(enumerate_paths(*fam_args), monkeypatch)
+        sums.update(cell[0] for row in reduced for cell in row if cell is not None)
+    monomials = {mono for total in sums for mono in total._terms}
+    ones = {mono: SurdSum({mono: Fraction(1)}) for mono in monomials}
+    # every monomial pair the families meet, then sums of several terms
+    for a in ones.values():
+        for b in ones.values():
+            assert list((a * b)._terms.items()) == list(termwise_product(a, b)._terms.items())
+    listed = sorted(sums, key=str)
+    for a, b in zip(listed, listed[1:] + listed[:1]):
+        assert list((a * b)._terms.items()) == list(termwise_product(a, b)._terms.items())
+    assert len(adversary._products) <= adversary._PRODUCT_MEMO_LIMIT
+
+
+def test_product_memo_stays_bounded():
+    one = SurdSum.of(1)
+    for q in range(2, adversary._PRODUCT_MEMO_LIMIT + 12):
+        root = SurdSum({((2, Fraction(1, q)),): Fraction(1)})
+        assert list((root * one)._terms.items()) == [(((2, Fraction(1, q)),), Fraction(1))]
+        assert len(adversary._products) <= adversary._PRODUCT_MEMO_LIMIT

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -212,6 +213,40 @@ class TestSampleThenDescend:
         oracle = cone_oracle(8, (4, 4))
         result = sample_then_descend(oracle, samples=9, seed=1, charging="classical")
         assert result.phase_breakdown["sample"][0] == 9
+
+    # (charging, seed, found, rounds, phase breakdown) as the run that built
+    # every drawn vertex before reading any value gave them
+    PINNED_RUNS = [
+        ("classical", 0, (2, 2, 1, 2, 2, 1, 1, 1, 1, 2), 10, {"sample": (95, 0), "descent": (78, 0)}),
+        ("classical", 1, (1, 1, 2, 2, 2, 2, 1, 1, 1, 2), 0, {"sample": (98, 0), "descent": (10, 0)}),
+        ("classical", 2, (1, 2, 2, 1, 2, 2, 1, 1, 1, 2), 2, {"sample": (92, 0), "descent": (24, 0)}),
+        ("classical", 3, (1, 2, 1, 1, 1, 2, 1, 1, 1, 2), 0, {"sample": (93, 0), "descent": (8, 0)}),
+        ("quantum", 0, (2, 2, 1, 2, 2, 1, 1, 1, 1, 2), 10, {"sample": (0, 22), "descent": (87, 0)}),
+        ("quantum", 1, (1, 1, 2, 2, 2, 2, 1, 1, 1, 2), 0, {"sample": (0, 22), "descent": (10, 0)}),
+        ("quantum", 2, (1, 2, 2, 1, 2, 2, 1, 1, 1, 2), 2, {"sample": (0, 22), "descent": (27, 0)}),
+        ("quantum", 3, (1, 2, 1, 1, 1, 2, 1, 1, 1, 2), 0, {"sample": (0, 22), "descent": (10, 0)}),
+    ]
+
+    @pytest.mark.parametrize("charging, seed, found, rounds, breakdown", PINNED_RUNS)
+    def test_runs_match_pins(self, charging, seed, found, rounds, breakdown):
+        inst = gen_hypercube_instance(10, 6, seed=seed)
+        oracle = ValueOracle.for_instance(inst)
+        result = sample_then_descend(oracle, samples=101, seed=seed, charging=charging)
+        assert (result.found, result.rounds, result.phase_breakdown) == (found, rounds, breakdown)
+
+    def test_quantum_sampling_keeps_no_vertex_list(self):
+        # 50000 draws on [16]^4: a list of the drawn vertex tuples peaked
+        # at 4.5 MB under tracemalloc; one rank per draw stays near 2.5 MB
+        oracle = ValueOracle(GridShape(16, 4), sum)
+        tracemalloc.start()
+        try:
+            result = sample_then_descend(oracle, samples=50000, seed=0, charging="quantum")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.found == (1,) * 4
+        assert result.phase_breakdown == {"sample": (0, 448), "descent": (8, 0)}
+        assert peak < 3_500_000
 
     def test_hard_instance_cost_tracks_sample_count(self):
         # with s ~ sqrt(N n) samples the descent tail is short: a sampled
