@@ -23,13 +23,14 @@ that shortlists the candidates within a relative 1e-9 of the float minimum;
 the shortlist is then compared exactly (canonical-form equality, then
 high-precision decimals), so the reported radicand is the certified minimum.
 
-A scheme that build_scheme made over endpoint_relation of a family in
-enumerate_paths' order is evaluated without its O(N^2) tables (see
-`_FamilyReader`).  w comes from the divergence index and the row sums from
-endpoint counts per prefix class.  The u tally per (walk, position) is
-counted over ranges of walk indices, the partners that diverge from the walk
-at one step, and serves as the v tally too, since v(x, y, pos) ==
-u(y, x, pos); each distinct tally is summed once, in integers.  The scan
+The evaluators take only build_scheme's schemes over endpoint_relation of
+their own family, its walks in enumerate_paths' order, and refuse any other
+scheme with ValueError.  Such a scheme is evaluated without its O(N^2)
+tables (see `_FamilyReader`).  w comes from the divergence index and the
+row sums from endpoint counts per prefix class.  The u tally per (walk,
+position) is counted over ranges of walk indices, the partners that diverge
+from the walk at one step, and serves as the v tally too, since v(x, y, pos)
+== u(y, x, pos); each distinct tally is summed once, in integers.  The scan
 visits x < y only, since (y, x, pos) has the same radicand; the quantum
 certification takes the mirrors of the shortlisted candidates back.  On
 every hypercube family x runs over orbit representatives under permutations
@@ -336,18 +337,9 @@ def diverge_index(x: WalkRecord, y: WalkRecord) -> int | None:
     return None
 
 
-class Relation:
-    """Ordered pairs (x, y) of walk indices."""
-
-    def __init__(self, pairs: tuple[tuple[int, int], ...]) -> None:
-        self.pairs = tuple(pairs)
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-
-class EndpointRelation(Relation):
-    """Every ordered pair of a family's walks whose endpoints differ.
+class EndpointRelation:
+    """Every ordered pair (x, y) of a family's walk indices whose endpoints
+    differ.
 
     The evaluators read the family, not the pairs: `pairs` is listed only
     when read, and the length comes from the endpoint counts.
@@ -371,7 +363,7 @@ class EndpointRelation(Relation):
         return len(self.family) ** 2 - sum(c * c for c in counts.values())
 
 
-def endpoint_relation(family: PathFamily) -> Relation:
+def endpoint_relation(family: PathFamily) -> EndpointRelation:
     return EndpointRelation(family)
 
 
@@ -433,46 +425,29 @@ class WeightScheme:
     the position the factors swap.  The randomized scheme has a = 1, i.e.
     u = v = w.
 
-    Without `w` and `diverge` tables (build_scheme passes none), w(X, Y) is
-    the divergence weight 1 / prefix_class_size(family, k), and both tables
-    are listed over the relation only when read.  A hand-built scheme
-    passes its own tables.
+    The relation must be endpoint_relation of this very family object; any
+    other is refused with ValueError.  w(X, Y) is the divergence weight
+    1 / prefix_class_size(family, k); the `diverge` and `w` tables are
+    listed over the relation only when read.
 
     (u, v) depends only on the integers (k, s, which walk holds the
-    position), plus the weight when a hand-built table gives it; the
-    multiplier pair is memoized on s and (u, v) on those keys, so equal
-    inputs share one Surd object.
+    position); the multiplier pair is memoized on s and (u, v) on those
+    keys, so equal inputs share one Surd object.
     """
 
-    def __init__(
-        self,
-        kind: str,
-        family: PathFamily,
-        relation: Relation,
-        w: dict | None = None,
-        diverge: dict | None = None,
-    ) -> None:
+    def __init__(self, kind: str, family: PathFamily, relation: EndpointRelation) -> None:
+        if not isinstance(relation, EndpointRelation) or relation.family is not family:
+            raise ValueError("the relation must be endpoint_relation of the scheme's own family")
         self.kind = kind
         self.family = family
         self.relation = relation
-        self.derived = w is None and diverge is None
-        if w is not None:
-            self.w = w
-        if diverge is not None:
-            self.diverge = diverge
         self._pair_memo: dict = {}
         self._uv_memo: dict = {}
 
     @cached_property
     def diverge(self) -> dict:
         walks = self.family.walks
-        out = {}
-        for ix, iy in self.relation.pairs:
-            k = diverge_index(walks[ix], walks[iy])
-            if k is None:
-                raise ValueError("relation contains an identical pair")
-            out[ix, iy] = k
-        return out
+        return {(ix, iy): diverge_index(walks[ix], walks[iy]) for ix, iy in self.relation.pairs}
 
     @cached_property
     def w(self) -> dict:
@@ -500,26 +475,22 @@ class WeightScheme:
         k = self.diverge[pair]
         x_holds = pos in x.point_set
         j, b = (x if x_holds else y).role[pos]
-        w = None if self.derived else self.w[pair]
-        return self.uv_at(k, j - k + b, x_holds, w)
+        return self.uv_at(k, j - k + b, x_holds)
 
-    def uv_at(
-        self, k: int, s: int, x_holds: bool, w: Fraction | None = None
-    ) -> tuple[Surd, Surd]:
+    def uv_at(self, k: int, s: int, x_holds: bool) -> tuple[Surd, Surd]:
         """(u, v) for a pair diverging at k and a position that survived s
-        ticks, held by the pair's first walk or not; w defaults to the
-        divergence weight of k."""
-        key = (k, s, x_holds) if w is None else (k, s, x_holds, w)
+        ticks, held by the pair's first walk or not."""
+        key = (k, s, x_holds)
         hit = self._uv_memo.get(key)
         if hit is None:
-            wxy = Surd.of(self.divergence_weights[k] if w is None else w)
+            wxy = Surd.of(self.divergence_weights[k])
             a, a_inv = self.multiplier_pair(s)
             hit = (wxy * a, wxy * a_inv) if x_holds else (wxy * a_inv, wxy * a)
             self._uv_memo[key] = hit
         return hit
 
 
-def build_scheme(kind: str, family: PathFamily, relation: Relation) -> WeightScheme:
+def build_scheme(kind: str, family: PathFamily, relation: EndpointRelation) -> WeightScheme:
     """The scheme of `kind` over the relation with the divergence weights.
 
     w(X, Y) = 1 / #{Z : Z diverges from X exactly where Y does}, which is
@@ -544,82 +515,17 @@ def differing_positions(family: PathFamily, pair: tuple[int, int]) -> list[Verte
     return sorted(x.point_set.symmetric_difference(y.point_set))
 
 
-class _TableReader:
-    """A scheme read pair by pair, through relation.pairs, w and uv.
-
-    The evaluators read every scheme through a reader:
-    - `weight_sums()` gives (scale, row, col): the sums of w over the pairs
-      (x, .) and (., y), times the common denominator `scale`;
-    - `rows(reduce)` gives the u-side and v-side rows, walk ->
-      {position: reduce(counts)}, where counts maps each term key, in
-      first-seen order, to its number of occurrences at (walk, position)
-      over the pairs (walk, .) or (., walk) in relation order; a pair's key
-      is (w, u, v) on its u side and (w, v, u) on its v side;
-    - `candidates()` gives each pair (x, y) and its differing positions,
-      in relation and position order.
-    This reader assumes nothing about the scheme, so it serves hand-built
-    tables and overridden uv rules.
-    """
-
-    def __init__(self, scheme: WeightScheme) -> None:
-        self.scheme = scheme
-
-    def weights(self):
-        return self.scheme.w.values()
-
-    def weight_sums(self) -> tuple[int, dict, dict]:
-        w = self.scheme.w
-        pairs = self.scheme.relation.pairs
-        scale = lcm(*{w[pair].denominator for pair in pairs})
-        row: dict[int, int] = {}
-        col: dict[int, int] = {}
-        for pair in pairs:
-            scaled = w[pair].numerator * (scale // w[pair].denominator)
-            row[pair[0]] = row.get(pair[0], 0) + scaled
-            col[pair[1]] = col.get(pair[1], 0) + scaled
-        return scale, row, col
-
-    def rows(self, reduce) -> tuple[dict, dict]:
-        scheme = self.scheme
-        sides: tuple[dict, dict] = ({}, {})
-        for pair in scheme.relation.pairs:
-            w = scheme.w[pair]
-            for pos in differing_positions(scheme.family, pair):
-                u, v = scheme.uv(pair, pos)
-                for walk, key, cells in zip(pair, ((w, u, v), (w, v, u)), sides):
-                    cell = cells.setdefault(walk, {}).setdefault(pos, {})
-                    cell[key] = cell.get(key, 0) + 1
-        return tuple({walk: reduce(c) for walk, c in side.items()} for side in sides)
-
-    def candidates(self):
-        family = self.scheme.family
-        for ix, iy in self.scheme.relation.pairs:
-            yield ix, iy, differing_positions(family, (ix, iy))
-
-    @staticmethod
-    def in_relation_order(shortlist: list) -> list:
-        return shortlist
-
-    @staticmethod
-    def weight(key) -> Fraction:
-        return key[0]
-
-    @staticmethod
-    def terms(key) -> tuple:
-        """(w, the term on this side, the term on the other side)."""
-        return key
-
-    @staticmethod
-    def vertex(pos) -> Vertex:
-        return pos
-
-
 class _FamilyReader:
-    """A stock scheme, read from its family's walks; no per-pair table is
-    built or read.  Stock means build_scheme's tables over
-    endpoint_relation of the scheme's own family, with WeightScheme's uv.
-    `_reader` takes this reader only for walks in enumerate_paths' product
-    order (`_in_product_order`), where walk indices encode step prefixes.
+    """A scheme read from its family's walks; no per-pair table is built or
+    read.  The walks are in enumerate_paths' product order, where walk
+    indices encode step prefixes (`_reader` checks this).
+
+    The evaluators read it through `weight_sums` (the row and column sums
+    of w, scaled to integers), `rows(reduce)` (each walk's u-side and
+    v-side tallies, counts per term key in first-seen order, reduced per
+    position), `candidates` (pairs and their differing positions, in
+    relation order), and `in_relation_order`, `weight`, `terms` and
+    `vertex`, which order the shortlist and decode keys and positions.
 
     - w(x, y) is the divergence weight of k = diverge_index(x, y).  The
       walks sharing x's first k steps are x's depth-k block of indices; the
@@ -701,9 +607,6 @@ class _FamilyReader:
                     perm = perms[sigma] = list(map(vid.__getitem__, map(image, self.verts)))
                 self.orbit[y] = (rep, perm)
         self.xs = sorted({rep for rep, _ in self.orbit})
-
-    def weights(self):
-        return self.scheme.divergence_weights
 
     def weight_sums(self) -> tuple[int, list, list]:
         family, T = self.scheme.family, self.T
@@ -825,16 +728,15 @@ class _FamilyReader:
         return self.verts[pos]
 
 
-def _reader(scheme: WeightScheme):
-    relation = scheme.relation
-    stock = (
-        type(scheme) is WeightScheme
-        and scheme.derived
-        and isinstance(relation, EndpointRelation)
-        and relation.family is scheme.family
-        and _in_product_order(scheme.family)
-    )
-    return _FamilyReader(scheme) if stock else _TableReader(scheme)
+def _reader(scheme: WeightScheme) -> _FamilyReader:
+    """The reader of a stock scheme: a WeightScheme itself, which holds
+    its own family's relation, over walks in enumerate_paths' order.  Any
+    other scheme is refused with ValueError."""
+    if type(scheme) is not WeightScheme:
+        raise ValueError("only WeightScheme's own schemes are evaluated")
+    if not _in_product_order(scheme.family):
+        raise ValueError("the family's walks are not in enumerate_paths order")
+    return _FamilyReader(scheme)
 
 
 def _in_product_order(family: PathFamily) -> bool:
@@ -903,18 +805,15 @@ def relational_adversary_value(scheme: WeightScheme) -> RelationalBound:
     """Exact min over pairs and differing positions of
     max(w_x / w_{x,i}, w_y / w_{y,i}).
 
-    The scheme must carry positive weights on every relation pair; the
-    randomized scheme (u = v = w) is the intended input.  The weights are
-    scaled to integers, so candidates compare by cross-multiplication; the
-    witness is the first minimal candidate in relation and position order.
-    A stock scheme is scanned over x < y and orbit representatives only
-    (see `_FamilyReader`), which keeps that witness.
+    The randomized scheme (u = v = w) is the intended input.  The weights
+    are scaled to integers, so candidates compare by cross-multiplication;
+    the witness is the first minimal candidate in relation and position
+    order.  The scan runs over x < y and orbit representatives only (see
+    `_FamilyReader`), which keeps that witness.
     """
+    reader = _reader(scheme)
     if not len(scheme.relation):
         raise ValueError("empty relation")
-    reader = _reader(scheme)
-    if any(weight <= 0 for weight in reader.weights()):
-        raise ValueError("weights must be positive")
     scale, row, col = reader.weight_sums()
 
     scaled: dict = {}  # key -> its weight times scale
@@ -1021,9 +920,8 @@ def quantum_adversary_value(scheme: WeightScheme) -> QuantumBound:
     the smallest float(num) / float(den), the first in relation and position
     order among equal floats.
 
-    A stock scheme over walks in enumerate_paths' order (see
-    `_FamilyReader`) is read from the walks: one u tally serves as the v
-    tally too, since v(x, y, pos) == u(y, x, pos), and the
+    The scheme is read from the walks (see `_FamilyReader`): one u tally
+    serves as the v tally too, since v(x, y, pos) == u(y, x, pos), and the
     scan visits x < y only, since (y, x, pos) has the same radicand and
     scan key as (x, y, pos) and comes later.  The mirror's exact
     denominator multiplies the same sums in the other order, so its float
@@ -1038,9 +936,9 @@ def quantum_adversary_value(scheme: WeightScheme) -> QuantumBound:
     image in this one with the same radicand and floats, and the first of
     them in relation order, the full scan's witness, is among them.
     """
+    reader = _reader(scheme)
     if not len(scheme.relation):
         raise ValueError("empty relation")
-    reader = _reader(scheme)
     scale, row, col = reader.weight_sums()
     checked: dict = {}
     # key -> (monomial number, coefficient numerator, denominator) of its term

@@ -809,6 +809,9 @@ def block_on_path_value(meta: ClockMeta, v: Vertex) -> int:
 # ---------------------------------------------------------------------------
 
 FORMAT_VERSION = 1
+#: The fields of an instance file and of its params object.
+_FILE_KEYS = {"format_version", "family", "params", "T", "start", "step_sequence", "endpoint"}
+_PARAM_KEYS = {*PARAM_TYPES, "seed"}
 
 
 def instance_to_dict(inst: WalkInstance) -> dict:
@@ -833,11 +836,12 @@ def instance_from_dict(data: dict) -> WalkInstance:
     if not isinstance(data, dict):
         raise InstanceFormatError("an instance file holds one JSON object")
     version = data.get("format_version")
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:
         raise InstanceFormatError(f"unknown format_version {version!r}")
     try:
         family = data["family"]
         params = data["params"]
+        T = data["T"]
         steps = tuple(data["step_sequence"])
         start = tuple(data["start"])
         endpoint = tuple(data["endpoint"])
@@ -845,6 +849,10 @@ def instance_from_dict(data: dict) -> WalkInstance:
         raise InstanceFormatError(f"missing or malformed field: {exc}") from exc
     if not isinstance(params, dict):
         raise InstanceFormatError("params must be a JSON object")
+    unknown = sorted(map(str, data.keys() - _FILE_KEYS))
+    unknown += sorted(f"params.{key}" for key in params.keys() - _PARAM_KEYS)
+    if unknown:
+        raise InstanceFormatError(f"unknown fields: {', '.join(unknown)}")
     if any(type(s) is not int for s in steps):
         raise InstanceFormatError("step_sequence must hold integers")
     spec, args = family_params(family, params, InstanceFormatError)
@@ -856,6 +864,8 @@ def instance_from_dict(data: dict) -> WalkInstance:
         raise InstanceFormatError(str(exc)) from exc
     if inst.start != start or inst.endpoint != endpoint:
         raise InstanceFormatError("stored endpoints do not match the replayed walk")
+    if type(T) is not int or T != inst.T:
+        raise InstanceFormatError(f"stored T={T!r} does not match the replayed walk's T={inst.T}")
     return inst
 
 

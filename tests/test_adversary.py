@@ -16,13 +16,10 @@ from lslab.adversary import (
     QUANTUM_HYPERCUBE,
     RANDOMIZED,
     PathFamily,
-    Relation,
     Surd,
     SurdSum,
     WeightScheme,
     _FamilyReader,
-    _reader,
-    _TableReader,
     build_scheme,
     differing_positions,
     diverge_index,
@@ -34,6 +31,14 @@ from lslab.adversary import (
     scheme_is_valid,
 )
 from lslab.instances import _replay_hypercube
+from pairwise_reader import PairwiseReader, TableScheme
+
+
+@pytest.fixture
+def pairwise(monkeypatch):
+    """The library evaluators, reading every scheme pair by pair through the
+    test-side reader."""
+    monkeypatch.setattr(adversary, "_reader", PairwiseReader)
 
 
 class TestSurds:
@@ -171,6 +176,43 @@ class TestSchemes:
             build_scheme(QUANTUM_GRID, fam, endpoint_relation(fam))
 
 
+# a 16-walk family over an 81-walk family's relation and back (these ended
+# in IndexError and in a bound over the wrong pairs), and a family over the
+# relation of an equal family enumerated again, which is another object
+OTHER_FAMILY = [
+    ((HYPERCUBE_KIND, 2, 3), (HYPERCUBE_KIND, 3, 3)),
+    ((HYPERCUBE_KIND, 3, 3), (HYPERCUBE_KIND, 2, 3)),
+    ((HYPERCUBE_KIND, 2, 3), (HYPERCUBE_KIND, 2, 3)),
+]
+OTHER_FAMILY_IDS = ["16-over-81", "81-over-16", "16-over-equal-16"]
+EVALUATORS = [(RANDOMIZED, relational_adversary_value), (QUANTUM_HYPERCUBE, quantum_adversary_value)]
+
+
+@pytest.mark.parametrize("own, other", OTHER_FAMILY, ids=OTHER_FAMILY_IDS)
+@pytest.mark.parametrize("kind, evaluate", EVALUATORS, ids=["relational", "quantum"])
+def test_another_familys_relation_refused_before_evaluation(own, other, kind, evaluate):
+    fam, rel = enumerate_paths(*own), endpoint_relation(enumerate_paths(*other))
+    for make in (build_scheme, WeightScheme):
+        with pytest.raises(ValueError, match="own family"):
+            evaluate(make(kind, fam, rel))
+
+
+@pytest.mark.parametrize("kind, evaluate", EVALUATORS, ids=["relational", "quantum"])
+def test_evaluators_refuse_scheme_subclasses(kind, evaluate):
+    class Subclass(WeightScheme):
+        pass
+
+    fam = enumerate_paths(HYPERCUBE_KIND, 2, 3)
+    with pytest.raises(ValueError, match="only WeightScheme"):
+        evaluate(Subclass(kind, fam, endpoint_relation(fam)))
+
+
+def reordered(fam, order):
+    """The family with its walks listed in `order`."""
+    walks = tuple(fam.walks[i] for i in order)
+    return PathFamily(kind=fam.kind, m=fam.m, T=fam.T, side=fam.side, walks=walks)
+
+
 def naive_marginals(fam, rel, weight):
     """Direct-definition marginals over the relation, dict-by-dict."""
     wx, wy, wxi, wyi = {}, {}, {}, {}
@@ -213,38 +255,6 @@ class TestMarginalIdentity:
 
 
 class TestRelationalBound:
-    def test_single_pair_unit_weight(self):
-        fam = enumerate_paths(HYPERCUBE_KIND, 2, 1)
-        rel = endpoint_relation(fam)
-        scheme = build_scheme(RANDOMIZED, fam, rel)
-        # restrict to one pair with unit weight
-        pair = rel.pairs[0]
-        from lslab.adversary import Relation
-
-        single = Relation(pairs=(pair,))
-        tiny = WeightScheme(
-            kind=RANDOMIZED,
-            family=fam,
-            relation=single,
-            w={pair: Fraction(1)},
-            diverge={pair: scheme.diverge[pair]},
-        )
-        assert relational_adversary_value(tiny).value == 1
-
-    def test_zero_weight_rejected(self):
-        fam = enumerate_paths(HYPERCUBE_KIND, 2, 1)
-        rel = endpoint_relation(fam)
-        scheme = build_scheme(RANDOMIZED, fam, rel)
-        bad = WeightScheme(
-            kind=RANDOMIZED,
-            family=fam,
-            relation=rel,
-            w={pair: Fraction(0) for pair in rel.pairs},
-            diverge=scheme.diverge,
-        )
-        with pytest.raises(ValueError):
-            relational_adversary_value(bad)
-
     def test_matches_naive_implementation(self):
         fam = enumerate_paths(HYPERCUBE_KIND, 2, 3)
         rel = endpoint_relation(fam)
@@ -258,19 +268,15 @@ class TestRelationalBound:
         )
         assert got.value == expect
 
-    def test_invariant_under_relabeling(self):
+    def test_invariant_under_relabeling(self, monkeypatch):
+        # the library on enumeration order, the pairwise reader on the walks
+        # listed in reverse
         fam = enumerate_paths(HYPERCUBE_KIND, 2, 3)
-        perm = list(range(len(fam)))[::-1]
-        shuffled = PathFamily(
-            kind=fam.kind,
-            m=fam.m,
-            T=fam.T,
-            side=fam.side,
-            walks=tuple(fam.walks[i] for i in perm),
-        )
+        shuffled = reordered(fam, list(range(len(fam)))[::-1])
         a = relational_adversary_value(
             build_scheme(RANDOMIZED, fam, endpoint_relation(fam))
         )
+        monkeypatch.setattr(adversary, "_reader", PairwiseReader)
         b = relational_adversary_value(
             build_scheme(RANDOMIZED, shuffled, endpoint_relation(shuffled))
         )
@@ -300,41 +306,22 @@ class PlainRoot2:
 
 
 class TestQuantumBound:
-    def test_single_pair_unit_scheme(self):
+    def test_invalid_scheme_refused(self, monkeypatch):
         fam = enumerate_paths(HYPERCUBE_KIND, 2, 1)
-        rel = endpoint_relation(fam)
-        base = build_scheme(RANDOMIZED, fam, rel)
-        from lslab.adversary import Relation
-
-        pair = rel.pairs[0]
-        tiny = WeightScheme(
-            kind=RANDOMIZED,
-            family=fam,
-            relation=Relation(pairs=(pair,)),
-            w={pair: Fraction(1)},
-            diverge={pair: base.diverge[pair]},
-        )
-        got = quantum_adversary_value(tiny)
-        assert got.value == pytest.approx(1.0)
-
-    def test_invalid_scheme_refused(self):
-        fam = enumerate_paths(HYPERCUBE_KIND, 2, 1)
-        rel = endpoint_relation(fam)
-        base = build_scheme(RANDOMIZED, fam, rel)
 
         class Broken(WeightScheme):
             def uv(self, pair, pos):
                 u, v = WeightScheme.uv(self, pair, pos)
                 return u * Surd.of(Fraction(1, 4)), v  # u*v < w^2 now
 
-        bad = Broken(
-            kind=RANDOMIZED,
-            family=fam,
-            relation=rel,
-            w=base.w,
-            diverge=base.diverge,
-        )
-        with pytest.raises(ValueError):
+        bad = Broken(RANDOMIZED, fam, endpoint_relation(fam))
+        assert not scheme_is_valid(bad)
+        # the library reads no overridden uv; read pair by pair, the
+        # validity gate refuses it
+        with pytest.raises(ValueError, match="only WeightScheme"):
+            quantum_adversary_value(bad)
+        monkeypatch.setattr(adversary, "_reader", PairwiseReader)
+        with pytest.raises(ValueError, match="violates"):
             quantum_adversary_value(bad)
 
     def test_matches_naive_root2_implementation(self):
@@ -397,19 +384,13 @@ class TestQuantumBound:
         rhs = got.radicand_den * to_sum(best[1])
         assert lhs == rhs
 
-    def test_quantum_invariant_under_relabeling(self):
+    def test_quantum_invariant_under_relabeling(self, monkeypatch):
         fam = enumerate_paths(HYPERCUBE_KIND, 2, 3)
-        perm = list(range(len(fam)))[::-1]
-        shuffled = PathFamily(
-            kind=fam.kind,
-            m=fam.m,
-            T=fam.T,
-            side=fam.side,
-            walks=tuple(fam.walks[i] for i in perm),
-        )
+        shuffled = reordered(fam, list(range(len(fam)))[::-1])
         a = quantum_adversary_value(
             build_scheme(QUANTUM_HYPERCUBE, fam, endpoint_relation(fam))
         )
+        monkeypatch.setattr(adversary, "_reader", PairwiseReader)
         b = quantum_adversary_value(
             build_scheme(QUANTUM_HYPERCUBE, shuffled, endpoint_relation(shuffled))
         )
@@ -508,15 +489,13 @@ def test_evaluators_match_reference(fam_args):
     assert (got_rel.witness.x_index, got_rel.witness.y_index, got_rel.witness.position) == where
 
 
-def test_certification_beats_a_float_tie():
+def test_certification_beats_a_float_tie(pairwise):
     # one pair of unit weight; u*v is a rational a hair below sqrt(2) at the
     # first differing position and exactly sqrt(2) at the second, so the two
     # radicands 1/(u*v) round to one float and only an exact comparison
     # finds the minimum, 2^(-1/2), at the second position
     fam = enumerate_paths(HYPERCUBE_KIND, 2, 1)
-    rel = endpoint_relation(fam)
-    base = build_scheme(RANDOMIZED, fam, rel)
-    pair = rel.pairs[0]
+    pair = endpoint_relation(fam).pairs[0]
     first, second, *rest = differing_positions(fam, pair)
     root2 = Surd.power(2, Fraction(1, 2))
     below = Fraction(14142135623730950488, 10**19)  # sqrt(2) = 1.41421356237309504880...
@@ -524,18 +503,7 @@ def test_certification_beats_a_float_tie():
     one = Surd.of(1)
     table = {first: (Surd.of(below), one), second: (root2, one)}
     table.update({pos: (one, one) for pos in rest})
-
-    class Crafted(WeightScheme):
-        def uv(self, pair, pos):
-            return table[pos]
-
-    scheme = Crafted(
-        kind=RANDOMIZED,
-        family=fam,
-        relation=Relation(pairs=(pair,)),
-        w={pair: Fraction(1)},
-        diverge={pair: base.diverge[pair]},
-    )
+    scheme = TableScheme(fam, [pair], {pair: Fraction(1)}, lambda pair, pos: table[pos])
     assert reference_quantum(scheme)[3][2] == first  # the float minimum alone
     got = quantum_adversary_value(scheme)
     assert got.witness.position == second
@@ -543,13 +511,11 @@ def test_certification_beats_a_float_tie():
     assert got.radicand_den == SurdSum.of(root2)
 
 
-def test_irrational_product_just_below_w_squared_is_invalid():
+def test_irrational_product_just_below_w_squared_is_invalid(pairwise):
     # u = sqrt(2) and v a rational a hair below 1/sqrt(2): u*v < 1 = w^2
     # exactly, although the float product reads 1.0000000000000002
     fam = enumerate_paths(HYPERCUBE_KIND, 2, 1)
-    rel = endpoint_relation(fam)
-    base = build_scheme(RANDOMIZED, fam, rel)
-    pair = rel.pairs[0]
+    pair = endpoint_relation(fam).pairs[0]
     first, *rest = differing_positions(fam, pair)
     root2 = Surd.power(2, Fraction(1, 2))
     v = Surd.of(Fraction(7071067811865475244, 10**19))
@@ -557,18 +523,7 @@ def test_irrational_product_just_below_w_squared_is_invalid():
     one = Surd.of(1)
     table = {first: (root2, v)}
     table.update({pos: (one, one) for pos in rest})
-
-    class Crafted(WeightScheme):
-        def uv(self, pair, pos):
-            return table[pos]
-
-    scheme = Crafted(
-        kind=RANDOMIZED,
-        family=fam,
-        relation=Relation(pairs=(pair,)),
-        w={pair: Fraction(1)},
-        diverge={pair: base.diverge[pair]},
-    )
+    scheme = TableScheme(fam, [pair], {pair: Fraction(1)}, lambda pair, pos: table[pos])
     assert not scheme_is_valid(scheme)
     with pytest.raises(ValueError, match="violates"):
         quantum_adversary_value(scheme)
@@ -656,7 +611,7 @@ def irrational_monomials(m, T):
     """The irrational monomials among the quantum hypercube multipliers and
     their reciprocals for survivals s = 1..T+1."""
     fam = PathFamily(kind=HYPERCUBE_KIND, m=m, T=T, side=2, walks=())
-    scheme = WeightScheme(QUANTUM_HYPERCUBE, fam, Relation(()))
+    scheme = WeightScheme(QUANTUM_HYPERCUBE, fam, endpoint_relation(fam))
     return {term.mono for s in range(1, T + 2) for term in scheme.multiplier_pair(s)} - {()}
 
 
@@ -776,28 +731,27 @@ def test_range_tally_matches_pairwise_tally(fam_args, monkeypatch):
     [(HYPERCUBE_KIND, 2, 3), (GRID_KIND, 1, 4), (GRID_KIND, 2, 4)],
     ids=lambda a: f"{a[0]}-m{a[1]}-T{a[2]}",
 )
-def test_evaluators_exact_on_shuffled_walks(fam_args):
-    # the range tally holds only for walks in enumeration order; a family
-    # listed in any other order is read pair by pair, with the same values
+def test_evaluators_exact_on_shuffled_walks(fam_args, monkeypatch):
+    # the range tally holds only for walks in enumeration order, and the
+    # library refuses a family listed in any other order; read pair by pair,
+    # the shuffled walks give the library's values on the walks in order
     fam = enumerate_paths(*fam_args)
-    walks = list(fam.walks)
-    random.Random(sum(fam_args[1:])).shuffle(walks)
-    shuffled = PathFamily(kind=fam.kind, m=fam.m, T=fam.T, side=fam.side, walks=tuple(walks))
+    order = list(range(len(fam)))
+    random.Random(sum(fam_args[1:])).shuffle(order)
+    shuffled = reordered(fam, order)
     kind = QUANTUM_HYPERCUBE if fam.kind == HYPERCUBE_KIND else QUANTUM_GRID
-    values = []
-    for family in (fam, shuffled):
-        rel = endpoint_relation(family)
-        quantum = build_scheme(kind, family, rel)
-        randomized = build_scheme(RANDOMIZED, family, rel)
-        values.append((
-            quantum_adversary_value(quantum),
-            relational_adversary_value(randomized).value,
-            type(_reader(quantum)),
-        ))
-    (q_in, r_in, reader_in), (q_out, r_out, reader_out) = values
-    assert (reader_in, reader_out) == (_FamilyReader, _TableReader)
-    assert q_in.radicand_equals(q_out)
-    assert r_in == r_out
+    (q_in, r_in), (q_out, r_out) = (
+        (build_scheme(kind, family, endpoint_relation(family)),
+         build_scheme(RANDOMIZED, family, endpoint_relation(family)))
+        for family in (fam, shuffled)
+    )
+    for evaluate, scheme in ((quantum_adversary_value, q_out), (relational_adversary_value, r_out)):
+        with pytest.raises(ValueError, match="enumerate_paths order"):
+            evaluate(scheme)
+    quantum, relational = quantum_adversary_value(q_in), relational_adversary_value(r_in)
+    monkeypatch.setattr(adversary, "_reader", PairwiseReader)
+    assert quantum.radicand_equals(quantum_adversary_value(q_out))
+    assert relational.value == relational_adversary_value(r_out).value
 
 
 def termwise_product(a, b):

@@ -326,6 +326,28 @@ class TestInstanceFiles:
         with pytest.raises(InstanceFormatError):
             load_instance(str(path))
 
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            (lambda d: d.update(T=999), "T=999"),
+            (lambda d: d.pop("T"), "'T'"),
+            (lambda d: d.update(T=str(d["T"])), "T='"),
+            (lambda d: d.update(note="x"), "unknown fields: note"),
+            (lambda d: d["params"].update(k=2), "unknown fields: params.k"),
+            (lambda d: d.update(format_version=True), "format_version True"),
+        ],
+        ids=["T-999", "T-missing", "T-string", "unknown-key", "unknown-param", "version-true"],
+    )
+    def test_fields_that_disagree_or_nothing_reads_rejected(self, tmp_path, edit, match):
+        for inst in (gen_hypercube_instance(5, 2, seed=1), gen_block_instance(9, 2, 0.5, seed=3)):
+            data = instance_to_dict(inst)
+            edit(data)
+            with pytest.raises(InstanceFormatError, match=match):
+                instance_from_dict(data)
+            path = tmp_path / "inst.json"
+            path.write_text(json.dumps(data))
+            assert main(["solve", "--inst", str(path), "--algo", "steepest"]) == 2
+
     def test_truncated_walk_rejected(self, tmp_path):
         # two steps cut and the endpoint edited to match the shorter walk
         data = instance_to_dict(gen_hypercube_instance(5, 2, seed=1))

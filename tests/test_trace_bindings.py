@@ -6,10 +6,14 @@ and each METHODS entry in its class's own ``__dict__``; a renamed or moved
 binding would stop `perfbench/run.py --trace 1` at startup.  It also unpacks
 what some bindings return (`RegionState.sampler`'s ``(draw, total)``), so a
 changed return shape would fail every traced grid2d op.
+
+Pass 0 of the exact workload must reproduce its digests in `pins.json`, so a
+drifted adversary witness or radicand fails here before the benchmark runs.
 """
 
 import importlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -63,3 +67,15 @@ def test_traced_grid2d_sweep_op_keeps_its_digest():
         tracer.remove()
     assert ops and traced == untraced
     assert tracer.calls("solvers.region.draw") > 0
+
+
+def test_exact_pass_reproduces_its_pins():
+    # pass 0 of the exact workload at the pinned seed: every adversary
+    # witness and radicand, and the walkstats digests, as pins.json holds them
+    workloads = _load("workloads")
+    pins = json.loads((PERFBENCH / "pins.json").read_text())["exact"]["full"]
+    workload = workloads.make("exact", "full")
+    outcomes = {op.label: op.run() for op in workload.pass_ops(pins["seed"], 0)}
+    assert [o.problems for o in outcomes.values()] == [()] * len(outcomes)
+    assert {label: o.digest for label, o in outcomes.items()} == pins["ops"]
+    assert workload.pass_digest(list(outcomes.values())) == pins["pass_sha256"]
