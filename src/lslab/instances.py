@@ -19,11 +19,15 @@ is re-aimed inward instead of standing still; a standing-still step would
 duplicate a trajectory point and break both self-avoidance and the
 membership-to-value reduction.
 
+Every instance carries its function's on-path values as one table,
+``value_by_vertex`` (trajectory point -> value); the value of any other vertex
+is its distance to the start plus ``off_path_base``.  One trusted value read
+and one membership read (a table lookup) serve all three families.
+
 The ``FAMILIES`` registry holds each family's ordered, typed size parameters,
 size check (which returns the grid an instance of those sizes lies on),
-generator, replay and trusted value and membership functions; ``lslab gen``,
-bench, the loader, the oracles and ``verify_instance`` dispatch through it,
-and ``family_params`` is the one parameter check they share.
+generator and replay; ``lslab gen``, bench and the loader dispatch through
+it, and ``family_params`` is the one parameter check they share.
 
 Seeding: one ``random.Random(seed)`` (Mersenne Twister) drives each
 generation; the parameters plus the seed determine the instance byte for
@@ -40,7 +44,6 @@ import math
 import random
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import product
 from operator import mul
 from typing import Callable, Mapping, NamedTuple
 
@@ -116,16 +119,16 @@ def block_layout(n: int, d: int, r: float) -> BlockLayout:
 
 @dataclass(frozen=True, eq=False)
 class WalkInstance:
-    """A generated hard instance and its precomputed lookups.
+    """A generated hard instance and its value table.
 
     ``trajectory`` lists every visited vertex in order; all entries are
     pairwise distinct.  For the walk-with-clock families it holds exactly
-    2(T+1) points, ``walk_positions[s]`` is the walk part after s steps and
-    ``clock_ticks`` maps each clock point to its tick (0-based), giving O(1)
-    membership from the clock coordinate alone.  Block instances
-    instead carry a full point -> value map (linear in trajectory length).
-    An off-trajectory vertex is valued at its distance to the start plus
-    ``off_path_base``: 2T for the walk families, 2 * stride * L for blocks.
+    2(T+1) points: tick t's pre-step point, then its post-step point.
+    ``value_by_vertex`` maps each trajectory point to its value (linear in
+    trajectory length): 2T - i at ``trajectory[i]`` for the walk families,
+    stride * L down by tick and segment leg for blocks.  An off-trajectory
+    vertex is valued at its distance to the start plus ``off_path_base``:
+    2T for the walk families, 2 * stride * L for blocks.
     """
 
     family: str
@@ -141,10 +144,8 @@ class WalkInstance:
     endpoint: Vertex
     trajectory: tuple[Vertex, ...]
     off_path_base: int
-    walk_positions: tuple[Vertex, ...] | None = None
-    clock_ticks: dict[Vertex, int] | None = None
+    value_by_vertex: dict[Vertex, int]
     block: BlockLayout | None = None
-    value_by_vertex: dict | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -171,17 +172,16 @@ def _build_walk_instance(
             f"got {len(steps)}"
         )
     T = len(steps) - 1
-    positions = [start_walk]
+    # the clock's snake path, one point per tick (the step count checked above
+    # bounds it), popped so the whole path is never held with the trajectory
+    clocks = _snake_path(clock_shape.k, clock_shape.l)[::-1]
+    trajectory = []
     w = start_walk
     for t, s in enumerate(steps):
-        w = apply_step(w, t, s)
-        positions.append(w)
-    # the clock's snake path, one point per tick; the step count checked above bounds it
-    clocks = _snake_path(clock_shape.k, clock_shape.l)
-    ticks = {clock: t for t, clock in enumerate(clocks)}
-    trajectory = []
-    for w, w_next, clock in zip(positions, positions[1:], clocks):
+        clock = clocks.pop()
+        w_next = apply_step(w, t, s)
         trajectory += (w + clock, w_next + clock)
+        w = w_next
     return WalkInstance(
         family=family,
         n=n,
@@ -196,8 +196,8 @@ def _build_walk_instance(
         endpoint=trajectory[-1],
         trajectory=tuple(trajectory),
         off_path_base=2 * T,
-        walk_positions=tuple(positions),
-        clock_ticks=ticks,
+        # 2T - i at trajectory[i]; the points are distinct, as no step stands still
+        value_by_vertex=dict(zip(trajectory, range(2 * T, -2, -1))),
     )
 
 
@@ -401,30 +401,8 @@ def gen_block_instance(n: int, d: int, r: float, seed: int) -> WalkInstance:
 # ---------------------------------------------------------------------------
 
 
-# The trusted forms below take v to lie in inst.shape and check nothing.
-
-
-def _walk_membership(inst: WalkInstance, v: Vertex) -> bool:
-    t = inst.clock_ticks[v[inst.m :]]
-    w = v[: inst.m]
-    return w == inst.walk_positions[t] or w == inst.walk_positions[t + 1]
-
-
-def _walk_value(inst: WalkInstance, v: Vertex) -> int:
-    t = inst.clock_ticks[v[inst.m :]]
-    w = v[: inst.m]
-    if w == inst.walk_positions[t + 1]:
-        return 2 * (inst.T - t) - 1
-    if w == inst.walk_positions[t]:
-        return 2 * (inst.T - t)
-    return _l1(v, inst.start) + inst.off_path_base
-
-
-def _block_membership(inst: WalkInstance, v: Vertex) -> bool:
-    return v in inst.value_by_vertex
-
-
-def _block_value(inst: WalkInstance, v: Vertex) -> int:
+def _instance_value(inst: WalkInstance, v: Vertex) -> int:
+    # trusts v to lie in inst.shape; membership is `v in inst.value_by_vertex`
     hit = inst.value_by_vertex.get(v)
     if hit is not None:
         return hit
@@ -439,31 +417,24 @@ def _block_value(inst: WalkInstance, v: Vertex) -> int:
 class Family(NamedTuple):
     """A registry entry: the size parameters in the order ``check(*params)``,
     ``generate(*params, seed)`` and ``replay(*params, steps, seed)`` take
-    them, and the trusted value and membership functions.  ``check`` returns
-    the grid an instance of those sizes lies on, and raises ValueError for
-    sizes no instance has, without building one."""
+    them.  ``check`` returns the grid an instance of those sizes lies on, and
+    raises ValueError for sizes no instance has, without building one."""
 
     params: tuple[str, ...]
     check: Callable[..., GridShape]
     generate: Callable[..., WalkInstance]
     replay: Callable[..., WalkInstance]
-    value: Callable[[WalkInstance, Vertex], int]
-    membership: Callable[[WalkInstance, Vertex], bool]
 
 
 #: The types each size parameter accepts.
 PARAM_TYPES = {"n": (int,), "d": (int,), "m": (int,), "r": (float, int)}
 
-_WALK = (_walk_value, _walk_membership)
 FAMILIES = {
-    HYPERCUBE: Family(
-        ("n", "m"), _hypercube_shape, gen_hypercube_instance, _replay_hypercube, *_WALK
-    ),
-    GRID: Family(("n", "d", "m"), _grid_shape, gen_grid_instance, _replay_grid, *_WALK),
+    HYPERCUBE: Family(("n", "m"), _hypercube_shape, gen_hypercube_instance, _replay_hypercube),
+    GRID: Family(("n", "d", "m"), _grid_shape, gen_grid_instance, _replay_grid),
     BLOCKS: Family(
         ("n", "d", "r"), lambda *sizes: _block_sizes(*sizes).shape,
         gen_block_instance, _replay_blocks,
-        _block_value, _block_membership,
     ),
 }
 
@@ -498,9 +469,9 @@ def family_params(name, params: Mapping, error: type[Exception]) -> tuple[Family
 
 
 def instance_membership(inst: WalkInstance, v: Vertex) -> bool:
-    """Whether v lies on the trajectory; O(1) from the clock coordinate."""
+    """Whether v lies on the trajectory; one lookup in the value table."""
     inst.shape.require(v)
-    return FAMILIES[inst.family].membership(inst, v)
+    return v in inst.value_by_vertex
 
 
 def instance_value(inst: WalkInstance, v: Vertex) -> int:
@@ -510,7 +481,7 @@ def instance_value(inst: WalkInstance, v: Vertex) -> int:
     ceiling; twice the ceiling for blocks), so the descent funnels onto the
     path."""
     inst.shape.require(v)
-    return FAMILIES[inst.family].value(inst, v)
+    return _instance_value(inst, v)
 
 
 # ---------------------------------------------------------------------------
@@ -538,64 +509,45 @@ def _strides(shape: GridShape) -> list[int]:
 
 
 def _value_table(inst: WalkInstance) -> list[int]:
-    """The registered value of every vertex, in ``iter_vertices`` order, built
-    in one pass rather than one call per vertex.  Off-path values (distance to
-    the start plus ``off_path_base``) are folded one axis at a time from
-    per-axis distance tables; on-path entries are then overwritten, at the
-    index sum(c * stride) - sum(stride) of each point: from the walk
-    positions and the clock tick table for the walk families, from
-    ``value_by_vertex`` for blocks."""
+    """The value of every vertex, in ``iter_vertices`` order, built in one
+    pass rather than one call per vertex.  Off-path values (distance to the
+    start plus ``off_path_base``) are folded one axis at a time from per-axis
+    distance tables; the entries of ``value_by_vertex`` then overwrite theirs,
+    at the index sum(c * stride) - sum(stride) of each point."""
     shape = inst.shape
     values = [inst.off_path_base]
     for s in inst.start:
         dist = [abs(c - s) for c in range(1, shape.k + 1)]
         values = [x + d for x in values for d in dist]
     strides = _strides(shape)
-    if inst.value_by_vertex is not None:
-        offset = sum(strides)
-        for p, value in inst.value_by_vertex.items():
-            values[sum(map(mul, p, strides)) - offset] = value
-        return values
-    # the clock axes run fastest, so the j-th clock point of the clock grid's
-    # own scan sits j past the index of its walk part
-    m, top = inst.m, 2 * inst.T
-    walk_strides = strides[:m]
-    offset = sum(walk_strides)
-    walk_index = [sum(map(mul, w, walk_strides)) - offset for w in inst.walk_positions]
-    clocks = product(range(1, shape.k + 1), repeat=shape.l - m)
-    for j, t in enumerate(map(inst.clock_ticks.__getitem__, clocks)):
-        # tick t's pre-step point, then its post-step point, so the post-step
-        # value wins where the two meet, as in _walk_value
-        values[walk_index[t] + j] = top - 2 * t
-        values[walk_index[t + 1] + j] = top - 2 * t - 1
+    offset = sum(strides)
+    for p, value in inst.value_by_vertex.items():
+        values[sum(map(mul, p, strides)) - offset] = value
     return values
 
 
 def verify_instance(inst: WalkInstance) -> VerificationReport:
     """Exhaustively scan the domain: exactly one local minimum located at the
-    endpoint, pairwise-distinct trajectory points, and membership answers that
-    agree with the stored point set.  Refuses (rather than sampling) when the
-    domain exceeds the scan limit (``GridShape.iter_vertices`` checks it).
-    The values come from ``_value_table``, not from the family's registered
-    value function, which stays the definition.  The two agree by
-    construction; tests check them equal on every vertex of every
-    criterion-5 instance and of the hand-edited instances of
-    tests/test_boundary.py, and on no other instance."""
+    endpoint, pairwise-distinct trajectory points, and membership answers
+    (the value table's keys) equal to the stored point set.  Refuses (rather
+    than sampling) when the domain exceeds the scan limit
+    (``GridShape.iter_vertices`` checks it, before any table is built).
+    The values come from ``_value_table``, not from ``instance_value``, which
+    stays the definition.  The two agree by construction; tests check them
+    equal on every vertex of every criterion-5 instance and of the
+    hand-edited instances of tests/test_boundary.py, and on no other
+    instance."""
     shape = inst.shape
+    vertices = shape.iter_vertices()  # BudgetExceeded over the scan limit
     points = inst.trajectory
     point_set = set(points)
     self_avoiding = len(point_set) == len(points)
-
-    # the membership answer on every vertex against the stored points; no
-    # vertex outlives its comparison, so the scan allocates no tuple list
-    answers = map(partial(FAMILIES[inst.family].membership, inst), shape.iter_vertices())
-    stored = map(point_set.__contains__, shape.iter_vertices())
-    membership_consistent = list(answers) == list(stored)
+    membership_consistent = inst.value_by_vertex.keys() == point_set
     values = _value_table(inst)
 
     k, strides = shape.k, _strides(shape)
     minima = []
-    for index, v in enumerate(shape.iter_vertices()):
+    for index, v in enumerate(vertices):
         fv = values[index]
         for c, s in zip(v, strides):  # most vertices exit at their first lower neighbour
             if c > 1 and values[index - s] < fv or c < k and values[index + s] < fv:
@@ -712,7 +664,10 @@ class ClockMeta:
 
 
 def clock_metadata(inst: WalkInstance) -> ClockMeta:
-    ticks = inst.clock_ticks
+    points = ticks = None
+    if inst.m is not None:  # blocks have no clock axes
+        points = tuple(_snake_path(inst.shape.k, inst.shape.l - inst.m))
+        ticks = {clock: t for t, clock in enumerate(points)}
     return ClockMeta(
         family=inst.family,
         shape=inst.shape,
@@ -721,8 +676,7 @@ def clock_metadata(inst: WalkInstance) -> ClockMeta:
         T=inst.T,
         off_path_base=inst.off_path_base,
         clock_ticks=ticks,
-        # the table's keys, in insertion order, are the clock points by tick
-        clock_points=None if ticks is None else tuple(ticks),
+        clock_points=points,
         block=inst.block,
     )
 
@@ -853,8 +807,9 @@ def instance_from_dict(data: dict) -> WalkInstance:
     unknown += sorted(f"params.{key}" for key in params.keys() - _PARAM_KEYS)
     if unknown:
         raise InstanceFormatError(f"unknown fields: {', '.join(unknown)}")
-    if any(type(s) is not int for s in steps):
-        raise InstanceFormatError("step_sequence must hold integers")
+    for key, items in (("step_sequence", steps), ("start", start), ("endpoint", endpoint)):
+        if any(type(c) is not int for c in items):  # a float or a bool is refused
+            raise InstanceFormatError(f"{key} must hold integers")
     spec, args = family_params(family, params, InstanceFormatError)
     seed = typed_param(params, "seed", (int, type(None)), InstanceFormatError)
     try:

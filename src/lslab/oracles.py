@@ -20,12 +20,13 @@ against the shape's coordinate set 1..k (an arithmetic test when k is over
 that range (1.5, say) is refused.  Past that
 point lslab calls trusted helpers, which check nothing: ``_snake_rank``,
 ``_neighbors``, ``_l1`` (the l1 distance without its dimension check), and
-the family's registered value and membership functions, which the instance
-oracles bind once.  The walk families' functions find a vertex's clock tick
-in the instance's tick table (clock point -> tick), built while the
-trajectory is generated, rather than ranking the clock point on the snake
-path.  ``simulate_value_via_membership`` checks v once and reads the
-oracle's trusted membership function for v and for the probe it builds.
+the instance's trusted value and membership reads, which the instance
+oracles bind once.  Both read the instance's value table (trajectory point
+-> value), built while the trajectory is generated, for every family: a
+value is a table hit or the distance to the start plus the off-path base,
+and membership is a key lookup.  ``simulate_value_via_membership`` checks v
+once and reads the oracle's trusted membership function for v and for the
+probe it builds.
 ``ValueOracle._peek`` is the trusted form of ``peek`` (uncharged, unchecked)
 for vertices lslab made itself: grid2d's region draws and sphere vertices,
 which lie in the grid by construction.
@@ -38,7 +39,7 @@ from functools import partial
 from typing import Callable, Mapping
 
 from .grid import GridShape, Vertex, _l1
-from .instances import BLOCKS, FAMILIES, ClockMeta, WalkInstance, block_on_path_value
+from .instances import BLOCKS, ClockMeta, WalkInstance, _instance_value, block_on_path_value
 
 
 class QueryLedger:
@@ -105,7 +106,7 @@ class ValueOracle:
 
     @classmethod
     def for_instance(cls, inst: WalkInstance) -> "ValueOracle":
-        return cls(inst.shape, partial(FAMILIES[inst.family].value, inst))
+        return cls(inst.shape, partial(_instance_value, inst))
 
     def query(self, v: Vertex) -> int:
         """Evaluate the function at v; one classical query."""
@@ -124,7 +125,7 @@ class MembershipOracle:
 
     def __init__(self, inst: WalkInstance) -> None:
         self.shape = inst.shape
-        self._member = partial(FAMILIES[inst.family].membership, inst)
+        self._member = inst.value_by_vertex.__contains__
         self.ledger = QueryLedger()
 
     def query(self, v: Vertex) -> bool:

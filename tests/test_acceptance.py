@@ -10,6 +10,7 @@ does hold on this construction.
 import math
 import time
 from fractions import Fraction
+from functools import partial
 from itertools import product
 
 import pytest
@@ -37,14 +38,19 @@ from lslab.bench import (
     run_experiment,
     strip_runtime_column,
 )
+from lslab.grid import _snake_rank, l1_distance
 from lslab.instances import (
-    FAMILIES,
+    HYPERCUBE,
+    _grid_step,
+    _hypercube_step,
+    _instance_value,
     _value_table,
     block_layout,
     clock_metadata,
     gen_block_instance,
     gen_grid_instance,
     gen_hypercube_instance,
+    instance_membership,
     instance_value,
     recommended_params,
     verify_instance,
@@ -178,15 +184,50 @@ def test_criterion_05_instance_verification():
     print(f"CRITERION 5: PASS ({checked} instances verified exhaustively; {elapsed:.0f}s)")
 
 
+def _clocked_walk_rule(inst):
+    """The walk families' function decoded from the walk and the clock, as
+    first defined: re-step the walk from the start and rank each clock point
+    on the snake path; tick t's post-step point is worth 2(T-t) - 1, its
+    pre-step point 2(T-t), and any other vertex its distance to the start
+    plus 2T.  Returns (value, membership) functions."""
+    m, T = inst.m, inst.T
+    step = _hypercube_step if inst.family == HYPERCUBE else partial(_grid_step, inst.n, m)
+    walk = [inst.start[:m]]
+    for t, s in enumerate(inst.steps):
+        walk.append(step(walk[-1], t, s))
+
+    def tick(v):
+        return _snake_rank(inst.shape.k, v[m:]) - 1
+
+    def value(v):
+        t = tick(v)
+        if v[:m] == walk[t + 1]:
+            return 2 * (T - t) - 1
+        if v[:m] == walk[t]:
+            return 2 * (T - t)
+        return l1_distance(v, inst.start) + 2 * T
+
+    def membership(v):
+        t = tick(v)
+        return v[:m] in (walk[t], walk[t + 1])
+
+    return value, membership
+
+
 def test_value_table_equals_registered_value_on_criterion_5_instances():
     # every criterion-5 instance: the table verify_instance reads is the
-    # family's registered value function on every vertex, so criterion 5
-    # certifies the function the oracles serve
+    # trusted value read on every vertex, so criterion 5 certifies the
+    # function the oracles serve; at the first seed of every walk parameter
+    # set, that function is also the clocked-walk rule it replaced
     for label, make in instance_specs():
         inst = make()
-        value = FAMILIES[inst.family].value
-        expected = [value(inst, v) for v in inst.shape.iter_vertices()]
+        expected = [_instance_value(inst, v) for v in inst.shape.iter_vertices()]
         assert _value_table(inst) == expected, label
+        if inst.m is not None and inst.seed == SEEDS[0]:
+            value, membership = _clocked_walk_rule(inst)
+            for v in inst.shape.iter_vertices():
+                assert instance_value(inst, v) == value(v), (label, v)
+                assert instance_membership(inst, v) == membership(v), (label, v)
 
 
 def test_criterion_06_membership_reduction():

@@ -13,7 +13,7 @@ import pytest
 import lslab
 from lslab.grid import GridShape, _neighbors, _snake_rank, neighbors, snake_rank
 from lslab.instances import (
-    FAMILIES,
+    _instance_value,
     _value_table,
     clock_metadata,
     gen_block_instance,
@@ -94,10 +94,10 @@ def test_non_integer_coordinates_rejected():
 @pytest.mark.parametrize("inst", SMALL, ids=lambda i: f"{i.family}-{i.shape.k}^{i.shape.l}")
 def test_trusted_helpers_equal_public_functions(inst):
     shape, k = inst.shape, inst.shape.k
-    family = FAMILIES[inst.family]
+    member = MembershipOracle(inst)._member
     for v in shape.iter_vertices():
-        assert family.value(inst, v) == instance_value(inst, v)
-        assert family.membership(inst, v) == instance_membership(inst, v)
+        assert _instance_value(inst, v) == instance_value(inst, v)
+        assert member(v) == instance_membership(inst, v)
         assert _snake_rank(k, v) == snake_rank(shape, v)
         assert _neighbors(k, v) == neighbors(shape, v)
 
@@ -107,13 +107,26 @@ def test_tick_table_is_the_clock_snake_rank(inst):
     for case in (inst, instance_from_dict(instance_to_dict(inst))):
         meta = clock_metadata(case)
         if case.m is None:  # blocks have no clock axes
-            assert case.clock_ticks is meta.clock_ticks is meta.clock_points is None
+            assert meta.clock_ticks is meta.clock_points is None
             continue
         clocks = list(GridShape(case.shape.k, case.shape.l - case.m).iter_vertices())
         expected = {c: _snake_rank(case.shape.k, c) - 1 for c in clocks}
-        assert case.clock_ticks == meta.clock_ticks == expected
+        assert meta.clock_ticks == expected
         assert [meta.clock_ticks[c] for c in meta.clock_points] == list(range(case.T + 1))
         assert all(p[case.m :] == meta.clock_points[i // 2] for i, p in enumerate(case.trajectory))
+
+
+def _backwards(inst):
+    # the walk parts in reverse order on the same clocks, valued as the walk
+    # families value a trajectory (2T - i at point i), over the stored points
+    m, path = inst.m, inst.trajectory
+    walk = [p[:m] for p in path[::2]] + [inst.endpoint[:m]]
+    walk.reverse()
+    values = {}
+    for t, p in enumerate(path[::2]):
+        values[walk[t] + p[m:]] = 2 * (inst.T - t)
+        values[walk[t + 1] + p[m:]] = 2 * (inst.T - t) - 1
+    return dataclasses.replace(inst, value_by_vertex=values)
 
 
 def _reference_report(inst):
@@ -146,9 +159,9 @@ def test_verify_matches_neighbour_scan(inst):
     report = verify_instance(moved)
     assert dataclasses.asdict(report) == _reference_report(moved)
     assert not report.unique_local_min
-    if inst.walk_positions is not None:
+    if inst.m is not None:
         # a walk read backwards: membership at odds with the stored points
-        backwards = dataclasses.replace(inst, walk_positions=inst.walk_positions[::-1])
+        backwards = _backwards(inst)
         report = verify_instance(backwards)
         assert dataclasses.asdict(report) == _reference_report(backwards)
         assert not report.membership_consistent
@@ -166,8 +179,8 @@ def _table_cases():
     # walk and the pitted blocks it verifies
     for inst in SMALL:
         yield inst
-        if inst.walk_positions is not None:
-            yield dataclasses.replace(inst, walk_positions=inst.walk_positions[::-1])
+        if inst.m is not None:
+            yield _backwards(inst)
         else:
             pits = [v for v in inst.shape.iter_vertices() if all(c % 2 for c in v)]
             yield dataclasses.replace(inst, value_by_vertex=dict.fromkeys(pits, 0))
@@ -177,8 +190,7 @@ def _table_cases():
     "inst", list(_table_cases()), ids=lambda i: f"{i.family}-{i.shape.k}^{i.shape.l}"
 )
 def test_value_table_equals_registered_value(inst):
-    value = FAMILIES[inst.family].value
-    assert _value_table(inst) == [value(inst, v) for v in inst.shape.iter_vertices()]
+    assert _value_table(inst) == [_instance_value(inst, v) for v in inst.shape.iter_vertices()]
 
 
 def _regions():

@@ -100,7 +100,7 @@ class TestGridInstance:
 
     def test_walk_moves_are_unit_steps(self):
         inst = gen_grid_instance(5, 2, 1, seed=9)
-        pos = inst.walk_positions
+        pos = [p[:1] for p in inst.trajectory[::2]] + [inst.endpoint[:1]]
         assert all(l1_distance(a, b) == 1 for a, b in zip(pos, pos[1:]))
         assert all(1 <= w[0] <= 5 for w in pos)
 
@@ -109,7 +109,8 @@ class TestGridInstance:
 
         inst = _replay_grid(4, 2, 1, (1, 1, 1, 1), seed=None)
         # 2 -> 3 -> 4 -> (blocked, re-aimed) 3 -> 4
-        assert [w[0] for w in inst.walk_positions] == [2, 3, 4, 3, 4]
+        walk = [p[0] for p in inst.trajectory[::2]] + [inst.endpoint[0]]
+        assert walk == [2, 3, 4, 3, 4]
         assert inst.endpoint[0] == 4
 
 
@@ -197,7 +198,12 @@ class TestVerification:
         report = verify_instance(bad)
         assert not report.self_avoiding
 
-    def test_scan_budget(self):
+    def test_scan_budget(self, monkeypatch):
+        # refused before the value table allocates one entry per vertex
+        def no_table(inst):
+            raise AssertionError(f"value table built for {inst.shape.vertex_count} vertices")
+
+        monkeypatch.setattr("lslab.instances._value_table", no_table)
         inst = gen_hypercube_instance(20, 16, seed=0)
         with pytest.raises(BudgetExceeded):
             verify_instance(inst)
@@ -335,8 +341,14 @@ class TestInstanceFiles:
             (lambda d: d.update(note="x"), "unknown fields: note"),
             (lambda d: d["params"].update(k=2), "unknown fields: params.k"),
             (lambda d: d.update(format_version=True), "format_version True"),
+            # equal to the replayed points, but not integers
+            (lambda d: d.update(start=[True if c == 1 else c for c in d["start"]]),
+             "start must hold integers"),
+            (lambda d: d.update(endpoint=[float(c) for c in d["endpoint"]]),
+             "endpoint must hold integers"),
         ],
-        ids=["T-999", "T-missing", "T-string", "unknown-key", "unknown-param", "version-true"],
+        ids=["T-999", "T-missing", "T-string", "unknown-key", "unknown-param", "version-true",
+             "start-bool", "endpoint-float"],
     )
     def test_fields_that_disagree_or_nothing_reads_rejected(self, tmp_path, edit, match):
         for inst in (gen_hypercube_instance(5, 2, seed=1), gen_block_instance(9, 2, 0.5, seed=3)):

@@ -7,8 +7,9 @@ binding would stop `perfbench/run.py --trace 1` at startup.  It also unpacks
 what some bindings return (`RegionState.sampler`'s ``(draw, total)``), so a
 changed return shape would fail every traced grid2d op.
 
-Pass 0 of the exact workload must reproduce its digests in `pins.json`, so a
-drifted adversary witness or radicand fails here before the benchmark runs.
+Pass 0 of the exact, verify and sweep workloads must reproduce its digests
+in `pins.json`, so a drifted adversary witness or radicand, verification
+report, probe count or bench row fails here before the benchmark runs.
 """
 
 import importlib
@@ -16,6 +17,9 @@ import importlib.util
 import json
 import sys
 from pathlib import Path
+from types import SimpleNamespace
+
+import pytest
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -69,13 +73,18 @@ def test_traced_grid2d_sweep_op_keeps_its_digest():
     assert tracer.calls("solvers.region.draw") > 0
 
 
-def test_exact_pass_reproduces_its_pins():
-    # pass 0 of the exact workload at the pinned seed: every adversary
-    # witness and radicand, and the walkstats digests, as pins.json holds them
+@pytest.mark.parametrize("name", ["exact", "verify", "sweep"])
+def test_pass_reproduces_its_pins(name):
+    # pass 0 of the workload at the pinned seed: every op digest (adversary
+    # witnesses and radicands, walkstats, verification reports and probe
+    # counts, runtime-stripped bench rows) and the pass digest, as pins.json
+    # holds them
     workloads = _load("workloads")
-    pins = json.loads((PERFBENCH / "pins.json").read_text())["exact"]["full"]
-    workload = workloads.make("exact", "full")
-    outcomes = {op.label: op.run() for op in workload.pass_ops(pins["seed"], 0)}
-    assert [o.problems for o in outcomes.values()] == [()] * len(outcomes)
-    assert {label: o.digest for label, o in outcomes.items()} == pins["ops"]
-    assert workload.pass_digest(list(outcomes.values())) == pins["pass_sha256"]
+    pins = json.loads((PERFBENCH / "pins.json").read_text())[name]["full"]
+    workload = workloads.make(name, "full")
+    runs = [(op, op.run()) for op in workload.pass_ops(pins["seed"], 0)]
+    assert [o.problems for _, o in runs] == [()] * len(runs)
+    assert {op.label: o.digest for op, o in runs} == pins["ops"]
+    # the fields of run.py's records that a pass digest reads
+    records = [SimpleNamespace(op=op, digest=o.digest, counts=o.counts()) for op, o in runs]
+    assert workload.pass_digest(records) == pins["pass_sha256"]
