@@ -19,10 +19,11 @@ import random
 import time
 from dataclasses import dataclass, fields
 from functools import partial
+from operator import getitem
 from typing import Callable, Mapping
 
 from .errors import ConfigError
-from .grid import GridShape, Vertex, _l1, snake_unrank
+from .grid import GridShape, Vertex, _distance_maps, _l1, snake_unrank
 from .instances import PARAM_TYPES, WalkInstance, family_params, read_json
 from .instances import refuse_untaken, typed_param
 from .oracles import ValueOracle
@@ -90,7 +91,9 @@ class ExperimentCell:
         samples = typed_param(params, "samples", OPTIONAL_INT, ConfigError)
         if samples is not None and not 1 <= samples <= shape.vertex_count:
             raise ConfigError(f"samples must lie in 1..{shape.vertex_count}, got {samples}")
-        typed_param(params, "seed_start", (int,), ConfigError)
+        # random.Random(-s) seeds as Random(s) does: a negative seed would repeat a trial
+        if typed_param(params, "seed_start", (int,), ConfigError) < 0:
+            raise ConfigError(f"seed_start must be nonnegative, got {cell.seed_start}")
         if typed_param(params, "trials", (int,), ConfigError) < 1:
             raise ConfigError("trials must be positive")
         return cell
@@ -163,8 +166,11 @@ def _smooth_oracle(n: int, d: int, seed: int) -> tuple[ValueOracle, Vertex]:
     rng = random.Random(seed)
     center = snake_unrank(shape, rng.randrange(shape.vertex_count) + 1)
     start = snake_unrank(shape, rng.randrange(shape.vertex_count) + 1)
-    # query and peek check the vertex; _l1 trusts it
-    return ValueOracle(shape, partial(_l1, center)), start
+    # query and peek check the vertex; the reads below trust it
+    maps = _distance_maps(shape, center)
+    if maps is None:  # over the scan limit
+        return ValueOracle(shape, partial(_l1, center)), start
+    return ValueOracle(shape, lambda v: sum(map(getitem, maps, v))), start
 
 
 def instance_oracle(inst: WalkInstance) -> tuple[ValueOracle, Vertex]:

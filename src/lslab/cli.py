@@ -195,6 +195,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # gen and solve: random.Random(-s) seeds as Random(s), so -s would repeat s's run
+        if getattr(args, "seed", 0) < 0:
+            raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
         return args.fn(args)
     except (ConfigError, InstanceFormatError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -21,8 +21,9 @@ membership-to-value reduction.
 
 Every instance carries its function's on-path values as one table,
 ``value_by_vertex`` (trajectory point -> value); the value of any other vertex
-is its distance to the start plus ``off_path_base``.  One trusted value read
-and one membership read (a table lookup) serve all three families.
+is its distance to the start plus ``off_path_base``, read as one lookup per
+axis in the per-axis distance maps of ``grid._distance_maps``.  One trusted
+value read and one membership read (a table lookup) serve all three families.
 
 The ``FAMILIES`` registry holds each family's ordered, typed size parameters,
 size check (which returns the grid an instance of those sizes lies on),
@@ -43,12 +44,12 @@ import json
 import math
 import random
 from dataclasses import dataclass, field
-from functools import partial
-from operator import mul
+from functools import cached_property, partial
+from operator import getitem, mul
 from typing import Callable, Mapping, NamedTuple
 
 from .errors import BudgetExceeded, ConfigError, InstanceFormatError
-from .grid import GridShape, Vertex, _l1, _snake_path, snake_successor
+from .grid import GridShape, Vertex, _distance_maps, _l1, _snake_path, snake_successor
 
 #: Generators refuse trajectories longer than this.
 DEFAULT_TRAJECTORY_LIMIT = 1 << 21
@@ -128,7 +129,8 @@ class WalkInstance:
     trajectory length): 2T - i at ``trajectory[i]`` for the walk families,
     stride * L down by tick and segment leg for blocks.  An off-trajectory
     vertex is valued at its distance to the start plus ``off_path_base``:
-    2T for the walk families, 2 * stride * L for blocks.
+    2T for the walk families, 2 * stride * L for blocks (read through
+    ``_off_path_maps``, built on the first off-path read).
     """
 
     family: str
@@ -146,6 +148,10 @@ class WalkInstance:
     off_path_base: int
     value_by_vertex: dict[Vertex, int]
     block: BlockLayout | None = None
+
+    @cached_property
+    def _off_path_maps(self) -> tuple[dict, ...] | None:
+        return _distance_maps(self.shape, self.start, self.off_path_base)
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +412,10 @@ def _instance_value(inst: WalkInstance, v: Vertex) -> int:
     hit = inst.value_by_vertex.get(v)
     if hit is not None:
         return hit
-    return _l1(v, inst.start) + inst.off_path_base
+    maps = inst._off_path_maps
+    if maps is None:  # over the scan limit
+        return _l1(v, inst.start) + inst.off_path_base
+    return sum(map(getitem, maps, v))
 
 
 # ---------------------------------------------------------------------------
@@ -511,13 +520,14 @@ def _strides(shape: GridShape) -> list[int]:
 def _value_table(inst: WalkInstance) -> list[int]:
     """The value of every vertex, in ``iter_vertices`` order, built in one
     pass rather than one call per vertex.  Off-path values (distance to the
-    start plus ``off_path_base``) are folded one axis at a time from per-axis
-    distance tables; the entries of ``value_by_vertex`` then overwrite theirs,
-    at the index sum(c * stride) - sum(stride) of each point."""
+    start plus ``off_path_base``) are folded one axis at a time from the
+    instance's per-axis distance maps, which every shape under the scan limit
+    has; the entries of ``value_by_vertex`` then overwrite theirs, at the
+    index sum(c * stride) - sum(stride) of each point."""
     shape = inst.shape
-    values = [inst.off_path_base]
-    for s in inst.start:
-        dist = [abs(c - s) for c in range(1, shape.k + 1)]
+    values = [0]
+    for axis in inst._off_path_maps:
+        dist = list(axis.values())  # coordinates 1..k in order
         values = [x + d for x in values for d in dist]
     strides = _strides(shape)
     offset = sum(strides)
@@ -661,6 +671,10 @@ class ClockMeta:
     clock_ticks: dict[Vertex, int] | None = field(default=None, compare=False, repr=False)
     clock_points: tuple[Vertex, ...] | None = field(default=None, compare=False, repr=False)
     block: BlockLayout | None = None
+
+    @cached_property
+    def _off_path_maps(self) -> tuple[dict, ...] | None:
+        return _distance_maps(self.shape, self.start, self.off_path_base)
 
 
 def clock_metadata(inst: WalkInstance) -> ClockMeta:

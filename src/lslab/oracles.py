@@ -24,9 +24,11 @@ the instance's trusted value and membership reads, which the instance
 oracles bind once.  Both read the instance's value table (trajectory point
 -> value), built while the trajectory is generated, for every family: a
 value is a table hit or the distance to the start plus the off-path base,
+summed from one per-axis map read per coordinate (``grid._distance_maps``),
 and membership is a key lookup.  ``simulate_value_via_membership`` checks v
 once and reads the oracle's trusted membership function for v and for the
-probe it builds.
+probe it builds; its off-path value comes from the same kind of maps, which
+``ClockMeta`` derives from its public start, base and shape.
 ``ValueOracle._peek`` is the trusted form of ``peek`` (uncharged, unchecked)
 for vertices lslab made itself: grid2d's region draws and sphere vertices,
 which lie in the grid by construction.
@@ -36,6 +38,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from functools import partial
+from operator import getitem
 from typing import Callable, Mapping
 
 from .grid import GridShape, Vertex, _l1
@@ -173,7 +176,10 @@ def simulate_value_via_membership(
     member, ledger = membership._member, membership.ledger
     ledger.record_classical()
     if not member(v):
-        return _l1(v, meta.start) + meta.off_path_base
+        maps = meta._off_path_maps
+        if maps is None:  # over the scan limit
+            return _l1(v, meta.start) + meta.off_path_base
+        return sum(map(getitem, maps, v))
     if meta.family == BLOCKS:
         return block_on_path_value(meta, v)
     mw = meta.walk_dims

@@ -26,8 +26,9 @@ import math
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import islice
+from functools import cached_property, partial
+from itertools import accumulate, islice, repeat
+from operator import sub
 
 from .grid import Vertex, _neighbors, _snake_rank, l1_distance, snake_unrank
 from .oracles import QueryLedger, ValueOracle
@@ -265,18 +266,28 @@ class RegionState:
             wlo, whi = max(wlo, cw - r), min(whi, cw + r)
         return ulo, uhi, wlo, whi
 
-    def _w_range(self, u: int) -> tuple[int, int]:
-        _, _, wlo, whi = self._uw_rect
-        lo = max(wlo, 2 - u, u - 2 * self.n)
-        hi = min(whi, u - 2, 2 * self.n - u)
-        if lo > hi:
-            return 1, 0
-        # w must share u's parity for (x, y) to be integral
-        if (lo - u) % 2:
-            lo += 1
-        if (hi - u) % 2:
-            hi -= 1
-        return lo, hi
+    def _diagonals(self) -> list[tuple[int, int, int]]:
+        """(u, lo, end) for each nonempty diagonal x + y = u, by increasing u:
+        its region vertices are (x, u - x) for x in range(lo, end)."""
+        n = self.n
+        ulo, uhi, wlo, whi = self._uw_rect
+        out = []
+        for u in range(ulo, uhi + 1):
+            # x lies in 1..n, in u - n..u - 1 (so that y does) and, as
+            # w = 2x - u, in ceil((u + wlo) / 2)..floor((u + whi) / 2)
+            lo = (u + wlo + 1) >> 1
+            if lo < 1:
+                lo = 1
+            if lo < u - n:
+                lo = u - n
+            end = ((u + whi) >> 1) + 1
+            if end > n:
+                end = n + 1
+            if end > u:
+                end = u
+            if lo < end:
+                out.append((u, lo, end))
+        return out
 
     def sampler(self, rng: random.Random):
         """Exact uniform sampling via per-diagonal cumulative counts: returns
@@ -285,42 +296,49 @@ class RegionState:
 
         A batch ``draw(count, read)`` reads the ``randrange`` stream: each
         target t is ``rng.randrange(total)`` by its ``getrandbits`` rejection
-        rule, and the vertex drawn is ``vertices()[t]``.  Each vertex goes to
-        ``read`` as it is drawn and only t is kept, so a batch holds per
-        sample its target and its value.  It returns (values, vertex), where
+        rule, and the vertex drawn is ``vertices()[t]``.  Targets are drawn
+        in batches of exactly the number still missing, keeping those below
+        total, so the targets and the rng state after them (which faithful
+        mode draws on) are those of ``count`` randrange calls.  Each vertex
+        goes to ``read`` and only t is kept, so a batch holds per sample its
+        target and its value.  It returns (values, vertex), where
         ``vertex(i)`` rebuilds the i-th vertex drawn.
         """
-        ulo, uhi, _, _ = self._uw_rect
-        cums: list[int] = []
-        # per nonempty diagonal: (a, b) with target t at (t + a, b - t)
-        offsets: list[tuple[int, int]] = []
-        total = 0
-        for u in range(ulo, uhi + 1):
-            lo, hi = self._w_range(u)
-            if lo <= hi:
-                offsets.append(((u + lo) // 2 - total, (u - lo) // 2 + total))
-                total += (hi - lo) // 2 + 1
-                cums.append(total)
-        if total == 0:
+        diagonals = self._diagonals()
+        if not diagonals:
             raise ValueError("empty region")
+        us, los, ends = zip(*diagonals)
+        cums = list(accumulate(map(sub, ends, los)))
+        total = cums[-1]
+        # target t on diagonal i lies at (t + xs[i], ys[i] - t)
+        xs = list(map(sub, los, [0] + cums[:-1]))
+        ys = list(map(sub, us, xs))
         getrandbits, bits = rng.getrandbits, total.bit_length()
+        # bucket j holds targets j << shift .. ((j + 1) << shift) - 1, the
+        # first of them on diagonal guide[j]; a bucket is at most a diagonal's
+        # mean size, so a target's diagonal is on average under one step on
+        shift = max((total // len(cums)).bit_length() - 1, 0)
+        guide = list(map(partial(bisect_right, cums), range(0, total, 1 << shift)))
 
         def draw(count: int, read):
             targets: list[int] = []
+            while len(targets) < count:
+                batch = map(getrandbits, repeat(bits, count - len(targets)))
+                targets += [t for t in batch if t < total]
             values = []
-            keep, append = targets.append, values.append
-            for _ in range(count):
-                t = getrandbits(bits)
-                while t >= total:
-                    t = getrandbits(bits)
-                a, b = offsets[bisect_right(cums, t)]
-                keep(t)
-                append(read((t + a, b - t)))
+            append = values.append
+            for t in targets:
+                d = guide[t >> shift]
+                while cums[d] <= t:
+                    d += 1
+                append(read((t + xs[d], ys[d] - t)))
 
             def vertex(i: int) -> Vertex:
                 t = targets[i]
-                a, b = offsets[bisect_right(cums, t)]
-                return t + a, b - t
+                d = guide[t >> shift]
+                while cums[d] <= t:
+                    d += 1
+                return t + xs[d], ys[d] - t
 
             return values, vertex
 
@@ -344,13 +362,7 @@ class RegionState:
 
     def vertices(self) -> list[Vertex]:
         """Direct enumeration; for tests and small regions only."""
-        out = []
-        ulo, uhi, _, _ = self._uw_rect
-        for u in range(ulo, uhi + 1):
-            lo, hi = self._w_range(u)
-            for w in range(lo, hi + 1, 2):
-                out.append(((u + w) // 2, (u - w) // 2))
-        return out
+        return [(x, u - x) for u, lo, end in self._diagonals() for x in range(lo, end)]
 
     def boundary(self) -> set[Vertex]:
         """Region vertices adjacent to a grid vertex outside the region."""
@@ -424,6 +436,8 @@ def grid2d_quantum(oracle: ValueOracle, seed: int, mode: str = "exact") -> Solve
             values, vertex = draw(sample_size, peek)
             best = durr_hoyer_min(values, eps2, ledger, rng=rng, faithful=faithful)
         candidate, candidate_value = vertex(best), values[best]
+        # the sample is spent: release it before the next round draws its own
+        del values, vertex
         if anchor is None or not anchor_value < candidate_value:
             anchor, anchor_value = candidate, candidate_value
         chosen = None

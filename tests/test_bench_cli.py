@@ -331,9 +331,27 @@ class TestCli:
         assert main(argv) == 2
         assert "axis count" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "--family", "hypercube-walk", "--n", "6", "--m", "3", "--seed", "-5"],
+            ["solve"] + CONE + ["--algo", "grid2d-quantum", "--seed", "-1"],
+        ],
+    )
+    def test_negative_seed_exits_2(self, tmp_path, capsys, argv):
+        # random.Random(-5) seeds as Random(5): `gen --seed -5` wrote the
+        # instance of `--seed 5`
+        out = tmp_path / "inst.json"
+        if argv[0] == "gen":
+            argv = argv + ["--out", str(out)]
+        assert main(argv) == 2
+        assert "--seed must be nonnegative" in capsys.readouterr().err
+        assert not out.exists()
+
 
 # Malformed configs found by running `lslab bench` on them: each used to end
-# in a traceback (or, for `"trials": true`, to run one trial).
+# in a traceback (or, for `"trials": true`, to run one trial, and for a
+# negative `seed_start`, to repeat the trials of the seeds' absolute values).
 BAD_CONFIGS = {
     "string n": {"cells": [{"family": "smooth-l1", "algo": "steepest", "n": "8"}]},
     "string trials": {
@@ -342,6 +360,10 @@ BAD_CONFIGS = {
     "top-level list": [{"family": "smooth-l1", "algo": "steepest", "n": 8}],
     "boolean trials": {
         "cells": [{"family": "smooth-l1", "algo": "steepest", "n": 8, "trials": True}]
+    },
+    "negative seed_start": {
+        "cells": [{"family": "grid-walk", "algo": "grid2d-quantum", "n": 32, "d": 2, "m": 1,
+                   "seed_start": -3, "trials": 7}]
     },
     "missing m in the last cell": {
         "cells": SMALL_CONFIG["cells"]

@@ -7,11 +7,21 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 import lslab
-from lslab.grid import GridShape, _neighbors, _snake_rank, neighbors, snake_rank
+from lslab.bench import _smooth_oracle
+from lslab.grid import (
+    GridShape,
+    _l1,
+    _neighbors,
+    _snake_rank,
+    neighbors,
+    snake_rank,
+    snake_unrank,
+)
 from lslab.instances import (
     _instance_value,
     _value_table,
@@ -87,16 +97,28 @@ def test_non_integer_coordinates_rejected():
         with pytest.raises(ValueError):
             probe()
     assert oracle.ledger.classical_queries == 0
-    # a coordinate equal to an integer of the grid still passes
+    # a coordinate equal to an integer of the grid still passes, and reads
+    # as that integer, on the path and off it
     assert instance_value(inst, (1.0, True)) == instance_value(inst, (1, 1))
+    assert type(instance_value(inst, (1.0, True))) is int
+    off = next(v for v in inst.shape.iter_vertices() if v not in inst.value_by_vertex)
+    as_floats = tuple(map(float, off))
+    assert instance_value(inst, as_floats) == instance_value(inst, off)
+    assert type(instance_value(inst, as_floats)) is int
 
 
 @pytest.mark.parametrize("inst", SMALL, ids=lambda i: f"{i.family}-{i.shape.k}^{i.shape.l}")
 def test_trusted_helpers_equal_public_functions(inst):
     shape, k = inst.shape, inst.shape.k
-    member = MembershipOracle(inst)._member
+    membership = MembershipOracle(inst)
+    member, meta = membership._member, clock_metadata(inst)
     for v in shape.iter_vertices():
-        assert _instance_value(inst, v) == instance_value(inst, v)
+        # the definition, read without the per-axis distance maps
+        expected = inst.value_by_vertex.get(v)
+        if expected is None:
+            expected = _l1(v, inst.start) + inst.off_path_base
+        assert _instance_value(inst, v) == instance_value(inst, v) == expected
+        assert simulate_value_via_membership(meta, membership, v) == expected
         assert member(v) == instance_membership(inst, v)
         assert _snake_rank(k, v) == snake_rank(shape, v)
         assert _neighbors(k, v) == neighbors(shape, v)
@@ -238,10 +260,39 @@ def test_region_draws_follow_the_enumeration_order():
         drawn, vertex = draw(200, _identity)
         assert drawn == [vertices[clone.randrange(total)] for _ in range(200)]
         assert [vertex(i) for i in range(200)] == drawn
-        # the stream carries on across batches, as it does across randrange calls
-        assert [v for count in (3, 0, 5) for v in draw(count, _identity)[0]] == [
-            vertices[clone.randrange(total)] for _ in range(8)
-        ]
+        assert rng.getstate() == clone.getstate()
+        # the stream carries on across batches, as it does across randrange
+        # calls; 5000 draws refill several times on the half-rejecting totals
+        for count in (3, 0, 5, 5000):
+            drawn, vertex = draw(count, _identity)
+            assert drawn == [vertices[clone.randrange(total)] for _ in range(count)]
+            assert [vertex(i) for i in range(count)] == drawn
+            assert rng.getstate() == clone.getstate()
+
+
+@pytest.mark.parametrize("k, l", [(9, 2), (5, 3)])
+def test_smooth_oracle_reads_the_l1_distance(k, l):
+    shape = GridShape(k, l)
+    for seed in range(3):
+        oracle, _ = _smooth_oracle(k, l, seed)
+        # the centre is the oracle's first draw, as _smooth_oracle makes it
+        rng = random.Random(seed)
+        center = snake_unrank(shape, rng.randrange(shape.vertex_count) + 1)
+        for v in shape.iter_vertices():
+            assert oracle.peek(v) == _l1(center, v)
+
+
+def test_wide_smooth_oracle_builds_no_maps():
+    # [2^17]^2 is over the scan limit: its per-axis maps would hold 2^18
+    # entries (about 27 MB), so its reads go through _l1 and build nothing
+    tracemalloc.start()
+    try:
+        oracle, start = _smooth_oracle(1 << 17, 2, 0)
+        oracle.peek(start)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 500_000
 
 
 def test_import_does_not_load_numpy():
