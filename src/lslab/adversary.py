@@ -753,16 +753,8 @@ def _in_product_order(family: PathFamily) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _uv_valid(checked: dict, w, u: Surd, v: Surd) -> bool:
-    """u * v >= w^2, checked exactly, once per distinct (w, u, v).
-
-    `checked` maps the objects' ids to the objects themselves, which keeps
-    them alive so an id cannot be reused; memoized schemes hand out shared
-    objects, so the product is formed once per (weight, survival, holder).
-    """
-    key = (id(w), id(u), id(v))
-    if key in checked:
-        return True
+def _uv_valid(w, u: Surd, v: Surd) -> bool:
+    """u * v >= w^2, checked exactly."""
     prod = u * v
     # both sides to the power q, the lcm of the radical exponents'
     # denominators (1 when u*v is rational), make the comparison rational
@@ -770,21 +762,23 @@ def _uv_valid(checked: dict, w, u: Surd, v: Surd) -> bool:
     lhs = prod.coef**q
     for prime, e in prod.mono:
         lhs *= prime ** int(e * q)
-    ok = lhs >= (w * w) ** q
-    if ok:
-        checked[key] = (w, u, v)
-    return ok
+    return lhs >= (w * w) ** q
 
 
 def scheme_is_valid(scheme: WeightScheme) -> bool:
-    """u * v >= w^2 at every pair and differing position, checked exactly."""
+    """u * v >= w^2 at every pair and differing position, checked exactly
+    once per distinct triple of (w, u, v) objects.  `checked` maps their ids
+    to the objects, keeping them alive so that no id is reused."""
     checked: dict = {}
     for pair in scheme.relation.pairs:
         w = scheme.w[pair]
         for pos in differing_positions(scheme.family, pair):
             u, v = scheme.uv(pair, pos)
-            if not _uv_valid(checked, w, u, v):
-                return False
+            key = (id(w), id(u), id(v))
+            if key not in checked:
+                if not _uv_valid(w, u, v):
+                    return False
+                checked[key] = (w, u, v)
     return True
 
 
@@ -940,7 +934,6 @@ def quantum_adversary_value(scheme: WeightScheme) -> QuantumBound:
     if not len(scheme.relation):
         raise ValueError("empty relation")
     scale, row, col = reader.weight_sums()
-    checked: dict = {}
     # key -> (monomial number, coefficient numerator, denominator) of its term
     terms: dict = {}
     monomials: dict = {}  # monomial -> number, in first-seen order
@@ -963,7 +956,7 @@ def quantum_adversary_value(scheme: WeightScheme) -> QuantumBound:
                     term = terms.get(key)
                     if term is None:
                         w, u, other = reader.terms(key)
-                        if not _uv_valid(checked, w, u, other):
+                        if not _uv_valid(w, u, other):
                             raise ValueError("scheme violates u*v >= w^2")
                         mono = monomials.setdefault(u.mono, len(monomials))
                         term = terms[key] = (mono, u.coef.numerator, u.coef.denominator)

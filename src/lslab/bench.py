@@ -23,7 +23,7 @@ from operator import getitem
 from typing import Callable, Mapping
 
 from .errors import ConfigError
-from .grid import GridShape, Vertex, _distance_maps, _l1, snake_unrank
+from .grid import GridShape, Vertex, _distance_maps, snake_unrank
 from .instances import PARAM_TYPES, WalkInstance, family_params, read_json
 from .instances import refuse_untaken, typed_param
 from .oracles import ValueOracle
@@ -168,8 +168,6 @@ def _smooth_oracle(n: int, d: int, seed: int) -> tuple[ValueOracle, Vertex]:
     start = snake_unrank(shape, rng.randrange(shape.vertex_count) + 1)
     # query and peek check the vertex; the reads below trust it
     maps = _distance_maps(shape, center)
-    if maps is None:  # over the scan limit
-        return ValueOracle(shape, partial(_l1, center)), start
     return ValueOracle(shape, lambda v: sum(map(getitem, maps, v))), start
 
 

@@ -12,8 +12,8 @@ level with ``_snake_path``.  A vertex of [k]^l has l coordinates, each equal
 to an integer in 1..k, so (1.5, 2) lies in no grid.  The check costs O(l)
 whatever k is: a shape with k up to DEFAULT_SCAN_LIMIT keeps the set of its
 coordinate values, built on its first check, and a wider one compares each
-coordinate arithmetically.  The same bound limits ``_distance_maps``, the
-per-axis tables through which lslab reads a distance to a fixed vertex.
+coordinate arithmetically.  The same bound splits ``_distance_maps``, the
+per-axis maps through which lslab reads a distance to a fixed vertex.
 
 Everything here is pure and deterministic; a shape's only state besides k
 and l is that set, and every value is safe for unrestricted concurrent use.
@@ -119,17 +119,29 @@ def _l1(u: Vertex, v: Vertex) -> int:
     return sum(map(abs, map(sub, u, v)))
 
 
-def _distance_maps(shape: GridShape, p: Vertex, base: int = 0) -> tuple[dict, ...] | None:
+class _AxisDistance(dict):
+    """An empty map that reads c as |int(c) - s| + b and stores nothing."""
+
+    __slots__ = ("s", "b")
+
+    def __init__(self, s: int, b: int) -> None:
+        self.s, self.b = s, b
+
+    def __missing__(self, c) -> int:
+        return abs(int(c) - self.s) + self.b
+
+
+def _distance_maps(shape: GridShape, p: Vertex, base: int = 0) -> tuple[dict, ...]:
     """Per-axis maps c -> |c - p_i| over 1..k, with ``base`` added on axis 0,
     so that base + l1(v, p) is ``sum(map(getitem, maps, v))`` for v in the
     grid: one dict read per axis, and a coordinate equal to an integer (1.0,
-    True) reads as that integer.  None when the maps would hold over
-    DEFAULT_SCAN_LIMIT entries (l * k); such shapes read ``_l1`` instead."""
+    True) reads as that integer.  Listed up to DEFAULT_SCAN_LIMIT entries
+    (l * k); a wider shape gets ``_AxisDistance`` maps, which hold nothing."""
     k = shape.k
-    if k * shape.l > DEFAULT_SCAN_LIMIT:
-        return None
-    coords = range(1, k + 1)
     bases = (base,) + (0,) * (len(p) - 1)
+    if k * shape.l > DEFAULT_SCAN_LIMIT:
+        return tuple(map(_AxisDistance, p, bases))
+    coords = range(1, k + 1)
     return tuple({c: abs(c - s) + b for c in coords} for s, b in zip(p, bases))
 
 

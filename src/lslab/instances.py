@@ -22,8 +22,9 @@ membership-to-value reduction.
 Every instance carries its function's on-path values as one table,
 ``value_by_vertex`` (trajectory point -> value); the value of any other vertex
 is its distance to the start plus ``off_path_base``, read as one lookup per
-axis in the per-axis distance maps of ``grid._distance_maps``.  One trusted
-value read and one membership read (a table lookup) serve all three families.
+axis in the per-axis distance maps of ``grid._distance_maps``, built once
+per instance and shared with its ``ClockMeta``.  One trusted value read and
+one membership read (a table lookup) serve all three families.
 
 The ``FAMILIES`` registry holds each family's ordered, typed size parameters,
 size check (which returns the grid an instance of those sizes lies on),
@@ -49,7 +50,7 @@ from operator import getitem, mul
 from typing import Callable, Mapping, NamedTuple
 
 from .errors import BudgetExceeded, ConfigError, InstanceFormatError
-from .grid import GridShape, Vertex, _distance_maps, _l1, _snake_path, snake_successor
+from .grid import GridShape, Vertex, _distance_maps, _snake_path, snake_successor
 
 #: Generators refuse trajectories longer than this.
 DEFAULT_TRAJECTORY_LIMIT = 1 << 21
@@ -130,7 +131,7 @@ class WalkInstance:
     stride * L down by tick and segment leg for blocks.  An off-trajectory
     vertex is valued at its distance to the start plus ``off_path_base``:
     2T for the walk families, 2 * stride * L for blocks (read through
-    ``_off_path_maps``, built on the first off-path read).
+    ``_off_path_maps``, built on first use and shared with ``ClockMeta``).
     """
 
     family: str
@@ -150,7 +151,7 @@ class WalkInstance:
     block: BlockLayout | None = None
 
     @cached_property
-    def _off_path_maps(self) -> tuple[dict, ...] | None:
+    def _off_path_maps(self) -> tuple[dict, ...]:
         return _distance_maps(self.shape, self.start, self.off_path_base)
 
 
@@ -412,10 +413,7 @@ def _instance_value(inst: WalkInstance, v: Vertex) -> int:
     hit = inst.value_by_vertex.get(v)
     if hit is not None:
         return hit
-    maps = inst._off_path_maps
-    if maps is None:  # over the scan limit
-        return _l1(v, inst.start) + inst.off_path_base
-    return sum(map(getitem, maps, v))
+    return sum(map(getitem, inst._off_path_maps, v))
 
 
 # ---------------------------------------------------------------------------
@@ -521,11 +519,13 @@ def _value_table(inst: WalkInstance) -> list[int]:
     """The value of every vertex, in ``iter_vertices`` order, built in one
     pass rather than one call per vertex.  Off-path values (distance to the
     start plus ``off_path_base``) are folded one axis at a time from the
-    instance's per-axis distance maps, which every shape under the scan limit
-    has; the entries of ``value_by_vertex`` then overwrite theirs, at the
-    index sum(c * stride) - sum(stride) of each point."""
+    instance's per-axis distance maps; the entries of ``value_by_vertex``
+    then overwrite theirs, at the index sum(c * stride) - sum(stride) of each
+    point."""
     shape = inst.shape
     values = [0]
+    # verify_instance refuses over 2^16 vertices first, and k * l <= k^l, so
+    # these maps are the listed ones, never the empty wide-shape kind
     for axis in inst._off_path_maps:
         dist = list(axis.values())  # coordinates 1..k in order
         values = [x + d for x in values for d in dist]
@@ -660,7 +660,9 @@ class ClockMeta:
 
     For a walk family the clock structure is the snake order of the clock
     axes, as a table both ways: ``clock_ticks`` maps a clock point to its
-    tick (0-based) and ``clock_points[t]`` is the clock point of tick t."""
+    tick (0-based) and ``clock_points[t]`` is the clock point of tick t.
+    ``off_path_maps`` are the instance's, derived from the public start, base
+    and shape alone."""
 
     family: str
     shape: GridShape
@@ -668,13 +670,10 @@ class ClockMeta:
     start: Vertex
     T: int
     off_path_base: int
+    off_path_maps: tuple[dict, ...] = field(compare=False, repr=False)
     clock_ticks: dict[Vertex, int] | None = field(default=None, compare=False, repr=False)
     clock_points: tuple[Vertex, ...] | None = field(default=None, compare=False, repr=False)
     block: BlockLayout | None = None
-
-    @cached_property
-    def _off_path_maps(self) -> tuple[dict, ...] | None:
-        return _distance_maps(self.shape, self.start, self.off_path_base)
 
 
 def clock_metadata(inst: WalkInstance) -> ClockMeta:
@@ -689,6 +688,7 @@ def clock_metadata(inst: WalkInstance) -> ClockMeta:
         start=inst.start,
         T=inst.T,
         off_path_base=inst.off_path_base,
+        off_path_maps=inst._off_path_maps,
         clock_ticks=ticks,
         clock_points=points,
         block=inst.block,

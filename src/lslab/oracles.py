@@ -27,8 +27,8 @@ value is a table hit or the distance to the start plus the off-path base,
 summed from one per-axis map read per coordinate (``grid._distance_maps``),
 and membership is a key lookup.  ``simulate_value_via_membership`` checks v
 once and reads the oracle's trusted membership function for v and for the
-probe it builds; its off-path value comes from the same kind of maps, which
-``ClockMeta`` derives from its public start, base and shape.
+probe it builds; its off-path value is read from the instance's own maps,
+which ``ClockMeta`` carries.  On every grid, wide ones too, that is one read.
 ``ValueOracle._peek`` is the trusted form of ``peek`` (uncharged, unchecked)
 for vertices lslab made itself: grid2d's region draws and sphere vertices,
 which lie in the grid by construction.
@@ -176,10 +176,7 @@ def simulate_value_via_membership(
     member, ledger = membership._member, membership.ledger
     ledger.record_classical()
     if not member(v):
-        maps = meta._off_path_maps
-        if maps is None:  # over the scan limit
-            return _l1(v, meta.start) + meta.off_path_base
-        return sum(map(getitem, maps, v))
+        return sum(map(getitem, meta.off_path_maps, v))
     if meta.family == BLOCKS:
         return block_on_path_value(meta, v)
     mw = meta.walk_dims

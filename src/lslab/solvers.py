@@ -10,9 +10,9 @@ Quantum subroutines run as classically exact stand-ins whose cost is charged
 by formula: minimum finding over S values charges ceil(sqrt(S)) *
 ceil(log2(1/eps)) and an existence test over W charges ceil(sqrt(|W|)) *
 ceil(log2(1/eps)) (big-O constants pinned at 1 so cross-run comparisons are
-bit-stable).  In ``faithful`` mode the stand-ins also inject failures at
-their nominal error rates; in ``exact`` mode they never err and only the
-algorithm's own sampling randomness remains.
+bit-stable).  Handed an rng, a stand-in errs at its nominal rate; without
+one it never errs and draws nothing.  grid2d's ``faithful`` mode hands them
+its rng, and its ``exact`` mode leaves only the sampling randomness.
 
 All logarithms are base 2 and ceilings sit exactly where the cost formulas
 put them.  Ties anywhere break toward the lowest snake rank so replays are
@@ -131,28 +131,18 @@ def _charge(ledger: QueryLedger, size: int, eps: float) -> None:
     ledger.record_quantum(math.ceil(math.sqrt(size)) * math.ceil(math.log2(1 / eps)))
 
 
-def _fails(rng: random.Random | None, eps: float, faithful: bool) -> bool:
-    """Whether a faithful-mode stand-in errs (probability eps); exact mode draws nothing."""
-    if not faithful:
-        return False
-    if rng is None:
-        raise ValueError("faithful mode needs an rng")
-    return rng.random() < eps
-
-
 def durr_hoyer_min(
     values,
     eps: float,
     ledger: QueryLedger,
     rng: random.Random | None = None,
-    faithful: bool = False,
 ) -> int:
     """Index of the minimum of the sequence ``values`` at the quantum-search
     charge rate; the sequence is read in place, not copied.
 
     Classically exact (ties break to the lowest index); charges
-    ceil(sqrt(S)) * ceil(log2(1/eps)) quantum queries for S values.  In
-    faithful mode the call instead returns a uniformly random non-minimal
+    ceil(sqrt(S)) * ceil(log2(1/eps)) quantum queries for S values.  Handed
+    an ``rng``, the call instead returns a uniformly random non-minimal
     index with probability eps (when a non-minimal index exists): the j-th
     one, j drawn as ``rng.choice`` draws from a list of them.
     """
@@ -162,7 +152,7 @@ def durr_hoyer_min(
     _charge(ledger, len(values), eps)
     low = min(values)
     best = values.index(low)
-    if _fails(rng, eps, faithful):
+    if rng is not None and rng.random() < eps:
         losers = len(values) - values.count(low)
         if losers:
             j = rng.choice(range(losers))
@@ -176,13 +166,12 @@ def grover_exists(
     eps: float,
     ledger: QueryLedger,
     rng: random.Random | None = None,
-    faithful: bool = False,
 ) -> bool:
     """Whether any item satisfies the predicate, at the Grover charge rate.
 
     Classically exact; charges ceil(sqrt(|W|)) * ceil(log2(1/eps)) quantum
     queries, nothing for an empty collection (the vacuous answer is False).
-    In faithful mode the answer is flipped with probability eps.
+    Handed an ``rng``, the answer is flipped with probability eps.
     """
     _check_eps(eps)
     items = list(items)
@@ -190,7 +179,7 @@ def grover_exists(
         return False
     _charge(ledger, len(items), eps)
     answer = any(predicate(w) for w in items)
-    return not answer if _fails(rng, eps, faithful) else answer
+    return not answer if rng is not None and rng.random() < eps else answer
 
 
 def sample_then_descend(
@@ -411,8 +400,8 @@ def grid2d_quantum(oracle: ValueOracle, seed: int, mode: str = "exact") -> Solve
     n = shape.k
     if mode not in ("exact", "faithful"):
         raise ValueError(f"unknown mode {mode!r}")
-    faithful = mode == "faithful"
     rng = random.Random(seed)
+    errs = rng if mode == "faithful" else None  # the stand-ins' error draws
     ledger = oracle.ledger
 
     eps = 1 / (2 * math.log2(n))  # GridShape guarantees n >= 2
@@ -434,7 +423,7 @@ def grid2d_quantum(oracle: ValueOracle, seed: int, mode: str = "exact") -> Solve
         sample_size = math.ceil(4 * region_size / radius * math.log2(1 / eps1))
         with ledger.phase("sample-min"):
             values, vertex = draw(sample_size, peek)
-            best = durr_hoyer_min(values, eps2, ledger, rng=rng, faithful=faithful)
+            best = durr_hoyer_min(values, eps2, ledger, rng=errs)
         candidate, candidate_value = vertex(best), values[best]
         # the sample is spent: release it before the next round draws its own
         del values, vertex
@@ -450,8 +439,7 @@ def grid2d_quantum(oracle: ValueOracle, seed: int, mode: str = "exact") -> Solve
                     lambda w: peek(w) < anchor_value,
                     eps4,
                     ledger,
-                    rng=rng,
-                    faithful=faithful,
+                    rng=errs,
                 )
                 if not below:
                     chosen = m_new

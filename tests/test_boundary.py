@@ -8,13 +8,16 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from operator import getitem
 
 import pytest
 
 import lslab
 from lslab.bench import _smooth_oracle
 from lslab.grid import (
+    DEFAULT_SCAN_LIMIT,
     GridShape,
+    _distance_maps,
     _l1,
     _neighbors,
     _snake_rank,
@@ -283,8 +286,8 @@ def test_smooth_oracle_reads_the_l1_distance(k, l):
 
 
 def test_wide_smooth_oracle_builds_no_maps():
-    # [2^17]^2 is over the scan limit: its per-axis maps would hold 2^18
-    # entries (about 27 MB), so its reads go through _l1 and build nothing
+    # [2^17]^2 is over the scan limit: listed per-axis maps would hold 2^18
+    # entries (about 27 MB), so its maps compute each read and store nothing
     tracemalloc.start()
     try:
         oracle, start = _smooth_oracle(1 << 17, 2, 0)
@@ -293,6 +296,39 @@ def test_wide_smooth_oracle_builds_no_maps():
     finally:
         tracemalloc.stop()
     assert peak < 500_000
+
+
+def test_wide_distance_maps_stay_empty():
+    shape = GridShape(1 << 17, 2)
+    p = (5, 70000)
+    maps = _distance_maps(shape, p, 3)
+    for v in ((1, 1), (5, 70000), (1 << 17, 2), (9.0, True)):
+        assert sum(map(getitem, maps, v)) == _l1(tuple(map(int, v)), p) + 3
+    assert all(len(axis) == 0 for axis in maps)
+
+
+def test_off_path_reads_on_a_wide_grid():
+    # k * l = 80000 is over the scan limit, so the grid's per-axis distance
+    # maps are the unlisted kind; every off-path read still goes through
+    # them and returns the integer distance, also for a float or True spelling
+    inst = gen_grid_instance(40000, 2, 1, 5)
+    assert inst.shape.k * inst.shape.l > DEFAULT_SCAN_LIMIT
+    oracle = ValueOracle.for_instance(inst)
+    membership, meta = MembershipOracle(inst), clock_metadata(inst)
+    rng = random.Random(0)
+    sampled = [(rng.randint(1, 40000), rng.randint(1, 40000)) for _ in range(200)]
+    off = [v for v in sampled + [(1, 40000)] if v not in inst.value_by_vertex]
+    assert len(off) > 150 and off[-1] == (1, 40000)
+    spellings = [(v, v) for v in off] + [(tuple(map(float, v)), v) for v in off]
+    spellings.append(((True, 40000), (1, 40000)))
+    for spelled, v in spellings:
+        expected = _l1(v, inst.start) + inst.off_path_base
+        for got in (
+            instance_value(inst, spelled),
+            oracle.peek(spelled),
+            simulate_value_via_membership(meta, membership, spelled),
+        ):
+            assert got == expected and type(got) is int
 
 
 def test_import_does_not_load_numpy():

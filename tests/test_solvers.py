@@ -117,13 +117,13 @@ class TestChargedSubroutines:
         rng = random.Random(0)
         led = QueryLedger()
         wrong = sum(
-            durr_hoyer_min([5, 1, 7], 0.3, led, rng=rng, faithful=True) != 1
+            durr_hoyer_min([5, 1, 7], 0.3, led, rng=rng) != 1
             for _ in range(2000)
         )
         assert 0.2 < wrong / 2000 < 0.4
         # failures return a non-minimal index, never the minimum by accident
         for _ in range(200):
-            idx = durr_hoyer_min([5, 1, 7], 0.5, led, rng=rng, faithful=True)
+            idx = durr_hoyer_min([5, 1, 7], 0.5, led, rng=rng)
             assert idx in (0, 1, 2)
 
     def test_min_faithful_pick_matches_choice_over_losers(self):
@@ -134,7 +134,7 @@ class TestChargedSubroutines:
             values = [gen.randrange(4) for _ in range(gen.randrange(1, 12))]
             rng, ref = random.Random(seed), random.Random(seed)
             for _ in range(5):
-                got = durr_hoyer_min(values, 0.75, QueryLedger(), rng=rng, faithful=True)
+                got = durr_hoyer_min(values, 0.75, QueryLedger(), rng=rng)
                 want = values.index(min(values))
                 if ref.random() < 0.75:
                     losers = [i for i, x in enumerate(values) if x != min(values)]
@@ -162,11 +162,11 @@ class TestChargedSubroutines:
         led = QueryLedger()
         for _ in range(50):
             assert (
-                grover_exists([1], lambda x: x == 1, 0.5, led, rng=rng, faithful=True)
+                grover_exists([1], lambda x: x == 1, 0.5, led, rng=rng)
                 is False
             )
             assert (
-                grover_exists([1], lambda x: x == 2, 0.5, led, rng=rng, faithful=True)
+                grover_exists([1], lambda x: x == 2, 0.5, led, rng=rng)
                 is True
             )
 
