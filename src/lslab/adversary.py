@@ -20,8 +20,8 @@ canonical form (distinct radical monomials are linearly independent over the
 rationals), so scheme validity and bound-value equality are exact, never
 floating point.  Floats appear only in reported decimals and in the scan
 that shortlists the candidates within a relative 1e-9 of the float minimum;
-the shortlist is then compared exactly (canonical-form equality, then
-high-precision decimals), so the reported radicand is the certified minimum.
+the shortlist is then compared exactly (integer cross products, then
+high-precision decimals), so the reported bound is the certified minimum.
 
 The evaluators take only build_scheme's schemes over endpoint_relation of
 their own family, its walks in enumerate_paths' order, and refuse any other
@@ -30,14 +30,13 @@ tables (see `_FamilyReader`).  w comes from the divergence index and the
 row sums from endpoint counts per prefix class.  The u tally per (walk,
 position) is counted over ranges of walk indices, the partners that diverge
 from the walk at one step, and serves as the v tally too, since v(x, y, pos)
-== u(y, x, pos); each distinct tally is summed once, in integers.  The scan
-visits x < y only, since (y, x, pos) has the same radicand; the quantum
-certification takes the mirrors of the shortlisted candidates back.  On
-every hypercube family x runs over orbit representatives under permutations
-of the flip coordinates (see `quantum_adversary_value` for why that keeps
-its floats).  The witness is the one the full scan picks: the first minimal
-candidate in relation order for the relational bound; the float-smallest,
-then first, exact tie for the quantum bound.
+== u(y, x, pos); each distinct tally is summed once, in integers.  On
+hypercube families the tally runs over orbit representatives under
+permutations of the flip coordinates.  The scan goes vertex by vertex, not
+pair by pair: a candidate's float key is a product (quantum) or maximum
+(randomized) of one number per walk and vertex.  The witness is the first
+minimal candidate in relation order for the relational bound; the
+float-smallest, then first, exact tie for the quantum bound.
 
 Enumeration and evaluation are single-threaded, and the scans are pure.
 """
@@ -50,7 +49,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain, product
 from math import ceil, gcd, inf, lcm
-from operator import itemgetter
+from operator import itemgetter, mul
 
 from .errors import BudgetExceeded
 from .grid import Vertex, _snake_path
@@ -210,7 +209,12 @@ class SurdSum:
         return not self._terms
 
     def __float__(self) -> float:
-        return sum(float(Surd(coef, mono)) for mono, coef in self._terms.items())
+        # left to right: from CPython 3.12 on, builtin sum() compensates,
+        # which moves the last ulp and with it the witness tie-break
+        value = 0.0
+        for mono, coef in self._terms.items():
+            value += float(Surd(coef, mono))
+        return value
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -523,9 +527,9 @@ class _FamilyReader:
     The evaluators read it through `weight_sums` (the row and column sums
     of w, scaled to integers), `rows(reduce)` (each walk's u-side and
     v-side tallies, counts per term key in first-seen order, reduced per
-    position), `candidates` (pairs and their differing positions, in
-    relation order), and `in_relation_order`, `weight`, `terms` and
-    `vertex`, which order the shortlist and decode keys and positions.
+    position to a scan key and a value), `shortlist` (the candidates whose
+    keys come within _SHORTLIST_TOL of the least, in relation order), and
+    `weight`, `terms` and `vertex`, which decode keys and positions.
 
     - w(x, y) is the divergence weight of k = diverge_index(x, y).  The
       walks sharing x's first k steps are x's depth-k block of indices; the
@@ -541,17 +545,15 @@ class _FamilyReader:
     - Since v(x, y, pos) == u(y, x, pos), and the pairs (., y) meet y in
       the order of the pairs (y, .), one u tally serves both sides, term
       for term in the same order.
-    - The candidates (x, y, pos) and (y, x, pos) then have the same
-      radicand and the same scan key, and x < y comes first in relation
-      order, so only x < y is scanned; `in_relation_order` hands the
-      mirrors back for the exact comparison.
     - On hypercube families, permuting the m flip coordinates maps the
       family onto itself and preserves w, u and v (Hoyer-Lee-Spalek's
-      automorphism principle), so x runs over orbit representatives only,
-      each orbit's lowest-index walk.  Any walk's row is its
-      representative's row with the vertices permuted.  The first minimal
-      candidate in relation order always has a representative x, so the
-      witness rules keep their witnesses.
+      automorphism principle), so the tally runs over orbit representatives
+      only, each orbit's lowest-index walk, and any walk's row is its
+      representative's row with the vertices permuted.  The walk's own sums
+      hold the same terms in another order; every hypercube family within
+      DEFAULT_FAMILY_LIMIT has at most one irrational monomial among its
+      multipliers, so each sum has at most two terms and the same float in
+      any order.
 
     Vertices are numbered in sorted order, so sorting numbers sorts
     vertices.
@@ -608,6 +610,7 @@ class _FamilyReader:
                 self.orbit[y] = (rep, perm)
         self.xs = sorted({rep for rep, _ in self.orbit})
 
+    @cached_property
     def weight_sums(self) -> tuple[int, list, list]:
         family, T = self.scheme.family, self.T
         sizes = [prefix_class_size(family, k) for k in range(T + 1)]
@@ -630,8 +633,14 @@ class _FamilyReader:
         return scale, row, row
 
     def rows(self, reduce) -> tuple[list, list]:
+        """Per walk, its scan keys and values over vertex numbers:
+        reduce(row sum, cells) maps the walk's tallied positions to (scan
+        key, value) pairs.  The keys are floats, inf where the walk has no
+        tally; the values are None there.  An orbit image's keys and values
+        are its representative's objects, permuted."""
         T, sets, roles, ends = self.T, self.sets, self.roles, self.ends
         n, size = len(sets), len(self.verts)
+        tops = self.weight_sums[1]
         # a key packs (k, role, x holds) into 2 * (k * R + role) + holds, and
         # a walk's (position, role) pairs are packed as p * R + role
         R = T + 2
@@ -683,35 +692,85 @@ class _FamilyReader:
                     if p not in sx:
                         cell = cells.setdefault(p, {})
                         cell[key] = cell.get(key, 0) + count
-            row = tallied[x] = [None] * size
-            for p, value in reduce(cells).items():
-                row[p] = value
+            keys, values = [inf] * size, [None] * size
+            for p, (key, value) in reduce(tops[x], cells).items():
+                keys[p], values[p] = key, value
+            tallied[x] = (keys, values)
         if self.orbit is None:
             rows = [tallied[x] for x in range(n)]
         else:
-            rows = [
-                tallied[y] if y == rep else [tallied[rep][q] for q in perm]
-                for y, (rep, perm) in enumerate(self.orbit)
-            ]
+            rows = []
+            for y, (rep, perm) in enumerate(self.orbit):
+                if y == rep:
+                    rows.append(tallied[y])
+                    continue
+                # a permutation lists every vertex, two or more, so the
+                # getter returns a tuple
+                get = itemgetter(*perm)
+                keys, values = tallied[rep]
+                rows.append((get(keys), get(values)))
         return rows, rows
 
-    def candidates(self):
-        sets, ends, n = self.sets, self.ends, len(self.sets)
-        for x in self.xs:
-            sx, ex = sets[x], ends[x]
-            for y in range(x + 1, n):
-                if ends[y] != ex:
-                    yield x, y, sorted(sx ^ sets[y])
+    def shortlist(self, u_rows: list, v_rows: list, combine) -> list:
+        """The candidates (x, y, pos, u value, v value) whose key
+        combine(x's key at pos, y's key at pos) lies within a relative
+        _SHORTLIST_TOL of the least key, in relation order.  `combine` is
+        nondecreasing in each argument.  The v rows are the u rows (see
+        `rows`), so only `u_rows` is read.
 
-    @staticmethod
-    def in_relation_order(shortlist: list) -> list:
-        """The shortlist (key, x, y, pos) with each candidate's mirror
-        (key, y, x, pos), in relation order.  The mirror has the same
-        radicand and scan key, but the float of its exact denominator
-        u_sum * v_sum sums the product's terms in another order, so on grid
-        families it can be the smaller one in the last ulp."""
-        mirrors = [(key, y, x, pos) for key, x, y, pos in shortlist]
-        return sorted(shortlist + mirrors, key=itemgetter(1, 2, 3))
+        Per vertex p, a candidate pairs a walk holding p with one missing
+        it, ending elsewhere, in either order.  The first pass takes, per
+        side, the least key and, when both come from walks with one
+        endpoint, the least among the other endpoints, which gives p's
+        least key.  Every vertex has a holder.  The second pass lists the
+        candidates at the vertices within reach of the overall least key.
+        Both read the keys a vertex at a time, the walks grouped by
+        endpoint.
+        """
+        ends, n = self.ends, len(self.ends)
+        # the walks grouped by endpoint; endpoint e fills order[lo[e]:hi[e]]
+        order = sorted(range(n), key=ends.__getitem__)
+        at = [0] * n
+        lo, hi = {}, {}
+        for i, z in enumerate(order):
+            at[z] = i
+            lo.setdefault(ends[z], i)
+            hi[ends[z]] = i + 1
+        held_at: list[list[int]] = [[] for _ in self.verts]
+        for z, sz in enumerate(self.sets):
+            for p in sz:
+                held_at[p].append(at[z])
+        keys = [u_rows[z][0] for z in order]
+        least = []  # per vertex: its least key, least held key, least missed key
+        for column, spots in zip(zip(*keys), held_at):
+            col = list(column)
+            held = [col[i] for i in spots]
+            for i in spots:
+                col[i] = inf  # col keeps the walks that miss p
+            h1, m1 = min(held), min(col)
+            end = ends[order[spots[held.index(h1)]]]
+            key = combine(h1, m1)
+            if end == ends[order[col.index(m1)]]:
+                h2 = min((k for k, i in zip(held, spots) if ends[order[i]] != end), default=inf)
+                m2 = min(min(col[: lo[end]], default=inf), min(col[hi[end] :], default=inf))
+                key = min(combine(h1, m2), combine(h2, m1))
+            least.append((key, h1, m1))
+        limit = min(least)[0] * (1 + _SHORTLIST_TOL)
+        out = []
+        for p, (key, h1, m1) in enumerate(least):
+            if key > limit:
+                continue
+            col = [row[p] for row in keys]
+            held = set(held_at[p])
+            near_held = [i for i in held if combine(col[i], m1) <= limit]
+            near_missed = [i for i in range(n) if i not in held and combine(h1, col[i]) <= limit]
+            for i in near_held:
+                for j in near_missed:
+                    h, m = order[i], order[j]
+                    if ends[h] != ends[m] and combine(col[i], col[j]) <= limit:
+                        out += [(h, m, p), (m, h, p)]
+        out.sort()
+        return [(x, y, p, u_rows[x][1][p], u_rows[y][1][p]) for x, y, p in out]
 
     def decode(self, key: int) -> tuple[int, int, bool]:
         """The (k, s, x holds) that `rows` packed into a key."""
@@ -800,20 +859,21 @@ def relational_adversary_value(scheme: WeightScheme) -> RelationalBound:
     max(w_x / w_{x,i}, w_y / w_{y,i}).
 
     The randomized scheme (u = v = w) is the intended input.  The weights
-    are scaled to integers, so candidates compare by cross-multiplication;
-    the witness is the first minimal candidate in relation and position
-    order.  The scan runs over x < y and orbit representatives only (see
-    `_FamilyReader`), which keeps that witness.
+    are scaled to integers.  A float scan of the keys row_z / w_{z,i}
+    shortlists the candidates within a relative 1e-9 of the least, which
+    holds every exact minimum; among them candidates compare by
+    cross-multiplication, and the witness is the first minimal candidate in
+    relation and position order.
     """
     reader = _reader(scheme)
     if not len(scheme.relation):
         raise ValueError("empty relation")
-    scale, row, col = reader.weight_sums()
+    scale, row, col = reader.weight_sums
 
     scaled: dict = {}  # key -> its weight times scale
 
-    def reduce(cells: dict) -> dict:
-        # the scaled sum of w over the tallied pairs
+    def reduce(top: int, cells: dict) -> dict:
+        # the scaled sum of w over the tallied pairs, after the scan key
         out = {}
         for pos, cell in cells.items():
             total = 0
@@ -823,21 +883,18 @@ def relational_adversary_value(scheme: WeightScheme) -> RelationalBound:
                     w = reader.weight(key)
                     term = scaled[key] = w.numerator * (scale // w.denominator)
                 total += count * term
-            out[pos] = total
+            out[pos] = (top / total, total)
         return out
 
-    row_at, col_at = reader.rows(reduce)
     best_num, best_den = 1, 0  # +infinity
     witness = None
-    for ix, iy, positions in reader.candidates():
-        x_all, y_all, x_row, y_row = row[ix], col[iy], row_at[ix], col_at[iy]
-        for pos in positions:
-            x_at, y_at = x_row[pos], y_row[pos]
-            # max(x_all / x_at, y_all / y_at)
-            num, den = (x_all, x_at) if x_all * y_at >= y_all * x_at else (y_all, y_at)
-            if num * best_den < best_num * den:
-                best_num, best_den = num, den
-                witness = (ix, iy, pos)
+    for ix, iy, pos, x_at, y_at in reader.shortlist(*reader.rows(reduce), max):
+        x_all, y_all = row[ix], col[iy]
+        # max(x_all / x_at, y_all / y_at)
+        num, den = (x_all, x_at) if x_all * y_at >= y_all * x_at else (y_all, y_at)
+        if num * best_den < best_num * den:
+            best_num, best_den = num, den
+            witness = (ix, iy, pos)
     assert witness is not None
     ix, iy, pos = witness
     return RelationalBound(
@@ -864,8 +921,9 @@ class QuantumBound:
         return f"sqrt(({self.radicand_num}) / ({self.radicand_den})) ~= {self.value:.6g}"
 
 
-#: Relative width of the float shortlist.  The scan's float radicands are
-#: within a few ulps of the exact ones, so nothing outside it can be minimal.
+#: Relative width of the float shortlist.  The scan's float keys are within
+#: a few rounding errors per summed term of the exact values, far inside it,
+#: so nothing outside it can be minimal.
 _SHORTLIST_TOL = 1e-9
 
 
@@ -884,15 +942,63 @@ def _decimal(value: SurdSum, digits: int):
     return total
 
 
-def _compare_ratios(num_a: SurdSum, den_a: SurdSum, num_b: SurdSum, den_b: SurdSum) -> int:
-    """Sign of num_a/den_a - num_b/den_b for sums of positive terms, exactly.
+class _Monomials:
+    """The monomials of one evaluation, numbered in first-seen order, for
+    exact sums in integer form: numerators `nums`, pairs (monomial number,
+    num), over a common denominator `den`.  Monomials are canonical, with
+    exponents in (0, 1), so a product of two folds whole powers of primes
+    into an integer coefficient."""
 
-    Equal canonical forms of the cross products mean equal values; otherwise
-    the values differ, and decimals at rising precision separate them.
-    """
-    lhs, rhs = num_a * den_b, num_b * den_a
-    if lhs == rhs:
-        return 0
+    def __init__(self) -> None:
+        self.listed: list[Monomial] = []
+        self.numbers: dict[Monomial, int] = {}
+        self.factors: list[list[float]] = []  # what Surd.__float__ multiplies by
+        self.products: dict[tuple[int, int], tuple[int, int]] = {}
+
+    def number(self, mono: Monomial) -> int:
+        got = self.numbers.get(mono)
+        if got is None:
+            got = self.numbers[mono] = len(self.listed)
+            self.listed.append(mono)
+            self.factors.append([prime ** float(e) for prime, e in mono])
+        return got
+
+    def value(self, den: int, nums) -> float:
+        """The sum's float as SurdSum.__float__ gives it, terms left to right."""
+        total = 0.0
+        for mono, num in nums:
+            term = num / den
+            for factor in self.factors[mono]:
+                term *= factor
+            total += term
+        return total
+
+    def times(self, a, b) -> dict[int, int]:
+        """The numerators of the product of two sums over the product of
+        their denominators, monomials in the order SurdSum.__mul__ meets
+        them."""
+        out: dict[int, int] = {}
+        for mono_a, num_a in a:
+            for mono_b, num_b in b:
+                hit = self.products.get((mono_a, mono_b))
+                if hit is None:
+                    one = Fraction(1)
+                    prod = Surd(one, self.listed[mono_a]) * Surd(one, self.listed[mono_b])
+                    assert prod.coef.denominator == 1
+                    hit = (self.number(prod.mono), prod.coef.numerator)
+                    self.products[mono_a, mono_b] = hit
+                mono, coef = hit
+                out[mono] = out.get(mono, 0) + num_a * num_b * coef
+        return out
+
+    def surd_sum(self, den: int, nums) -> SurdSum:
+        return SurdSum({self.listed[mono]: Fraction(num, den) for mono, num in nums})
+
+
+def _compare(lhs: SurdSum, rhs: SurdSum) -> int:
+    """Sign of lhs - rhs for sums of positive terms with different canonical
+    forms, hence different values: decimals at rising precision separate
+    them."""
     for digits in (50, 100, 200, 400, 800, 1600):
         a, b = _decimal(lhs, digits), _decimal(rhs, digits)
         if abs(a - b) > (a + b).scaleb(10 - digits):
@@ -907,46 +1013,34 @@ def quantum_adversary_value(scheme: WeightScheme) -> QuantumBound:
     per distinct (w, u, v) term that the tally meets.  u is tallied per
     (walk, position) and summed once per distinct tally, its terms in the
     order the pairs meet them, as integer numerators over a common
-    denominator per monomial.  A float scan shortlists the candidates
-    within a relative 1e-9 of the float minimum; among them the radicand is
-    minimized exactly, so the returned radicand is the certified minimum.
-    When several candidates share it exactly, the witness is the one with
-    the smallest float(num) / float(den), the first in relation and position
-    order among equal floats.
-
-    The scheme is read from the walks (see `_FamilyReader`): one u tally
-    serves as the v tally too, since v(x, y, pos) == u(y, x, pos), and the
-    scan visits x < y only, since (y, x, pos) has the same radicand and
-    scan key as (x, y, pos) and comes later.  The mirror's exact
-    denominator multiplies the same sums in the other order, so its float
-    can differ in the last ulp; the shortlist takes the mirrors back, in
-    relation order, before the exact comparison.  On hypercube families the
-    tally and the scan run x over orbit representatives only, each orbit's
-    lowest-index walk.  An orbit image's sums hold the same terms in
-    another order, and every hypercube family within DEFAULT_FAMILY_LIMIT
-    has at most one irrational monomial among its multipliers, so each sum
-    has at most two terms and the same float in any order; the products'
-    floats then agree too.  So every candidate of the full shortlist has an
-    image in this one with the same radicand and floats, and the first of
-    them in relation order, the full scan's witness, is among them.
+    denominator.  A float scan shortlists the candidates within a relative
+    1e-9 of the float minimum; among them the radicand is minimized exactly,
+    so the returned radicand is the certified minimum.  When several
+    candidates share it exactly, the witness is the one with the smallest
+    float(num) / float(den), the first in relation and position order among
+    equal floats.  Exact arithmetic runs on the shortlist only, in integers:
+    a candidate's denominator u_sum * v_sum is multiplied out term by term,
+    and two candidates compare by their cross products, scaled to integer
+    coefficients; decimals settle the order only when those differ.
     """
     reader = _reader(scheme)
     if not len(scheme.relation):
         raise ValueError("empty relation")
-    scale, row, col = reader.weight_sums()
+    scale, row, col = reader.weight_sums
+    monomials = _Monomials()
     # key -> (monomial number, coefficient numerator, denominator) of its term
     terms: dict = {}
-    monomials: dict = {}  # monomial -> number, in first-seen order
     by_tally: dict = {}
     by_form: dict = {}
 
-    def reduce(cells: dict) -> dict:
-        """Each position's tally as (SurdSum, float).  A sum's coefficients
-        are added as integers over the lcm of their denominators and reduced
-        by the gcd, so equal sums, their monomials in the same order, share
-        one form and one object: one object stands for one exact value and
-        one float."""
+    def reduce(top: int, cells: dict) -> dict:
+        """Each position's (scan key, tally value).  The value is (float,
+        den, nums): the sum's coefficients added as integers over the lcm of
+        their denominators and reduced by the gcd, so equal sums, their
+        monomials in the same order, share one value object.  The key is
+        top / scale over the float."""
         out = {}
+        top /= scale
         for pos, cell in cells.items():
             tally = tuple(cell.items())
             hit = by_tally.get(tally)
@@ -958,8 +1052,9 @@ def quantum_adversary_value(scheme: WeightScheme) -> QuantumBound:
                         w, u, other = reader.terms(key)
                         if not _uv_valid(w, u, other):
                             raise ValueError("scheme violates u*v >= w^2")
-                        mono = monomials.setdefault(u.mono, len(monomials))
-                        term = terms[key] = (mono, u.coef.numerator, u.coef.denominator)
+                        term = terms[key] = (
+                            monomials.number(u.mono), u.coef.numerator, u.coef.denominator
+                        )
                     parts.append((term, count))
                 den = lcm(*(term[2] for term, _ in parts))
                 nums: dict[int, int] = {}
@@ -969,49 +1064,39 @@ def quantum_adversary_value(scheme: WeightScheme) -> QuantumBound:
                 form = (den // common, *((mono, num // common) for mono, num in nums.items()))
                 hit = by_form.get(form)
                 if hit is None:
-                    listed = list(monomials)
-                    total = SurdSum({listed[mono]: Fraction(num, den) for mono, num in nums.items()})
-                    hit = by_form[form] = (total, float(total))
+                    hit = by_form[form] = (monomials.value(den, nums.items()), form[0], form[1:])
                 by_tally[tally] = hit
-            out[pos] = hit
+            out[pos] = (top / hit[0], hit)
         return out
 
-    u_rows, v_rows = reader.rows(reduce)
-
-    best, limit = inf, inf
-    shortlist = []
-    for ix, iy, positions in reader.candidates():
-        u_row, v_row = u_rows[ix], v_rows[iy]
-        top = (row[ix] / scale) * (col[iy] / scale)
-        keys = [top / (u_row[pos][1] * v_row[pos][1]) for pos in positions]
-        if min(keys, default=inf) > limit:
-            continue
-        for pos, key in zip(positions, keys):
-            if key <= limit:
-                shortlist.append((key, ix, iy, pos))
-                if key < best:
-                    best, limit = key, key * (1 + _SHORTLIST_TOL)
-                    shortlist = [c for c in shortlist if c[0] <= limit]
-
-    # candidates with the same scaled numerator and the same u and v sums
+    # candidates with the same scaled numerator and the same u and v values
     # have the same radicand and float key, so only the first can win
     seen = set()
     win = None
-    for _, ix, iy, pos in reader.in_relation_order(shortlist):
-        top, u_sum, v_sum = row[ix] * col[iy], u_rows[ix][pos][0], v_rows[iy][pos][0]
-        if (top, id(u_sum), id(v_sum)) in seen:
+    for ix, iy, pos, u, v in reader.shortlist(*reader.rows(reduce), mul):
+        top = row[ix] * col[iy]
+        if (top, id(u), id(v)) in seen:
             continue
-        seen.add((top, id(u_sum), id(v_sum)))
-        num = SurdSum.of(Fraction(top, scale * scale))
-        den = u_sum * v_sum
-        key = float(num) / float(den)
+        seen.add((top, id(u), id(v)))
+        den, nums = u[1] * v[1], monomials.times(u[2], v[2])
+        key = top / (scale * scale) / monomials.value(den, nums.items())
         if win is not None:
-            order = _compare_ratios(num, den, win[0], win[1])
-            if order > 0 or (order == 0 and not key < win[2]):
+            # top / den against the winner's, cross-multiplied over both dens
+            win_top, win_den, win_nums = win[:3]
+            lhs = {mono: top * num * den for mono, num in win_nums.items()}
+            rhs = {mono: win_top * num * win_den for mono, num in nums.items()}
+            order = 0
+            if lhs != rhs:
+                lhs, rhs = (monomials.surd_sum(1, side.items()) for side in (lhs, rhs))
+                order = _compare(lhs, rhs)
+            if order > 0 or (order == 0 and not key < win[3]):
                 continue
-        win = (num, den, key, BoundWitness(ix, iy, reader.vertex(pos)))
+        win = (top, den, nums, key, BoundWitness(ix, iy, reader.vertex(pos)))
     assert win is not None
-    num, den, key, witness = win
+    top, den, nums, key, witness = win
     return QuantumBound(
-        radicand_num=num, radicand_den=den, value=key**0.5, witness=witness
+        radicand_num=SurdSum.of(Fraction(top, scale * scale)),
+        radicand_den=monomials.surd_sum(den, nums.items()),
+        value=key**0.5,
+        witness=witness,
     )

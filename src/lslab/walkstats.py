@@ -264,6 +264,17 @@ def line_walk_max_counts(n: int, t_max: int) -> list[int]:
     d = 0 and d = n: the pairwise sums of neighbouring entries, with
     2 g_t(1) in front when t is odd and 2 g_t(n - 1) behind when n - t is
     odd.  The probability envelope at time t is the returned count over 2^t.
+
+    The maximum is the vector's first entry, g_t(0) for even t and g_t(1)
+    for odd t.  For even t, g_t is symmetric and nonincreasing in circular
+    distance on the even residues: true at t = 0, and kept by the two-step
+    kernel (1, 2, 1), since g_{t+2}(d) - g_{t+2}(d + 2) is
+    [g_t(d - 2) - g_t(d + 4)] + [g_t(d) - g_t(d + 2)], which is
+    nonnegative for 0 <= d <= n - 2: the second term is, and so is the
+    first, as d - 2 is no farther from 0 than d + 4 round the cycle, except
+    at n = 2, where the two terms cancel.  For odd t, g_t(d) =
+    g_{t-1}(d - 1) + g_{t-1}(d + 1) is at most g_{t-1}(0) + g_{t-1}(2) =
+    g_t(1).
     """
     if n < 2:
         raise ValueError("the short walk needs at least two points")
@@ -273,7 +284,7 @@ def line_walk_max_counts(n: int, t_max: int) -> list[int]:
         head = [2 * g[0]] if t % 2 else []
         tail = [2 * g[-1]] if (n - t) % 2 else []
         g = [*head, *map(int.__add__, g, g[1:]), *tail]
-        maxima.append(max(g))
+        maxima.append(g[0])
     return maxima
 
 

@@ -8,9 +8,10 @@ the library evaluators with it by monkeypatching `lslab.adversary._reader`
 (see the `pairwise` fixture in `test_adversary.py`).
 """
 
+from functools import cached_property
 from math import lcm
 
-from lslab.adversary import differing_positions
+from lslab.adversary import _SHORTLIST_TOL, differing_positions
 
 
 class Relation:
@@ -37,11 +38,14 @@ class TableScheme:
 class PairwiseReader:
     """A scheme read pair by pair, with the reader interface of
     `_FamilyReader`: a pair's term key is (w, u, v) on its u side and
-    (w, v, u) on its v side, and positions are vertices."""
+    (w, v, u) on its v side, positions are vertices, each side's rows map
+    walk -> position -> (scan key, value), and the shortlist lists every
+    candidate within _SHORTLIST_TOL of the least key, in relation order."""
 
     def __init__(self, scheme) -> None:
         self.scheme = scheme
 
+    @cached_property
     def weight_sums(self) -> tuple[int, dict, dict]:
         w = self.scheme.w
         pairs = self.scheme.relation.pairs
@@ -64,16 +68,25 @@ class PairwiseReader:
                 for walk, key, cells in zip(pair, ((w, u, v), (w, v, u)), sides):
                     cell = cells.setdefault(walk, {}).setdefault(pos, {})
                     cell[key] = cell.get(key, 0) + 1
-        return tuple({walk: reduce(c) for walk, c in side.items()} for side in sides)
+        _, row, col = self.weight_sums
+        return tuple(
+            {walk: reduce(tops[walk], c) for walk, c in side.items()}
+            for side, tops in zip(sides, (row, col))
+        )
 
-    def candidates(self):
+    def shortlist(self, u_rows, v_rows, combine) -> list:
         family = self.scheme.family
-        for ix, iy in self.scheme.relation.pairs:
-            yield ix, iy, differing_positions(family, (ix, iy))
-
-    @staticmethod
-    def in_relation_order(shortlist: list) -> list:
-        return shortlist
+        listed = [
+            (combine(u_rows[ix][pos][0], v_rows[iy][pos][0]), ix, iy, pos)
+            for ix, iy in self.scheme.relation.pairs
+            for pos in differing_positions(family, (ix, iy))
+        ]
+        limit = min(key for key, *_ in listed) * (1 + _SHORTLIST_TOL)
+        return [
+            (ix, iy, pos, u_rows[ix][pos][1], v_rows[iy][pos][1])
+            for key, ix, iy, pos in listed
+            if key <= limit
+        ]
 
     @staticmethod
     def weight(key):

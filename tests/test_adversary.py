@@ -1,8 +1,11 @@
 """Adversary bound tests, including independent re-derivations of both bounds."""
 
+import hashlib
+import math
 import random
 from fractions import Fraction
 from itertools import permutations
+from operator import mul
 
 import pytest
 
@@ -71,6 +74,24 @@ class TestSurds:
         expect = SurdSum.of(3) + SurdSum.of(Surd(Fraction(2), ((2, Fraction(1, 2)),)))
         assert expr == expect
         assert abs(float(expr) - (1 + 2**0.5) ** 2) < 1e-12
+
+
+def test_surd_sum_float_adds_terms_left_to_right():
+    # 1 + 0.6 ulp rounds up to 1 + 1 ulp, and adding another 0.6 ulp rounds
+    # to 1 + 2 ulps; the exact sum, 1 + 1.2 ulps, rounds to 1 + 1 ulp, and
+    # from CPython 3.12 on builtin sum() compensates towards it
+    ulp = 2.0**-52
+    root2, root3 = Surd.power(2, Fraction(1, 2)), Surd.power(3, Fraction(1, 2))
+    total = SurdSum.of(1)
+    for root in (root2, root3):
+        total.add(Surd(Fraction(0.6 * ulp / float(root)), root.mono))
+    terms = [float(Surd(coef, mono)) for mono, coef in total._terms.items()]
+    left_to_right = 0.0
+    for term in terms:
+        left_to_right += term
+    assert left_to_right == 1 + 2 * ulp
+    assert math.fsum(terms) == 1 + ulp
+    assert float(total) == left_to_right
 
 
 class TestFamilies:
@@ -461,8 +482,8 @@ REFERENCE_FAMILIES = [
 ] + [(GRID_KIND, m, T) for m in (1, 2) for T in range(5)]
 
 # the benchmark's two families, and grid m=3 T=4, whose quantum witness
-# (14, 6, ...) is a mirror (y, x) of a scanned x < y candidate that wins on
-# the float of its exact denominator
+# (14, 6, ...) beats its mirror (6, 14, ...) on the float of its exact
+# denominator, which multiplies the same two sums in the other order
 LARGER_REFERENCE_FAMILIES = [(HYPERCUBE_KIND, 3, 3), (GRID_KIND, 2, 5), (GRID_KIND, 3, 4)]
 
 
@@ -616,9 +637,9 @@ def irrational_monomials(m, T):
 
 
 def test_hypercube_multipliers_carry_at_most_one_irrational_monomial():
-    # the evaluators run x over orbit representatives on every hypercube
-    # family; an orbit image's u and v sums hold the same terms in another
-    # order, and have the same floats when each sum has at most two terms.
+    # the tally runs over orbit representatives on every hypercube family;
+    # an orbit image's u and v sums hold the same terms in another order,
+    # and have the same floats when each sum has at most two terms.
     # Every family within the limit (m = 1 has one walk and no pair):
     pairs = [
         (m, T)
@@ -680,21 +701,42 @@ TALLY_FAMILIES = REFERENCE_FAMILIES + LARGER_REFERENCE_FAMILIES + [
 
 
 def quantum_reader_rows(fam, monkeypatch):
-    """The stock quantum scheme's reader and the reduced u rows that
-    quantum_adversary_value read from it."""
+    """The stock quantum scheme's reader and the u rows that
+    quantum_adversary_value reduced from it, each tallied position's sum as
+    (SurdSum, float) and None elsewhere.  Every scan key is checked to be
+    the walk's row sum over the float."""
     kind = QUANTUM_HYPERCUBE if fam.kind == HYPERCUBE_KIND else QUANTUM_GRID
     scheme = build_scheme(kind, fam, endpoint_relation(fam))
     seen = {}
     rows = _FamilyReader.rows
+    init = adversary._Monomials.__init__
 
     def spy(self, reduce):
         seen["reader"] = self
         seen["rows"] = rows(self, reduce)[0]
         return seen["rows"], seen["rows"]
 
+    def spy_init(self):
+        init(self)
+        seen["monomials"] = self
+
     monkeypatch.setattr(_FamilyReader, "rows", spy)
+    monkeypatch.setattr(adversary._Monomials, "__init__", spy_init)
     quantum_adversary_value(scheme)
-    return scheme, seen["reader"], seen["rows"]
+    reader, monomials = seen["reader"], seen["monomials"]
+    scale, tops, _ = reader.weight_sums
+    decoded = []
+    for top, (keys, values) in zip(tops, seen["rows"]):
+        decoded.append([])
+        for key, hit in zip(keys, values):
+            if hit is None:
+                assert key == math.inf
+                decoded[-1].append(None)
+                continue
+            value, den, nums = hit
+            assert key == top / scale / value
+            decoded[-1].append((monomials.surd_sum(den, nums), value))
+    return scheme, reader, decoded
 
 
 @pytest.mark.parametrize("fam_args", TALLY_FAMILIES, ids=lambda a: f"{a[0]}-m{a[1]}-T{a[2]}")
@@ -702,10 +744,10 @@ def test_range_tally_matches_pairwise_tally(fam_args, monkeypatch):
     fam = enumerate_paths(*fam_args)
     scheme, reader, reduced = quantum_reader_rows(fam, monkeypatch)
     expect = pairwise_tally(reader)
-    got, _ = reader.rows(lambda cells: cells)
+    got, _ = reader.rows(lambda top, cells: {p: (0.0, cell) for p, cell in cells.items()})
     assert len(got) == len(expect) == len(fam)
     sums = {}
-    for x, (row, cells) in enumerate(zip(got, expect)):
+    for x, ((_, row), cells) in enumerate(zip(got, expect)):
         decoded = {
             p: [(reader.decode(key), count) for key, count in cell.items()]
             for p, cell in enumerate(row)
@@ -724,6 +766,116 @@ def test_range_tally_matches_pairwise_tally(fam_args, monkeypatch):
                 sums[tally] = (list(total._terms.items()), float(total))
             value, key = reduced[x][p]
             assert (list(value._terms.items()), key) == sums[tally], (x, p)
+
+
+def pairwise_shortlist(reader, rows, combine):
+    """Every candidate of the endpoint relation within _SHORTLIST_TOL of
+    the least key, pair by pair in relation order."""
+    sets, ends, n = reader.sets, reader.ends, len(reader.ends)
+    listed = [
+        (combine(rows[x][0][p], rows[y][0][p]), x, y, p)
+        for x in range(n)
+        for y in range(n)
+        if ends[x] != ends[y]
+        for p in sorted(sets[x] ^ sets[y])
+    ]
+    limit = min(key for key, *_ in listed) * (1 + adversary._SHORTLIST_TOL)
+    return [(x, y, p) for key, x, y, p in listed if key <= limit]
+
+
+# grid m=1 T=7's pairwise listing takes over a second per evaluator; its
+# outputs are pinned in TIE_HEAVY_PINS
+@pytest.mark.parametrize("evaluate", ["quantum", "relational"])
+@pytest.mark.parametrize(
+    "fam_args",
+    [fam for fam in TALLY_FAMILIES if fam != (GRID_KIND, 1, 7)],
+    ids=lambda a: f"{a[0]}-m{a[1]}-T{a[2]}",
+)
+def test_vertex_scan_lists_the_pairwise_shortlist(fam_args, evaluate, monkeypatch):
+    # the per-vertex scan, on the keys each evaluator hands it, against a
+    # pair-by-pair listing of every candidate
+    fam = enumerate_paths(*fam_args)
+    if evaluate == "quantum":
+        kind = QUANTUM_HYPERCUBE if fam.kind == HYPERCUBE_KIND else QUANTUM_GRID
+        evaluate = quantum_adversary_value
+    else:
+        kind, evaluate = RANDOMIZED, relational_adversary_value
+    seen = {}
+    shortlist = _FamilyReader.shortlist
+
+    def spy(self, u_rows, v_rows, combine):
+        seen.update(reader=self, rows=u_rows, combine=combine)
+        seen["got"] = shortlist(self, u_rows, v_rows, combine)
+        return seen["got"]
+
+    monkeypatch.setattr(_FamilyReader, "shortlist", spy)
+    evaluate(build_scheme(kind, fam, endpoint_relation(fam)))
+    got = [candidate[:3] for candidate in seen["got"]]
+    assert got == pairwise_shortlist(seen["reader"], seen["rows"], seen["combine"])
+
+
+@pytest.mark.parametrize("combine", [mul, max], ids=["product", "max"])
+@pytest.mark.parametrize(
+    "fam_args",
+    [(HYPERCUBE_KIND, 2, 3), (HYPERCUBE_KIND, 3, 1), (GRID_KIND, 1, 4), (GRID_KIND, 2, 3)],
+    ids=lambda a: f"{a[0]}-m{a[1]}-T{a[2]}",
+)
+def test_vertex_scan_on_random_keys(fam_args, combine):
+    # keys drawn from 1..3 tie often; keys drawn from 1..1000 leave a few
+    # vertices whose least held and least missed keys come from walks with
+    # one endpoint and lie below every candidate's key
+    fam = enumerate_paths(*fam_args)
+    reader = adversary._reader(build_scheme(RANDOMIZED, fam, endpoint_relation(fam)))
+    rng = random.Random(sum(fam_args[1:]))
+    for top in [3, 1000] * 15:
+        rows = [
+            ([rng.randint(1, top) for _ in reader.verts], [None] * len(reader.verts))
+            for _ in fam.walks
+        ]
+        got = [candidate[:3] for candidate in reader.shortlist(rows, rows, combine)]
+        assert got == pairwise_shortlist(reader, rows, combine)
+
+
+#: the evaluators' outputs on tie-heavy families, as the pair-by-pair scan
+#: gave them: the quantum radicand's numerator, the first 16 hex digits of
+#: the sha256 of its denominator's string and the witness, then the
+#: relational value and witness
+TIE_HEAVY_PINS = {
+    (HYPERCUBE_KIND, 4, 3): (
+        "40135/3072", "733d4d49710517c5", (1, 17, (1, 1, 1, 1, 1, 2)),
+        "349/83", (0, 1, (1, 1, 1, 1, 1, 2)),
+    ),
+    (HYPERCUBE_KIND, 2, 7): (
+        "81/4", "c5b3923139531c21", (0, 1, (1, 1, 1, 1, 2)),
+        "1", (0, 1, (1, 1, 1, 1, 2)),
+    ),
+    (GRID_KIND, 1, 7): (
+        "787319/16384", "30f6ee6914e1eb4f", (23, 208, (2, 8)),
+        "877/537", (1, 7, (2, 8)),
+    ),
+    (GRID_KIND, 3, 5): (
+        "2115/64", "a4502df9f2970e6d", (7, 34, (3, 3, 3, 6)),
+        "47/11", (6, 7, (3, 3, 3, 6)),
+    ),
+}
+
+
+@pytest.mark.parametrize("fam_args", TIE_HEAVY_PINS, ids=lambda a: f"{a[0]}-m{a[1]}-T{a[2]}")
+def test_evaluators_keep_pinned_outputs_on_tie_heavy_families(fam_args):
+    fam = enumerate_paths(*fam_args)
+    rel = endpoint_relation(fam)
+    kind = QUANTUM_HYPERCUBE if fam.kind == HYPERCUBE_KIND else QUANTUM_GRID
+    quantum = quantum_adversary_value(build_scheme(kind, fam, rel))
+    relational = relational_adversary_value(build_scheme(RANDOMIZED, fam, rel))
+    q_w, r_w = quantum.witness, relational.witness
+    got = (
+        str(quantum.radicand_num),
+        hashlib.sha256(str(quantum.radicand_den).encode()).hexdigest()[:16],
+        (q_w.x_index, q_w.y_index, q_w.position),
+        str(relational.value),
+        (r_w.x_index, r_w.y_index, r_w.position),
+    )
+    assert got == TIE_HEAVY_PINS[fam_args]
 
 
 @pytest.mark.parametrize(
