@@ -26,12 +26,13 @@ high-precision decimals), so the reported bound is the certified minimum.
 The evaluators take only build_scheme's schemes over endpoint_relation of
 their own family, its walks in enumerate_paths' order, and refuse any other
 scheme with ValueError.  Such a scheme is evaluated without its O(N^2)
-tables (see `_FamilyReader`).  w comes from the divergence index and the
-row sums from endpoint counts per prefix class.  The u tally per (walk,
-position) is counted over ranges of walk indices, the partners that diverge
-from the walk at one step, and serves as the v tally too, since v(x, y, pos)
-== u(y, x, pos); each distinct tally is summed once, in integers.  On
-hypercube families the tally runs over orbit representatives under
+tables (see `_FamilyReader`).  w comes from the divergence index.  The u
+tally per (walk, position) is counted over ranges of walk indices, the
+partners that diverge from the walk at one step, and the same count of
+partners ending elsewhere gives the walk's row sum of w.  The u tally serves
+as the v tally too, since v(x, y, pos) == u(y, x, pos) and w is symmetric,
+so only one side is read; each distinct tally is summed once, in integers.
+On hypercube families the tally runs over orbit representatives under
 permutations of the flip coordinates.  The scan goes vertex by vertex, not
 pair by pair: a candidate's float key is a product (quantum) or maximum
 (randomized) of one number per walk and vertex.  The witness is the first
@@ -145,11 +146,6 @@ class Surd:
         return f"{self.coef}*{parts}"
 
 
-#: Bound on the number of monomial products SurdSum.__mul__ remembers.
-_PRODUCT_MEMO_LIMIT = 4096
-_products: dict[tuple[Monomial, Monomial], Surd] = {}
-
-
 class SurdSum:
     """A finite sum of Surds in canonical form (one coefficient per monomial)."""
 
@@ -182,18 +178,10 @@ class SurdSum:
         return out
 
     def __mul__(self, other: "SurdSum") -> "SurdSum":
-        """The product, term pair by term pair; each monomial pair's product
-        comes from a bounded memo, so `_canonical` runs once per pair."""
         out = SurdSum()
         for mono_a, coef_a in self._terms.items():
             for mono_b, coef_b in other._terms.items():
-                product = _products.get((mono_a, mono_b))
-                if product is None:
-                    if len(_products) >= _PRODUCT_MEMO_LIMIT:
-                        _products.clear()
-                    product = Surd(Fraction(1), mono_a) * Surd(Fraction(1), mono_b)
-                    _products[mono_a, mono_b] = product
-                out.add(Surd(coef_a * coef_b * product.coef, product.mono))
+                out.add(Surd(coef_a, mono_a) * Surd(coef_b, mono_b))
         return out
 
     def __eq__(self, other: object) -> bool:
@@ -524,27 +512,27 @@ class _FamilyReader:
     read.  The walks are in enumerate_paths' product order, where walk
     indices encode step prefixes (`_reader` checks this).
 
-    The evaluators read it through `weight_sums` (the row and column sums
-    of w, scaled to integers), `rows(reduce)` (each walk's u-side and
-    v-side tallies, counts per term key in first-seen order, reduced per
-    position to a scan key and a value), `shortlist` (the candidates whose
-    keys come within _SHORTLIST_TOL of the least, in relation order), and
-    `weight`, `terms` and `vertex`, which decode keys and positions.
+    The evaluators read it through `scale` (w times it is an integer),
+    `rows(reduce)` (each walk's row sum of w times `scale`, and its tally,
+    counts per term key in first-seen order, reduced per position to a scan
+    key and a value), `shortlist` (the candidates whose keys come within
+    _SHORTLIST_TOL of the least, in relation order), and `weight`, `terms`
+    and `vertex`, which decode keys and positions.
 
     - w(x, y) is the divergence weight of k = diverge_index(x, y).  The
-      walks sharing x's first k steps are x's depth-k block of indices; the
-      row sums come from the number of walks per (block, endpoint); w is
-      symmetric, so col is row.
+      walks sharing x's first k steps are x's depth-k block of indices.
     - u at (x, y, pos) is keyed by the integers (k, s, x holds), packed in
       one int (see `decode`).  The y diverging from x at k fill two index
       ranges, below and above x's depth-(k + 1) block, so x's tally is
       counted per range, from Counters over the walks in it that end
       elsewhere, in the order a scan over increasing y meets its keys.  x
       holds pos for every such y whose walk misses pos.  The counts of a
-      range are shared by the x of one block and endpoint.
-    - Since v(x, y, pos) == u(y, x, pos), and the pairs (., y) meet y in
-      the order of the pairs (y, .), one u tally serves both sides, term
-      for term in the same order.
+      range are shared by the x of one block and endpoint, and the number
+      of its walks that end elsewhere, times w at k, adds to x's row sum.
+    - The reader is one-sided.  Since v(x, y, pos) == u(y, x, pos), and the
+      pairs (., y) meet y in the order of the pairs (y, .), y's u tally is
+      its v tally, term for term in the same order; w is symmetric, so y's
+      row sum is its column sum.
     - On hypercube families, permuting the m flip coordinates maps the
       family onto itself and preserves w, u and v (Hoyer-Lee-Spalek's
       automorphism principle), so the tally runs over orbit representatives
@@ -564,6 +552,7 @@ class _FamilyReader:
         family = scheme.family
         walks = family.walks
         self.T = T = family.T
+        self.scale = lcm(*(prefix_class_size(family, k) for k in range(T + 1)))
         # in product order, the walks sharing their first k steps with x
         # fill x's depth-k block, of `blocks[k]` consecutive indices
         base = len({s for x in walks for s in x.steps})
@@ -610,37 +599,17 @@ class _FamilyReader:
                 self.orbit[y] = (rep, perm)
         self.xs = sorted({rep for rep, _ in self.orbit})
 
-    @cached_property
-    def weight_sums(self) -> tuple[int, list, list]:
-        family, T = self.scheme.family, self.T
-        sizes = [prefix_class_size(family, k) for k in range(T + 1)]
-        scale = lcm(*sizes)
-        # prefixes[x][k]: x's depth-k block, which stands for its first k steps
-        prefixes = [[x // block for block in self.blocks] for x in range(len(self.ends))]
-        same = Counter(
-            (k, prefix, end)
-            for pre, end in zip(prefixes, self.ends)
-            for k, prefix in enumerate(pre)
-        )
-        row = []
-        for pre, end in zip(prefixes, self.ends):
-            n_same = [same[k, prefix, end] for k, prefix in enumerate(pre)]
-            # walks diverging from x at k, less those ending where x ends
-            row.append(sum(
-                scale // sizes[k] * (sizes[k] - n_same[k] + n_same[k + 1])
-                for k in range(T + 1)
-            ))
-        return scale, row, row
-
-    def rows(self, reduce) -> tuple[list, list]:
-        """Per walk, its scan keys and values over vertex numbers:
-        reduce(row sum, cells) maps the walk's tallied positions to (scan
-        key, value) pairs.  The keys are floats, inf where the walk has no
-        tally; the values are None there.  An orbit image's keys and values
-        are its representative's objects, permuted."""
+    def rows(self, reduce) -> list:
+        """Per walk, (top, keys, values): its row sum of w times `scale`,
+        and its scan keys and values over vertex numbers, where reduce(top,
+        cells) maps the walk's tallied positions to (scan key, value) pairs.
+        The keys are floats, inf where the walk has no tally; the values are
+        None there.  An orbit image's top is its representative's, and its
+        keys and values are its representative's objects, permuted."""
         T, sets, roles, ends = self.T, self.sets, self.roles, self.ends
         n, size = len(sets), len(self.verts)
-        tops = self.weight_sums[1]
+        family = self.scheme.family
+        units = [self.scale // prefix_class_size(family, k) for k in range(T + 1)]
         # a key packs (k, role, x holds) into 2 * (k * R + role) + holds, and
         # a walk's (position, role) pairs are packed as p * R + role
         R = T + 2
@@ -666,6 +635,7 @@ class _FamilyReader:
                 if bordered[k] != starts[k + 1]:
                     bordered[k], shared[k] = starts[k + 1], {}
             cells: dict[int, dict] = {}
+            top = 0
             for k, lo, hi in below + above:
                 got = shared[k].get((lo, ex))
                 if got is None:
@@ -681,6 +651,7 @@ class _FamilyReader:
                 n_kept, hits, y_held = got
                 if not n_kept:
                     continue
+                top += n_kept * units[k]
                 base = 2 * k * R + 1
                 for p in sx:
                     count = n_kept - hits.get(p, 0)
@@ -693,9 +664,9 @@ class _FamilyReader:
                         cell = cells.setdefault(p, {})
                         cell[key] = cell.get(key, 0) + count
             keys, values = [inf] * size, [None] * size
-            for p, (key, value) in reduce(tops[x], cells).items():
+            for p, (key, value) in reduce(top, cells).items():
                 keys[p], values[p] = key, value
-            tallied[x] = (keys, values)
+            tallied[x] = (top, keys, values)
         if self.orbit is None:
             rows = [tallied[x] for x in range(n)]
         else:
@@ -707,16 +678,16 @@ class _FamilyReader:
                 # a permutation lists every vertex, two or more, so the
                 # getter returns a tuple
                 get = itemgetter(*perm)
-                keys, values = tallied[rep]
-                rows.append((get(keys), get(values)))
-        return rows, rows
+                top, keys, values = tallied[rep]
+                rows.append((top, get(keys), get(values)))
+        return rows
 
-    def shortlist(self, u_rows: list, v_rows: list, combine) -> list:
-        """The candidates (x, y, pos, u value, v value) whose key
-        combine(x's key at pos, y's key at pos) lies within a relative
-        _SHORTLIST_TOL of the least key, in relation order.  `combine` is
-        nondecreasing in each argument.  The v rows are the u rows (see
-        `rows`), so only `u_rows` is read.
+    def shortlist(self, rows: list, combine) -> list:
+        """The candidates (x, y, pos, x's top, x's value at pos, y's top,
+        y's value at pos) whose key combine(x's key at pos, y's key at pos)
+        lies within a relative _SHORTLIST_TOL of the least key, in relation
+        order.  `rows` is what `rows` returned; `combine` is nondecreasing
+        in each argument.
 
         Per vertex p, a candidate pairs a walk holding p with one missing
         it, ending elsewhere, in either order.  The first pass takes, per
@@ -740,7 +711,7 @@ class _FamilyReader:
         for z, sz in enumerate(self.sets):
             for p in sz:
                 held_at[p].append(at[z])
-        keys = [u_rows[z][0] for z in order]
+        keys = [rows[z][1] for z in order]
         least = []  # per vertex: its least key, least held key, least missed key
         for column, spots in zip(zip(*keys), held_at):
             col = list(column)
@@ -770,7 +741,7 @@ class _FamilyReader:
                     if ends[h] != ends[m] and combine(col[i], col[j]) <= limit:
                         out += [(h, m, p), (m, h, p)]
         out.sort()
-        return [(x, y, p, u_rows[x][1][p], u_rows[y][1][p]) for x, y, p in out]
+        return [(x, y, p, rows[x][0], rows[x][2][p], rows[y][0], rows[y][2][p]) for x, y, p in out]
 
     def decode(self, key: int) -> tuple[int, int, bool]:
         """The (k, s, x holds) that `rows` packed into a key."""
@@ -868,8 +839,7 @@ def relational_adversary_value(scheme: WeightScheme) -> RelationalBound:
     reader = _reader(scheme)
     if not len(scheme.relation):
         raise ValueError("empty relation")
-    scale, row, col = reader.weight_sums
-
+    scale = reader.scale
     scaled: dict = {}  # key -> its weight times scale
 
     def reduce(top: int, cells: dict) -> dict:
@@ -888,8 +858,7 @@ def relational_adversary_value(scheme: WeightScheme) -> RelationalBound:
 
     best_num, best_den = 1, 0  # +infinity
     witness = None
-    for ix, iy, pos, x_at, y_at in reader.shortlist(*reader.rows(reduce), max):
-        x_all, y_all = row[ix], col[iy]
+    for ix, iy, pos, x_all, x_at, y_all, y_at in reader.shortlist(reader.rows(reduce), max):
         # max(x_all / x_at, y_all / y_at)
         num, den = (x_all, x_at) if x_all * y_at >= y_all * x_at else (y_all, y_at)
         if num * best_den < best_num * den:
@@ -1026,7 +995,7 @@ def quantum_adversary_value(scheme: WeightScheme) -> QuantumBound:
     reader = _reader(scheme)
     if not len(scheme.relation):
         raise ValueError("empty relation")
-    scale, row, col = reader.weight_sums
+    scale = reader.scale
     monomials = _Monomials()
     # key -> (monomial number, coefficient numerator, denominator) of its term
     terms: dict = {}
@@ -1073,8 +1042,8 @@ def quantum_adversary_value(scheme: WeightScheme) -> QuantumBound:
     # have the same radicand and float key, so only the first can win
     seen = set()
     win = None
-    for ix, iy, pos, u, v in reader.shortlist(*reader.rows(reduce), mul):
-        top = row[ix] * col[iy]
+    for ix, iy, pos, x_top, u, y_top, v in reader.shortlist(reader.rows(reduce), mul):
+        top = x_top * y_top
         if (top, id(u), id(v)) in seen:
             continue
         seen.add((top, id(u), id(v)))

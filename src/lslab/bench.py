@@ -32,14 +32,16 @@ from .solvers import SolveResult, grid2d_quantum, sample_then_descend, steepest_
 SMOOTH = "smooth-l1"
 
 #: Each algorithm and the settings it takes; grid2d-quantum also needs a
-#: two-dimensional grid.
+#: two-dimensional grid.  quantum-sample-descend is sample-descend with its
+#: samples read uncharged and charged as one quantum minimum finding.
 ALGORITHMS = {
     "steepest": (),
-    "sample-descend": ("samples", "charging"),
+    "sample-descend": ("samples",),
+    "quantum-sample-descend": ("samples",),
     "grid2d-quantum": ("mode",),
 }
 #: Each setting's unset value, the one value an algorithm that does not take it accepts.
-UNSET = {"mode": "exact", "samples": None, "charging": "classical"}
+UNSET = {"mode": "exact", "samples": None}
 MODES = ("exact", "faithful")
 OPTIONAL_INT = (int, type(None))
 
@@ -200,23 +202,25 @@ def make_oracle(
 
 def solve(
     oracle: ValueOracle, start: Vertex, algo: str, seed: int,
-    mode: str = "exact", samples: int | None = None, charging: str = "classical",
+    mode: str = "exact", samples: int | None = None,
 ) -> SolveResult:
     """The one algorithm dispatch behind ``lslab solve`` and bench; without
-    `samples`, sample-descend draws min(|V|, ceil(sqrt(2 l |V|))).  A setting
-    that `algo` does not take must keep its unset value (see UNSET)."""
-    check_settings(algo, {"mode": mode, "samples": samples, "charging": charging})
+    `samples`, both sample-descend algorithms draw min(|V|, ceil(sqrt(2 l
+    |V|))).  A setting that `algo` does not take must keep its unset value
+    (see UNSET)."""
+    check_settings(algo, {"mode": mode, "samples": samples})
     if algo == "steepest":
         return steepest_descent(oracle, start)
-    if algo == "sample-descend":
-        if samples is None:
-            shape = oracle.shape
-            samples = min(
-                shape.vertex_count,
-                math.ceil(math.sqrt(shape.vertex_count * 2 * shape.l)),
-            )
-        return sample_then_descend(oracle, samples, seed, charging=charging)
-    return grid2d_quantum(oracle, seed, mode=mode)
+    if algo == "grid2d-quantum":
+        return grid2d_quantum(oracle, seed, mode=mode)
+    if samples is None:
+        shape = oracle.shape
+        samples = min(
+            shape.vertex_count,
+            math.ceil(math.sqrt(shape.vertex_count * 2 * shape.l)),
+        )
+    reads = "quantum" if algo == "quantum-sample-descend" else "classical"
+    return sample_then_descend(oracle, samples, seed, reads)
 
 
 def run_trial(cell: ExperimentCell, seed: int) -> SolveResult:

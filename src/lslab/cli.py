@@ -54,8 +54,7 @@ def _cmd_solve(args) -> int:
         _, make = make_oracle(SMOOTH, vars(args))
         oracle, start = make(args.seed)
 
-    charging = "quantum" if args.quantum_charging else "classical"
-    result = solve(oracle, start, args.algo, args.seed, args.mode, args.samples, charging)
+    result = solve(oracle, start, args.algo, args.seed, args.mode, args.samples)
     if args.json:
         # grid2d's round records stay out of the payload
         payload = asdict(replace(result, trace=None))
@@ -105,16 +104,17 @@ def _cmd_adversary(args) -> int:
     else:
         scheme_kind = QUANTUM_HYPERCUBE if kind == HYPERCUBE_KIND else QUANTUM_GRID
     scheme = build_scheme(scheme_kind, family, relation)
+    # evaluated before any output, so a refused family prints nothing
+    if scheme_kind == RANDOMIZED:
+        bound = relational_adversary_value(scheme)
+        shown = f"{bound.value} (~{float(bound.value):.6g})"
+    else:
+        bound = quantum_adversary_value(scheme)
+        shown = str(bound)
     print(f"family kind={args.kind} m={args.m} T={args.T} walks={len(family)}")
     print(f"relation pairs={len(relation)}")
     print(f"scheme {scheme_kind}")
-    if scheme_kind == RANDOMIZED:
-        bound = relational_adversary_value(scheme)
-        value = bound.value
-        print(f"bound value = {value} (~{float(value):.6g})")
-    else:
-        bound = quantum_adversary_value(scheme)
-        print(f"bound value = {bound}")
+    print(f"bound value = {shown}")
     w = bound.witness
     print(f"witness pair=({w.x_index},{w.y_index}) position={w.position}")
     return 0
@@ -162,7 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=MODES, default="exact")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int)
-    p.add_argument("--quantum-charging", action="store_true")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_solve)
 

@@ -8,7 +8,6 @@ the library evaluators with it by monkeypatching `lslab.adversary._reader`
 (see the `pairwise` fixture in `test_adversary.py`).
 """
 
-from functools import cached_property
 from math import lcm
 
 from lslab.adversary import _SHORTLIST_TOL, differing_positions
@@ -38,55 +37,53 @@ class TableScheme:
 class PairwiseReader:
     """A scheme read pair by pair, with the reader interface of
     `_FamilyReader`: a pair's term key is (w, u, v) on its u side and
-    (w, v, u) on its v side, positions are vertices, each side's rows map
-    walk -> position -> (scan key, value), and the shortlist lists every
-    candidate within _SHORTLIST_TOL of the least key, in relation order."""
+    (w, v, u) on its v side, and positions are vertices.  Unlike the
+    library reader it keeps both sides, since a hand-built scheme need not
+    have v(x, y, pos) == u(y, x, pos) or a symmetric w: `rows` holds, per
+    side, walk -> (row or column sum of w times `scale`, position -> (scan
+    key, value)), and `shortlist` lists every candidate within
+    _SHORTLIST_TOL of the least key, in relation order, with x's u side and
+    y's v side."""
 
     def __init__(self, scheme) -> None:
         self.scheme = scheme
-
-    @cached_property
-    def weight_sums(self) -> tuple[int, dict, dict]:
-        w = self.scheme.w
-        pairs = self.scheme.relation.pairs
-        scale = lcm(*{w[pair].denominator for pair in pairs})
-        row: dict[int, int] = {}
-        col: dict[int, int] = {}
-        for pair in pairs:
-            scaled = w[pair].numerator * (scale // w[pair].denominator)
-            row[pair[0]] = row.get(pair[0], 0) + scaled
-            col[pair[1]] = col.get(pair[1], 0) + scaled
-        return scale, row, col
+        w = scheme.w
+        self.scale = lcm(*{w[pair].denominator for pair in scheme.relation.pairs})
 
     def rows(self, reduce) -> tuple[dict, dict]:
         scheme = self.scheme
         sides: tuple[dict, dict] = ({}, {})
+        sums: tuple[dict, dict] = ({}, {})
         for pair in scheme.relation.pairs:
             w = scheme.w[pair]
+            scaled = w.numerator * (self.scale // w.denominator)
+            for walk, side_sums in zip(pair, sums):
+                side_sums[walk] = side_sums.get(walk, 0) + scaled
             for pos in differing_positions(scheme.family, pair):
                 u, v = scheme.uv(pair, pos)
                 for walk, key, cells in zip(pair, ((w, u, v), (w, v, u)), sides):
                     cell = cells.setdefault(walk, {}).setdefault(pos, {})
                     cell[key] = cell.get(key, 0) + 1
-        _, row, col = self.weight_sums
         return tuple(
-            {walk: reduce(tops[walk], c) for walk, c in side.items()}
-            for side, tops in zip(sides, (row, col))
+            {walk: (tops[walk], reduce(tops[walk], c)) for walk, c in side.items()}
+            for side, tops in zip(sides, sums)
         )
 
-    def shortlist(self, u_rows, v_rows, combine) -> list:
+    def shortlist(self, rows, combine) -> list:
+        u_rows, v_rows = rows
         family = self.scheme.family
         listed = [
-            (combine(u_rows[ix][pos][0], v_rows[iy][pos][0]), ix, iy, pos)
+            (combine(u_rows[ix][1][pos][0], v_rows[iy][1][pos][0]), ix, iy, pos)
             for ix, iy in self.scheme.relation.pairs
             for pos in differing_positions(family, (ix, iy))
         ]
         limit = min(key for key, *_ in listed) * (1 + _SHORTLIST_TOL)
-        return [
-            (ix, iy, pos, u_rows[ix][pos][1], v_rows[iy][pos][1])
-            for key, ix, iy, pos in listed
-            if key <= limit
-        ]
+        out = []
+        for key, ix, iy, pos in listed:
+            if key <= limit:
+                (x_top, x_cells), (y_top, y_cells) = u_rows[ix], v_rows[iy]
+                out.append((ix, iy, pos, x_top, x_cells[pos][1], y_top, y_cells[pos][1]))
+        return out
 
     @staticmethod
     def weight(key):

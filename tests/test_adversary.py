@@ -713,8 +713,8 @@ def quantum_reader_rows(fam, monkeypatch):
 
     def spy(self, reduce):
         seen["reader"] = self
-        seen["rows"] = rows(self, reduce)[0]
-        return seen["rows"], seen["rows"]
+        seen["rows"] = rows(self, reduce)
+        return seen["rows"]
 
     def spy_init(self):
         init(self)
@@ -724,9 +724,9 @@ def quantum_reader_rows(fam, monkeypatch):
     monkeypatch.setattr(adversary._Monomials, "__init__", spy_init)
     quantum_adversary_value(scheme)
     reader, monomials = seen["reader"], seen["monomials"]
-    scale, tops, _ = reader.weight_sums
+    scale = reader.scale
     decoded = []
-    for top, (keys, values) in zip(tops, seen["rows"]):
+    for top, keys, values in seen["rows"]:
         decoded.append([])
         for key, hit in zip(keys, values):
             if hit is None:
@@ -744,10 +744,18 @@ def test_range_tally_matches_pairwise_tally(fam_args, monkeypatch):
     fam = enumerate_paths(*fam_args)
     scheme, reader, reduced = quantum_reader_rows(fam, monkeypatch)
     expect = pairwise_tally(reader)
-    got, _ = reader.rows(lambda top, cells: {p: (0.0, cell) for p, cell in cells.items()})
+    got = reader.rows(lambda top, cells: {p: (0.0, cell) for p, cell in cells.items()})
     assert len(got) == len(expect) == len(fam)
+    walks, w = fam.walks, scheme.divergence_weights
     sums = {}
-    for x, ((_, row), cells) in enumerate(zip(got, expect)):
+    for x, ((top, _, row), cells) in enumerate(zip(got, expect)):
+        # the row sum of w times scale over the partners that end elsewhere,
+        # pair by pair on every walk, orbit images included
+        assert top == sum(
+            w[diverge_index(walks[x], y)] * reader.scale
+            for y in walks
+            if y.endpoint != walks[x].endpoint
+        ), x
         decoded = {
             p: [(reader.decode(key), count) for key, count in cell.items()]
             for p, cell in enumerate(row)
@@ -773,7 +781,7 @@ def pairwise_shortlist(reader, rows, combine):
     the least key, pair by pair in relation order."""
     sets, ends, n = reader.sets, reader.ends, len(reader.ends)
     listed = [
-        (combine(rows[x][0][p], rows[y][0][p]), x, y, p)
+        (combine(rows[x][1][p], rows[y][1][p]), x, y, p)
         for x in range(n)
         for y in range(n)
         if ends[x] != ends[y]
@@ -803,9 +811,9 @@ def test_vertex_scan_lists_the_pairwise_shortlist(fam_args, evaluate, monkeypatc
     seen = {}
     shortlist = _FamilyReader.shortlist
 
-    def spy(self, u_rows, v_rows, combine):
-        seen.update(reader=self, rows=u_rows, combine=combine)
-        seen["got"] = shortlist(self, u_rows, v_rows, combine)
+    def spy(self, rows, combine):
+        seen.update(reader=self, rows=rows, combine=combine)
+        seen["got"] = shortlist(self, rows, combine)
         return seen["got"]
 
     monkeypatch.setattr(_FamilyReader, "shortlist", spy)
@@ -829,10 +837,10 @@ def test_vertex_scan_on_random_keys(fam_args, combine):
     rng = random.Random(sum(fam_args[1:]))
     for top in [3, 1000] * 15:
         rows = [
-            ([rng.randint(1, top) for _ in reader.verts], [None] * len(reader.verts))
+            (0, [rng.randint(1, top) for _ in reader.verts], [None] * len(reader.verts))
             for _ in fam.walks
         ]
-        got = [candidate[:3] for candidate in reader.shortlist(rows, rows, combine)]
+        got = [candidate[:3] for candidate in reader.shortlist(rows, combine)]
         assert got == pairwise_shortlist(reader, rows, combine)
 
 
@@ -905,35 +913,3 @@ def test_evaluators_exact_on_shuffled_walks(fam_args, monkeypatch):
     assert quantum.radicand_equals(quantum_adversary_value(q_out))
     assert relational.value == relational_adversary_value(r_out).value
 
-
-def termwise_product(a, b):
-    out = SurdSum()
-    for mono_a, coef_a in a._terms.items():
-        for mono_b, coef_b in b._terms.items():
-            out.add(Surd(coef_a, mono_a) * Surd(coef_b, mono_b))
-    return out
-
-
-def test_memoized_products_equal_termwise_products(monkeypatch):
-    sums = set()
-    for fam_args in LARGER_REFERENCE_FAMILIES:
-        _, _, reduced = quantum_reader_rows(enumerate_paths(*fam_args), monkeypatch)
-        sums.update(cell[0] for row in reduced for cell in row if cell is not None)
-    monomials = {mono for total in sums for mono in total._terms}
-    ones = {mono: SurdSum({mono: Fraction(1)}) for mono in monomials}
-    # every monomial pair the families meet, then sums of several terms
-    for a in ones.values():
-        for b in ones.values():
-            assert list((a * b)._terms.items()) == list(termwise_product(a, b)._terms.items())
-    listed = sorted(sums, key=str)
-    for a, b in zip(listed, listed[1:] + listed[:1]):
-        assert list((a * b)._terms.items()) == list(termwise_product(a, b)._terms.items())
-    assert len(adversary._products) <= adversary._PRODUCT_MEMO_LIMIT
-
-
-def test_product_memo_stays_bounded():
-    one = SurdSum.of(1)
-    for q in range(2, adversary._PRODUCT_MEMO_LIMIT + 12):
-        root = SurdSum({((2, Fraction(1, q)),): Fraction(1)})
-        assert list((root * one)._terms.items()) == [(((2, Fraction(1, q)),), Fraction(1))]
-        assert len(adversary._products) <= adversary._PRODUCT_MEMO_LIMIT

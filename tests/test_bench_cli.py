@@ -15,7 +15,9 @@ from lslab.bench import (
 )
 from lslab.errors import ConfigError
 from lslab.cli import main
-from lslab.solvers import steepest_descent
+from lslab.instances import gen_hypercube_instance
+from lslab.oracles import ValueOracle
+from lslab.solvers import sample_then_descend, steepest_descent
 
 
 SMALL_CONFIG = {
@@ -65,6 +67,17 @@ class TestConfig:
         for row in run_experiment(config):
             if row.outcome == "success":
                 assert row.is_local_min
+
+    def test_quantum_sample_descend_cell_reads_samples_quantum(self):
+        # the instances and sample count of TestSampleThenDescend::PINNED_RUNS
+        cell = ExperimentCell.from_dict({
+            "family": "hypercube-walk", "algo": "quantum-sample-descend",
+            "n": 10, "m": 6, "samples": 101, "trials": 4,
+        })
+        for seed in range(4):
+            oracle = ValueOracle.for_instance(gen_hypercube_instance(10, 6, seed=seed))
+            expect = sample_then_descend(oracle, samples=101, seed=seed, charging="quantum")
+            assert bench.run_trial(cell, seed) == expect
 
     def test_determinism_modulo_runtime(self):
         config = ExperimentConfig.from_dict(SMALL_CONFIG)
@@ -266,6 +279,14 @@ class TestCli:
         assert main(["adversary", "--kind", "hypercube", "--m", "1", "--T", "1"]) == 2
         assert "empty relation" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scheme", ["randomized", "quantum"])
+    def test_refused_adversary_family_prints_nothing(self, capsys, scheme):
+        argv = ["adversary", "--kind", "hypercube", "--m", "1", "--T", "3", "--scheme", scheme]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "empty relation" in err
+
     def test_adversary_side_on_hypercube_exits_2(self, capsys):
         argv = ["adversary", "--kind", "hypercube", "--m", "2", "--T", "3", "--side", "5"]
         assert main(argv) == 2
@@ -297,7 +318,8 @@ class TestCli:
     @pytest.mark.parametrize(
         "argv, needle",
         [
-            (CONE + ["--algo", "steepest", "--quantum-charging"], "steepest takes no charging"),
+            (CONE + ["--algo", "quantum-sample-descend", "--mode", "faithful"],
+             "quantum-sample-descend takes no"),
             (CONE + ["--algo", "steepest", "--mode", "faithful"], "steepest takes no mode"),
             (CONE + ["--algo", "grid2d-quantum", "--samples", "4"], "grid2d-quantum takes no"),
             (["gen", "--family", "hypercube-walk", "--n", "6", "--m", "3", "--d", "9"],
@@ -407,7 +429,7 @@ PINNED_SOLVES = {
         '"phase_breakdown": {"sample": [23, 0], "descent": [3, 0]}}',
     ),
     "sample-descend-quantum": (
-        CONE + ["--algo", "sample-descend", "--seed", "7", "--quantum-charging"],
+        CONE + ["--algo", "quantum-sample-descend", "--seed", "7"],
         0,
         '{"found": [11, 7], "outcome": "success", "is_local_min": true, "rounds": 0, '
         '"classical_queries": 4, "charged_quantum_queries": 10, '
