@@ -24,17 +24,18 @@ the shortlist is then compared exactly (integer cross products, then
 high-precision decimals), so the reported bound is the certified minimum.
 
 The evaluators take only build_scheme's schemes over endpoint_relation of
-their own family, its walks in enumerate_paths' order, and refuse any other
-scheme with ValueError.  Such a scheme is evaluated without its O(N^2)
-tables (see `_FamilyReader`).  w comes from the divergence index.  The u
-tally per (walk, position) is counted over ranges of walk indices, the
-partners that diverge from the walk at one step, and the same count of
-partners ending elsewhere gives the walk's row sum of w.  The u tally serves
-as the v tally too, since v(x, y, pos) == u(y, x, pos) and w is symmetric,
-so only one side is read; each distinct tally is summed once, in integers.
-On hypercube families the tally runs over orbit representatives under
-permutations of the flip coordinates.  The scan goes vertex by vertex, not
-pair by pair: a candidate's float key is a product (quantum) or maximum
+their own family, its walks in enumerate_paths' product order, where a
+walk's index spells its steps, and refuse any other scheme with ValueError.
+Such a scheme is evaluated without its O(N^2) tables (see `_FamilyReader`).
+w comes from the divergence index.  The u tally per (walk, position) is
+counted over ranges of walk indices, the partners that diverge from the
+walk at one step, and the same count of partners ending elsewhere gives
+the walk's row sum of w.  The u tally serves as the v tally too, since
+v(x, y, pos) == u(y, x, pos) and w is symmetric, so only one side is read;
+each distinct tally is summed once, in integers.  On hypercube families
+the tally runs over orbit representatives under permutations of the flip
+coordinates: the steps relabeled in first-occurrence order.  The scan goes
+vertex by vertex: a candidate's float key is a product (quantum) or maximum
 (randomized) of one number per walk and vertex.  The witness is the first
 minimal candidate in relation order for the relational bound; the
 float-smallest, then first, exact tie for the quantum bound.
@@ -54,7 +55,7 @@ from operator import itemgetter, mul
 
 from .errors import BudgetExceeded
 from .grid import Vertex, _snake_path
-from .instances import _hypercube_step
+from .instances import _clock_walk, _hypercube_step
 
 #: Cap on the number of enumerated walks.
 DEFAULT_FAMILY_LIMIT = 1 << 17
@@ -257,8 +258,18 @@ def _record(steps, points) -> WalkRecord:
     )
 
 
+def _alphabet(kind: str, m: int):
+    """The steps a walk of the family can take at a tick, in increasing order."""
+    if kind == HYPERCUBE_KIND:
+        return range(m)
+    if kind == GRID_KIND:
+        return (-1, 1)
+    raise ValueError(f"unknown family kind {kind!r}")
+
+
 def enumerate_paths(kind: str, m: int, T: int, side: int | None = None) -> PathFamily:
-    """All step sequences of the family, with derived point sets.
+    """All step sequences of the family in product order, each laid out as
+    the generator lays out a trajectory (`instances._clock_walk`).
 
     Hypercube families step as the instance generator does, take no `side`
     and need T+1 to be a power of two, at least 2 (the clock is a hypercube
@@ -273,12 +284,7 @@ def enumerate_paths(kind: str, m: int, T: int, side: int | None = None) -> PathF
         raise ValueError("T must be nonnegative")
     if m < 1:
         raise ValueError(f"walk dimensions need m >= 1, got m={m}")
-    if kind == HYPERCUBE_KIND:
-        alphabet = range(m)
-    elif kind == GRID_KIND:
-        alphabet = (-1, 1)
-    else:
-        raise ValueError(f"unknown family kind {kind!r}")
+    alphabet = _alphabet(kind, m)
     count = len(alphabet) ** (T + 1)
     if count > DEFAULT_FAMILY_LIMIT:
         raise BudgetExceeded(f"{count} walks exceed the family limit {DEFAULT_FAMILY_LIMIT}")
@@ -306,16 +312,11 @@ def enumerate_paths(kind: str, m: int, T: int, side: int | None = None) -> PathF
                 return w  # blocked at the border: stand still
             return w[:dim] + (c,) + w[dim + 1 :]
 
-    walks = []
-    for steps in product(alphabet, repeat=T + 1):
-        points = []
-        w = start
-        for t, s in enumerate(steps):
-            points.append(w + clocks[t])
-            w = step(w, t, s)
-            points.append(w + clocks[t])
-        walks.append(_record(steps, points))
-    return PathFamily(kind=kind, m=m, T=T, side=side, walks=tuple(walks))
+    walks = tuple(
+        _record(steps, _clock_walk(start, steps, step, clocks))
+        for steps in product(alphabet, repeat=T + 1)
+    )
+    return PathFamily(kind=kind, m=m, T=T, side=side, walks=walks)
 
 
 def diverge_index(x: WalkRecord, y: WalkRecord) -> int | None:
@@ -370,11 +371,9 @@ QUANTUM_GRID = "quantum-grid"
 
 def prefix_class_size(family: PathFamily, k: int) -> int:
     """Number of walks agreeing with a given walk on steps 0..k-1 and
-    differing at step k."""
-    free = family.T - k
-    if family.kind == HYPERCUBE_KIND:
-        return (family.m - 1) * family.m**free
-    return 2**free
+    differing at step k: (b - 1) * b^(T - k) for b steps per tick."""
+    b = len(_alphabet(family.kind, family.m))
+    return (b - 1) * b ** (family.T - k)
 
 
 def _hypercube_multiplier(family: PathFamily, s: int) -> Surd:
@@ -512,15 +511,16 @@ class _FamilyReader:
     read.  The walks are in enumerate_paths' product order, where walk
     indices encode step prefixes (`_reader` checks this).
 
-    The evaluators read it through `scale` (w times it is an integer),
+    The evaluators read it through `scale` (w times it is a power of b),
     `rows(reduce)` (each walk's row sum of w times `scale`, and its tally,
     counts per term key in first-seen order, reduced per position to a scan
     key and a value), `shortlist` (the candidates whose keys come within
     _SHORTLIST_TOL of the least, in relation order), and `weight`, `terms`
     and `vertex`, which decode keys and positions.
 
-    - w(x, y) is the divergence weight of k = diverge_index(x, y).  The
-      walks sharing x's first k steps are x's depth-k block of indices.
+    - w(x, y) is the divergence weight of k = diverge_index(x, y).  With b
+      steps per tick, `scale` is b^k / w and the walks sharing x's first k
+      steps are x's depth-k block, of b^(T + 1 - k) consecutive indices.
     - u at (x, y, pos) is keyed by the integers (k, s, x holds), packed in
       one int (see `decode`).  The y diverging from x at k fill two index
       ranges, below and above x's depth-(k + 1) block, so x's tally is
@@ -536,7 +536,8 @@ class _FamilyReader:
     - On hypercube families, permuting the m flip coordinates maps the
       family onto itself and preserves w, u and v (Hoyer-Lee-Spalek's
       automorphism principle), so the tally runs over orbit representatives
-      only, each orbit's lowest-index walk, and any walk's row is its
+      only, each walk's steps relabeled in first-occurrence order, the
+      orbit's lowest index (see `_find_orbits`), and any walk's row is its
       representative's row with the vertices permuted.  The walk's own sums
       hold the same terms in another order; every hypercube family within
       DEFAULT_FAMILY_LIMIT has at most one irrational monomial among its
@@ -552,11 +553,9 @@ class _FamilyReader:
         family = scheme.family
         walks = family.walks
         self.T = T = family.T
-        self.scale = lcm(*(prefix_class_size(family, k) for k in range(T + 1)))
-        # in product order, the walks sharing their first k steps with x
-        # fill x's depth-k block, of `blocks[k]` consecutive indices
-        base = len({s for x in walks for s in x.steps})
-        self.blocks = [base ** (T + 1 - k) for k in range(T + 2)]
+        self.scale = prefix_class_size(family, 0)
+        b = len(_alphabet(family.kind, family.m))
+        self.blocks = [b ** (T + 1 - k) for k in range(T + 2)]
         self.verts = sorted({p for x in walks for p in x.point_set})
         vid = {v: i for i, v in enumerate(self.verts)}
         self.sets = [frozenset(vid[p] for p in x.point_set) for x in walks]
@@ -570,34 +569,26 @@ class _FamilyReader:
 
     def _find_orbits(self, vid: dict) -> None:
         """Each walk's representative and the vertex permutation that takes
-        the walk to it.  Walks in one orbit have the same steps up to
-        relabeling, so they share the steps relabeled in first-occurrence
-        order."""
-        walks, m = self.scheme.family.walks, self.scheme.family.m
-        groups: dict[tuple, list[int]] = {}
-        for ix, x in enumerate(walks):
-            first: dict[int, int] = {}
-            key = tuple(first.setdefault(s, len(first)) for s in x.steps)
-            groups.setdefault(key, []).append(ix)
+        the walk to it.  The representative is the walk's steps relabeled in
+        first-occurrence order, its orbit's least, read as a base-m index."""
+        m, T = self.scheme.family.m, self.scheme.family.T
         perms: dict[tuple, list[int]] = {}
-        self.orbit = [None] * len(walks)
-        for members in groups.values():
-            rep = min(members)
-            for y in members:
-                # the coordinate map sigma with sigma(y) = rep, unused
-                # coordinates matched in increasing order
-                sigma = dict(zip(walks[y].steps, walks[rep].steps))
-                free = iter(sorted(set(range(m)) - set(sigma.values())))
-                sigma = tuple(sigma[i] if i in sigma else next(free) for i in range(m))
-                perm = perms.get(sigma)
-                if perm is None:
-                    # the clock adds at least one coordinate, so `image`
-                    # takes two or more indices and returns a tuple
-                    inverse = sorted(range(m), key=sigma.__getitem__)
-                    image = itemgetter(*inverse, *range(m, len(self.verts[0])))
-                    perm = perms[sigma] = list(map(vid.__getitem__, map(image, self.verts)))
-                self.orbit[y] = (rep, perm)
-        self.xs = sorted({rep for rep, _ in self.orbit})
+        self.orbit = []
+        for steps in product(range(m), repeat=T + 1):
+            used = tuple(dict.fromkeys(steps))
+            label = dict(zip(used, range(m)))
+            rep = 0
+            for s in steps:
+                rep = rep * m + label[s]
+            perm = perms.get(used)
+            if perm is None:
+                # the walk's used labels in that order, then its unused ones;
+                # the clock adds a coordinate, so `image` returns a tuple
+                order = used + tuple(i for i in range(m) if i not in label)
+                image = itemgetter(*order, *range(m, len(self.verts[0])))
+                perm = perms[used] = list(map(vid.__getitem__, map(image, self.verts)))
+            self.orbit.append((rep, perm))
+        self.xs = [y for y, (rep, _) in enumerate(self.orbit) if y == rep]
 
     def rows(self, reduce) -> list:
         """Per walk, (top, keys, values): its row sum of w times `scale`,
@@ -608,13 +599,12 @@ class _FamilyReader:
         keys and values are its representative's objects, permuted."""
         T, sets, roles, ends = self.T, self.sets, self.roles, self.ends
         n, size = len(sets), len(self.verts)
-        family = self.scheme.family
-        units = [self.scale // prefix_class_size(family, k) for k in range(T + 1)]
+        # w at k times `scale` is units[k] = b^k
+        blocks, units = self.blocks, self.blocks[::-1]
         # a key packs (k, role, x holds) into 2 * (k * R + role) + holds, and
         # a walk's (position, role) pairs are packed as p * R + role
         R = T + 2
         placed = [[p * R + r for p, r in rx.items()] for rx in roles]
-        blocks = self.blocks
         tallied = {}
         # per k, the counts of the two ranges around x's depth-(k + 1) block,
         # per endpoint; x rises, so they are dropped when x leaves the block
@@ -760,22 +750,16 @@ class _FamilyReader:
 
 def _reader(scheme: WeightScheme) -> _FamilyReader:
     """The reader of a stock scheme: a WeightScheme itself, which holds
-    its own family's relation, over walks in enumerate_paths' order.  Any
-    other scheme is refused with ValueError."""
+    its own family's relation, over walks in enumerate_paths' product
+    order, which `_FamilyReader` reads from walk indices.  Any other scheme
+    is refused with ValueError."""
     if type(scheme) is not WeightScheme:
         raise ValueError("only WeightScheme's own schemes are evaluated")
-    if not _in_product_order(scheme.family):
+    family = scheme.family
+    steps = product(_alphabet(family.kind, family.m), repeat=family.T + 1)
+    if [x.steps for x in family.walks] != list(steps):
         raise ValueError("the family's walks are not in enumerate_paths order")
     return _FamilyReader(scheme)
-
-
-def _in_product_order(family: PathFamily) -> bool:
-    """Whether the family lists every step sequence once, in increasing
-    order: the product order of enumerate_paths, which `_FamilyReader`
-    reads from walk indices."""
-    steps = [x.steps for x in family.walks]
-    base = len({s for x in steps for s in x})
-    return len(steps) == base ** (family.T + 1) and all(map(tuple.__lt__, steps, steps[1:]))
 
 
 # ---------------------------------------------------------------------------

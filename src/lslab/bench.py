@@ -24,8 +24,8 @@ from typing import Callable, Mapping
 
 from .errors import ConfigError
 from .grid import GridShape, Vertex, _distance_maps, snake_unrank
-from .instances import PARAM_TYPES, WalkInstance, family_params, read_json
-from .instances import refuse_untaken, typed_param
+from .instances import DEFAULT_TRAJECTORY_LIMIT, PARAM_TYPES, WalkInstance, family_params
+from .instances import read_json, refuse_untaken, typed_param
 from .oracles import ValueOracle
 from .solvers import SolveResult, grid2d_quantum, sample_then_descend, steepest_descent
 
@@ -91,8 +91,9 @@ class ExperimentCell:
         if cell.algo == "grid2d-quantum" and shape.l != 2:
             raise ConfigError(f"grid2d-quantum runs on two-dimensional grids, got {shape.l} axes")
         samples = typed_param(params, "samples", OPTIONAL_INT, ConfigError)
-        if samples is not None and not 1 <= samples <= shape.vertex_count:
-            raise ConfigError(f"samples must lie in 1..{shape.vertex_count}, got {samples}")
+        limit = min(shape.vertex_count, DEFAULT_TRAJECTORY_LIMIT)  # as sample_then_descend
+        if "samples" in ALGORITHMS[cell.algo] and not 1 <= sample_count(shape, samples) <= limit:
+            raise ConfigError(f"samples must lie in 1..{limit}, got {samples}")
         # random.Random(-s) seeds as Random(s) does: a negative seed would repeat a trial
         if typed_param(params, "seed_start", (int,), ConfigError) < 0:
             raise ConfigError(f"seed_start must be nonnegative, got {cell.seed_start}")
@@ -204,23 +205,25 @@ def solve(
     oracle: ValueOracle, start: Vertex, algo: str, seed: int,
     mode: str = "exact", samples: int | None = None,
 ) -> SolveResult:
-    """The one algorithm dispatch behind ``lslab solve`` and bench; without
-    `samples`, both sample-descend algorithms draw min(|V|, ceil(sqrt(2 l
-    |V|))).  A setting that `algo` does not take must keep its unset value
-    (see UNSET)."""
+    """The one algorithm dispatch behind ``lslab solve`` and bench; both
+    sample-descend algorithms draw sample_count(shape, samples).  A setting
+    that `algo` does not take must keep its unset value (see UNSET)."""
     check_settings(algo, {"mode": mode, "samples": samples})
     if algo == "steepest":
         return steepest_descent(oracle, start)
     if algo == "grid2d-quantum":
         return grid2d_quantum(oracle, seed, mode=mode)
-    if samples is None:
-        shape = oracle.shape
-        samples = min(
-            shape.vertex_count,
-            math.ceil(math.sqrt(shape.vertex_count * 2 * shape.l)),
-        )
     reads = "quantum" if algo == "quantum-sample-descend" else "classical"
-    return sample_then_descend(oracle, samples, seed, reads)
+    return sample_then_descend(oracle, sample_count(oracle.shape, samples), seed, reads)
+
+
+def sample_count(shape: GridShape, samples: int | None) -> int:
+    """`samples`, or by default min(|V|, ceil(sqrt(2 l |V|))), computed in
+    integers so that no grid size overflows a float."""
+    if samples is not None:
+        return samples
+    count = shape.vertex_count
+    return min(count, math.isqrt(2 * shape.l * count - 1) + 1)
 
 
 def run_trial(cell: ExperimentCell, seed: int) -> SolveResult:

@@ -27,9 +27,9 @@ per instance and shared with its ``ClockMeta``.  One trusted value read and
 one membership read (a table lookup) serve all three families.
 
 The ``FAMILIES`` registry holds each family's ordered, typed size parameters,
-size check (which returns the grid an instance of those sizes lies on),
-generator and replay; ``lslab gen``, bench and the loader dispatch through
-it, and ``family_params`` is the one parameter check they share.
+size check (which returns the grid an instance of those sizes lies on, and
+which the loader runs before replay), generator and replay; ``lslab gen``,
+bench and the loader dispatch through it, sharing ``family_params``.
 
 Seeding: one ``random.Random(seed)`` (Mersenne Twister) drives each
 generation; the parameters plus the seed determine the instance byte for
@@ -125,7 +125,8 @@ class WalkInstance:
 
     ``trajectory`` lists every visited vertex in order; all entries are
     pairwise distinct.  For the walk-with-clock families it holds exactly
-    2(T+1) points: tick t's pre-step point, then its post-step point.
+    2(T+1) points, laid out by ``_clock_walk`` as ``adversary.enumerate_paths``
+    lays out its walks: tick t's pre-step point, then its post-step point.
     ``value_by_vertex`` maps each trajectory point to its value (linear in
     trajectory length): 2T - i at ``trajectory[i]`` for the walk families,
     stride * L down by tick and segment leg for blocks.  An off-trajectory
@@ -160,6 +161,19 @@ class WalkInstance:
 # ---------------------------------------------------------------------------
 
 
+def _clock_walk(start: Vertex, steps, step, clocks) -> list[Vertex]:
+    """A walk with clock: for each tick t, the walk part before step(w, t,
+    steps[t]) and after it, each followed by clock point t, read from
+    `clocks` as the steps are."""
+    points = []
+    w = start
+    for t, (s, clock) in enumerate(zip(steps, clocks)):
+        points.append(w + clock)
+        w = step(w, t, s)
+        points.append(w + clock)
+    return points
+
+
 def _build_walk_instance(
     family: str,
     shape: GridShape,
@@ -182,13 +196,7 @@ def _build_walk_instance(
     # the clock's snake path, one point per tick (the step count checked above
     # bounds it), popped so the whole path is never held with the trajectory
     clocks = _snake_path(clock_shape.k, clock_shape.l)[::-1]
-    trajectory = []
-    w = start_walk
-    for t, s in enumerate(steps):
-        clock = clocks.pop()
-        w_next = apply_step(w, t, s)
-        trajectory += (w + clock, w_next + clock)
-        w = w_next
+    trajectory = _clock_walk(start_walk, steps, apply_step, iter(clocks.pop, None))
     return WalkInstance(
         family=family,
         n=n,
@@ -827,6 +835,7 @@ def instance_from_dict(data: dict) -> WalkInstance:
     spec, args = family_params(family, params, InstanceFormatError)
     seed = typed_param(params, "seed", (int, type(None)), InstanceFormatError)
     try:
+        spec.check(*args)  # the sizes and trajectory budget that `lslab gen` checks
         inst = spec.replay(*args, steps, seed)
     except ValueError as exc:
         # parameters the family cannot hold: a bad grid side, block exponent, ...

@@ -30,7 +30,9 @@ from functools import cached_property, partial
 from itertools import accumulate, islice, repeat
 from operator import sub
 
+from .errors import BudgetExceeded
 from .grid import Vertex, _neighbors, _snake_rank, l1_distance, snake_unrank
+from .instances import DEFAULT_TRAJECTORY_LIMIT
 from .oracles import QueryLedger, ValueOracle
 
 
@@ -198,6 +200,8 @@ def sample_then_descend(
     n_vertices = shape.vertex_count
     if not 1 <= samples <= n_vertices:
         raise ValueError(f"sample count must lie in 1..{n_vertices}")
+    if samples > DEFAULT_TRAJECTORY_LIMIT:  # a run holds a rank and a value per sample
+        raise BudgetExceeded(f"sample count exceeds the limit {DEFAULT_TRAJECTORY_LIMIT}")
     if charging not in ("classical", "quantum"):
         raise ValueError(f"unknown charging {charging!r}")
     rng = random.Random(seed)

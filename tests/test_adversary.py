@@ -487,10 +487,15 @@ REFERENCE_FAMILIES = [
 LARGER_REFERENCE_FAMILIES = [(HYPERCUBE_KIND, 3, 3), (GRID_KIND, 2, 5), (GRID_KIND, 3, 4)]
 
 
+# grid m=1 T=5 on side 2: survivals 5 and 6 exceed m * side^2 and take
+# _grid_multiplier's side^(-m/2) branch
+SMALL_SIDE_FAMILIES = [(GRID_KIND, 1, 5, 2)]
+
+
 @pytest.mark.parametrize(
     "fam_args",
-    REFERENCE_FAMILIES + LARGER_REFERENCE_FAMILIES,
-    ids=lambda a: f"{a[0]}-m{a[1]}-T{a[2]}",
+    REFERENCE_FAMILIES + LARGER_REFERENCE_FAMILIES + SMALL_SIDE_FAMILIES,
+    ids=lambda a: f"{a[0]}-m{a[1]}-T{a[2]}" + "".join(f"-side{side}" for side in a[3:]),
 )
 def test_evaluators_match_reference(fam_args):
     fam = enumerate_paths(*fam_args)

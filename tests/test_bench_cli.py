@@ -255,6 +255,68 @@ class TestCli:
         assert "bound value" in out
         assert "witness" in out
 
+    def test_randomized_adversary_command_is_pinned(self, capsys):
+        argv = ["adversary", "--kind", "hypercube", "--m", "2", "--T", "3", "--scheme", "randomized"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == (
+            "family kind=hypercube m=2 T=3 walks=16\n"
+            "relation pairs=128\n"
+            "scheme randomized\n"
+            "bound value = 1 (~1)\n"
+            "witness pair=(0,1) position=(1, 1, 1, 2)\n"
+        )
+
+    def test_bench_without_out_writes_the_csv_to_stdout(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(SMALL_CONFIG))
+        assert main(["bench", "--config", str(cfg)]) == 0
+        out, err = capsys.readouterr()
+        expect = rows_to_csv(run_experiment(ExperimentConfig.from_dict(SMALL_CONFIG)))
+        assert strip_runtime_column(out) == strip_runtime_column(expect)
+        assert err == ""
+
+    @pytest.mark.parametrize("algo", ["sample-descend", "quantum-sample-descend"])
+    def test_wide_grid_default_sample_count_exits_2(self, capsys, algo):
+        # on 2^2000 vertices the default sample count was a float square
+        # root: an OverflowError traceback and exit 1
+        argv = ["solve", "--function", "l1-cone", "--n", "2", "--d", "2000", "--algo", algo]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "sample count exceeds the limit" in err
+
+    def test_solve_needs_exactly_one_of_inst_and_function(self, tmp_path, capsys):
+        inst = str(tmp_path / "inst.json")
+        argv = ["gen", "--family", "hypercube-walk", "--n", "6", "--m", "3", "--out", inst]
+        assert main(argv) == 0
+        capsys.readouterr()
+        for source in ([], ["--inst", inst, "--function", "l1-cone"]):
+            assert main(["solve", *source, "--n", "8", "--algo", "steepest"]) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert "pass exactly one of --inst or --function" in err
+
+    @pytest.mark.parametrize(
+        "argv, needle",
+        [
+            (["--family", "grid-blocks", "--n", "9", "--d", "1", "--r", "0.5"], "need d >= 2"),
+            (["--family", "grid-blocks", "--n", "9", "--d", "2", "--r", "1.5"],
+             "strictly between 0 and 1"),
+            (["--family", "grid-blocks", "--n", "5", "--d", "2", "--r", "0.9"],
+             "degenerate block grid: beta=1"),
+            (["--family", "grid-blocks", "--n", "4", "--d", "2", "--r", "0.5"],
+             "no in-block clock room"),
+            (["--family", "grid-walk", "--n", "1", "--d", "2", "--m", "1"],
+             "side length must be >= 2, got n=1"),
+        ],
+        ids=["blocks-d1", "blocks-r1.5", "blocks-beta1", "blocks-no-clock-room", "grid-n1"],
+    )
+    def test_gen_sizes_no_instance_has_exit_2(self, tmp_path, capsys, argv, needle):
+        out = tmp_path / "inst.json"
+        assert main(["gen", *argv, "--out", str(out)]) == 2
+        assert needle in capsys.readouterr().err
+        assert not out.exists()
+
     def test_gen_missing_param_exits_2(self, tmp_path):
         code = main(
             [

@@ -420,6 +420,25 @@ class TestInstanceFiles:
         path.write_text(json.dumps(data))
         assert main(["solve", "--inst", str(path), "--algo", "steepest"]) == 2
 
+    @pytest.mark.parametrize(
+        "inst, step, needle",
+        [
+            (gen_hypercube_instance(5, 2, seed=1), 2, "flip index out of range"),
+            (gen_grid_instance(4, 2, 1, seed=2), 0, "grid steps must be signs"),
+            (gen_block_instance(9, 2, 0.5, seed=3), 2, "block steps must be signs"),
+        ],
+        ids=["hypercube-walk", "grid-walk", "grid-blocks"],
+    )
+    def test_step_outside_the_familys_steps_exits_2(self, tmp_path, capsys, inst, step, needle):
+        data = instance_to_dict(inst)
+        data["step_sequence"][0] = step
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(data))
+        assert main(["solve", "--inst", str(path), "--algo", "steepest"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert needle in err
+
     @pytest.mark.parametrize("bad", ["1", 0.5, None, [0]], ids=repr)
     def test_non_integer_step_rejected(self, bad):
         for inst in (gen_hypercube_instance(5, 2, seed=1), gen_grid_instance(4, 2, 1, seed=2)):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from lslab import bench
+from lslab import bench, instances
 from lslab.bench import ExperimentCell, ExperimentConfig
 from lslab.cli import main
 from lslab.errors import ConfigError, InstanceFormatError
@@ -181,6 +181,15 @@ OUT_OF_RANGE_CELLS = {
     "sample-descend samples above |V|": {
         "family": "hypercube-walk", "algo": "sample-descend", "n": 6, "m": 3, "samples": 1000,
     },
+    "trials=0": {"family": "smooth-l1", "algo": "steepest", "n": 8, "trials": 0},
+    # 2^30 vertices: samples within |V| but over the trajectory limit
+    "sample-descend samples above the limit": {
+        "family": "smooth-l1", "algo": "sample-descend", "n": 2, "d": 30, "samples": 2**21 + 1,
+    },
+    # 2^2000 vertices: the default sample count overflowed a float square root
+    "smooth-l1 d=2000 default samples": {
+        "family": "smooth-l1", "algo": "sample-descend", "n": 2, "d": 2000,
+    },
 }
 
 
@@ -197,3 +206,18 @@ def test_out_of_range_sizes_rejected_at_load(tmp_path, monkeypatch, capsys, name
     path.write_text(json.dumps(config))
     assert main(["bench", "--config", str(path)]) == 2
     assert capsys.readouterr().err.startswith("error: cell 1: ")
+
+
+@pytest.mark.parametrize("doc", DOCUMENTS, ids=lambda doc: doc["family"])
+def test_loader_enforces_the_trajectory_budget(tmp_path, monkeypatch, capsys, doc):
+    # with the limit lowered below these instances' 8, 8 and 36 points,
+    # `lslab gen` refuses their sizes, and a saved file of them must not load
+    monkeypatch.setattr(instances, "DEFAULT_TRAJECTORY_LIMIT", 7)
+    with pytest.raises(InstanceFormatError, match="exceeds 7"):
+        instance_from_dict(doc)
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc))
+    assert main(["solve", "--inst", str(path), "--algo", "steepest"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "exceeds 7" in err

@@ -151,6 +151,18 @@ class TestMembershipOracle:
         with pytest.raises(ValueError):
             mo.query((5, 1, 1, 1))
 
+    def test_peek_checks_the_vertex_and_charges_nothing(self):
+        inst = gen_hypercube_instance(4, 2, seed=0)
+        mo = MembershipOracle(inst)
+        on_path = set(inst.trajectory)
+        assert [mo.peek(v) for v in inst.shape.iter_vertices()] == [
+            v in on_path for v in inst.shape.iter_vertices()
+        ]
+        with pytest.raises(ValueError):
+            mo.peek((5, 1, 1, 1))
+        assert mo.ledger.classical_queries == 0
+        assert mo.ledger.breakdown() == {}
+
 
 class TestValueSimulation:
     def probes_for(self, inst, v):

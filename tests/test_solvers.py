@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lslab import solvers
 from lslab.bench import _smooth_oracle
+from lslab.errors import BudgetExceeded
 from lslab.grid import GridShape, l1_distance, neighbors
 from lslab.instances import gen_grid_instance, gen_hypercube_instance
 from lslab.oracles import QueryLedger, ValueOracle
@@ -200,6 +202,17 @@ class TestSampleThenDescend:
             sample_then_descend(oracle, samples=0, seed=0)
         with pytest.raises(ValueError):
             sample_then_descend(oracle, samples=10, seed=0)
+
+    def test_sample_count_over_the_trajectory_limit_refused_before_any_draw(self, monkeypatch):
+        def no_read(v):
+            raise AssertionError("a sample was read")
+
+        # the limit lowered to 100, so a refusal that is missing costs 101 draws
+        monkeypatch.setattr(solvers, "DEFAULT_TRAJECTORY_LIMIT", 100)
+        oracle = ValueOracle(GridShape(4, 4), no_read)
+        with pytest.raises(BudgetExceeded, match="exceeds the limit 100"):
+            sample_then_descend(oracle, samples=101, seed=0)
+        assert oracle.ledger.breakdown() == {}
 
     def test_quantum_charging_uses_formula(self):
         oracle = cone_oracle(8, (4, 4))
@@ -463,3 +476,18 @@ class TestGrid2dQuantum:
             if result.outcome == "success":
                 assert result.is_local_min
                 assert verify_local_min(oracle, result.found)
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: grid2d_quantum(cone_oracle(8, (2, 3)), 0, mode="x"), "unknown mode 'x'"),
+        (lambda: sample_then_descend(cone_oracle(8, (2, 3)), 4, 0, charging="x"),
+         "unknown charging 'x'"),
+        (lambda: RegionState(8).sphere((4, 4), -1), "negative radius"),
+    ],
+    ids=["grid2d-mode", "sample-charging", "sphere-radius"],
+)
+def test_unknown_settings_and_negative_radius_refused(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
