@@ -23,33 +23,28 @@ that shortlists the candidates within a relative 1e-9 of the float minimum;
 the shortlist is then compared exactly (integer cross products, then
 high-precision decimals), so the reported bound is the certified minimum.
 
-The evaluators take only build_scheme's schemes over endpoint_relation of
-their own family, its walks in enumerate_paths' product order, where a
-walk's index spells its steps, and refuse any other scheme with ValueError.
-Such a scheme is evaluated without its O(N^2) tables (see `_FamilyReader`).
-w comes from the divergence index.  The u tally per (walk, position) is
-counted over ranges of walk indices, the partners that diverge from the
-walk at one step, and the same count of partners ending elsewhere gives
-the walk's row sum of w.  The u tally serves as the v tally too, since
-v(x, y, pos) == u(y, x, pos) and w is symmetric, so only one side is read;
-each distinct tally is summed once, in integers.  On hypercube families
-the tally runs over orbit representatives under permutations of the flip
-coordinates: the steps relabeled in first-occurrence order.  The scan goes
-vertex by vertex: a candidate's float key is a product (quantum) or maximum
-(randomized) of one number per walk and vertex.  The witness is the first
-minimal candidate in relation order for the relational bound; the
-float-smallest, then first, exact tie for the quantum bound.
+A family is a set of integer tables in product order, where a walk's index
+spells its steps (`PathFamily`).  The evaluators take only build_scheme's
+schemes over endpoint_relation of their own family, refuse any other scheme
+with ValueError, and read the tables, never an O(N^2) pair table (see
+`_FamilyReader`).  The scan goes vertex by vertex: a candidate's float key
+is a product (quantum) or maximum (randomized) of one number per walk and
+vertex.  The witness is the first minimal candidate in relation order for
+the relational bound; the float-smallest, then first, exact tie for the
+quantum bound.
 
 Enumeration and evaluation are single-threaded, and the scans are pure.
 """
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, product
+from itertools import chain, product, repeat
 from math import ceil, gcd, inf, lcm
 from operator import itemgetter, mul
 
@@ -232,30 +227,35 @@ class WalkRecord:
 
 @dataclass(frozen=True)
 class PathFamily:
-    """Every walk of a small parameterized family, fully enumerated."""
+    """Every walk of a small parameterized family, fully enumerated, as
+    integer tables in product order, where a walk's index spells its steps:
+    `verts`, the vertices in sorted order, numbered by position; `ids`, the
+    numbers of each walk's 2(T+1) points as `instances._clock_walk` lays them
+    out, walk after walk; `ends`, each walk's endpoint number; and `placed`,
+    per walk, p * (T + 2) + role for each of its vertices p in order of first
+    occurrence, the role being tick + post-step bit.  `walks` lists the walks
+    as `WalkRecord`s, built on first read."""
 
     kind: str
     m: int
     T: int
     side: int  # walk-space side length (2 for hypercube families)
-    walks: tuple[WalkRecord, ...]
+    verts: tuple[Vertex, ...]
+    ids: array
+    ends: list[int]
+    placed: list[tuple[int, ...]]
 
     def __len__(self) -> int:
-        return len(self.walks)
+        return len(self.ends)
 
-
-def _record(steps, points) -> WalkRecord:
-    role = {}
-    for idx, p in enumerate(points):
-        if p not in role:
-            role[p] = (idx // 2, idx % 2)
-    return WalkRecord(
-        steps=tuple(steps),
-        points=tuple(points),
-        point_set=frozenset(points),
-        endpoint=points[-1],
-        role=role,
-    )
+    @cached_property
+    def walks(self) -> tuple[WalkRecord, ...]:
+        size, records = 2 * (self.T + 1), []
+        for x, steps in enumerate(product(_alphabet(self.kind, self.m), repeat=self.T + 1)):
+            points = tuple(self.verts[p] for p in self.ids[x * size : (x + 1) * size])
+            role = {p: divmod(points.index(p), 2) for p in points}  # first occurrence
+            records.append(WalkRecord(steps, points, frozenset(points), points[-1], role))
+        return tuple(records)
 
 
 def _alphabet(kind: str, m: int):
@@ -278,7 +278,8 @@ def enumerate_paths(kind: str, m: int, T: int, side: int | None = None) -> PathF
     border stand still when aimed outward, which keeps distinct sign
     sequences on distinct point sequences.  Families of more than
     DEFAULT_FAMILY_LIMIT walks are refused with BudgetExceeded, before any
-    other size check.
+    other size check.  The tables are built tick by tick, each distinct walk
+    part laid out once per step.
     """
     if T < 0:
         raise ValueError("T must be nonnegative")
@@ -312,11 +313,34 @@ def enumerate_paths(kind: str, m: int, T: int, side: int | None = None) -> PathF
                 return w  # blocked at the border: stand still
             return w[:dim] + (c,) + w[dim + 1 :]
 
-    walks = tuple(
-        _record(steps, _clock_walk(start, steps, step, clocks))
-        for steps in product(alphabet, repeat=T + 1)
-    )
-    return PathFamily(kind=kind, m=m, T=T, side=side, walks=walks)
+    # per tick, per walk part, per step: the two points and the next part
+    ticks, parts = [], [start]
+    for t, clock in enumerate(clocks):
+        after: dict = {}
+        ticks.append([
+            [(*ab, after.setdefault(ab[1][:m], len(after)))
+             for ab in (_clock_walk(w, (s,), step, (clock,), t) for s in alphabet)]
+            for w in parts
+        ])
+        parts = list(after)
+    verts = tuple(sorted({p for tick in ticks for out in tick for *ab, _ in out for p in ab}))
+    vid = {v: i for i, v in enumerate(verts)}
+    # per step prefix, in product order, shared by the walks that extend it:
+    # its points' numbers, their first-occurrence keys and its walk part
+    R = T + 2
+    rows, placed, at = [()], [()], [0]
+    for t, tick in enumerate(ticks):
+        grown = [
+            [((a, b), (a * R + t,) if a == b else (a * R + t, b * R + t + 1), part)
+             for a, b, part in ((vid[pre], vid[post], part) for pre, post, part in out)]
+            for out in tick
+        ]  # a grid walk standing still meets its pre-step point again
+        nexts = [grown[part] for part in at]
+        rows = [row + ab for row, out in zip(rows, nexts) for ab, _, _ in out]
+        placed = [keys + first for keys, out in zip(placed, nexts) for _, first, _ in out]
+        at = [part for out in nexts for *_, part in out]
+    ids = array("i", chain.from_iterable(rows))
+    return PathFamily(kind, m, T, side, verts, ids, [row[-1] for row in rows], placed)
 
 
 def diverge_index(x: WalkRecord, y: WalkRecord) -> int | None:
@@ -332,28 +356,21 @@ def diverge_index(x: WalkRecord, y: WalkRecord) -> int | None:
 
 class EndpointRelation:
     """Every ordered pair (x, y) of a family's walk indices whose endpoints
-    differ.
-
-    The evaluators read the family, not the pairs: `pairs` is listed only
-    when read, and the length comes from the endpoint counts.
-    """
+    differ.  `pairs` is listed only when read; the evaluators read the
+    family, and the length comes from the endpoint counts."""
 
     def __init__(self, family: PathFamily) -> None:
         self.family = family
 
     @cached_property
     def pairs(self) -> tuple[tuple[int, int], ...]:
-        walks = self.family.walks
+        ends = self.family.ends
         return tuple(
-            (ix, iy)
-            for ix, x in enumerate(walks)
-            for iy, y in enumerate(walks)
-            if x.endpoint != y.endpoint
+            (ix, iy) for ix, ex in enumerate(ends) for iy, ey in enumerate(ends) if ex != ey
         )
 
     def __len__(self) -> int:
-        counts = Counter(x.endpoint for x in self.family.walks)
-        return len(self.family) ** 2 - sum(c * c for c in counts.values())
+        return len(self.family) ** 2 - sum(c * c for c in Counter(self.family.ends).values())
 
 
 def endpoint_relation(family: PathFamily) -> EndpointRelation:
@@ -507,9 +524,9 @@ def differing_positions(family: PathFamily, pair: tuple[int, int]) -> list[Verte
 
 
 class _FamilyReader:
-    """A scheme read from its family's walks; no per-pair table is built or
-    read.  The walks are in enumerate_paths' product order, where walk
-    indices encode step prefixes (`_reader` checks this).
+    """A scheme read from its family's tables as `enumerate_paths` lists
+    them, in product order, where walk indices encode step prefixes; no
+    per-pair table and no `WalkRecord` is built or read.
 
     The evaluators read it through `scale` (w times it is a power of b),
     `rows(reduce)` (each walk's row sum of w times `scale`, and its tally,
@@ -524,11 +541,12 @@ class _FamilyReader:
     - u at (x, y, pos) is keyed by the integers (k, s, x holds), packed in
       one int (see `decode`).  The y diverging from x at k fill two index
       ranges, below and above x's depth-(k + 1) block, so x's tally is
-      counted per range, from Counters over the walks in it that end
-      elsewhere, in the order a scan over increasing y meets its keys.  x
-      holds pos for every such y whose walk misses pos.  The counts of a
-      range are shared by the x of one block and endpoint, and the number
-      of its walks that end elsewhere, times w at k, adds to x's row sum.
+      counted per range, from one Counter over the placed keys of the walks
+      in it that end elsewhere (they all share x's vertices of role <= k),
+      in the order a scan over increasing y meets them; x holds pos for the
+      walks missing it.  The counts of a range are shared by the x of one
+      block and endpoint, and the number of its walks that end elsewhere,
+      times w at k, adds to x's row sum.
     - The reader is one-sided.  Since v(x, y, pos) == u(y, x, pos), and the
       pairs (., y) meet y in the order of the pairs (y, .), y's u tally is
       its v tally, term for term in the same order; w is symmetric, so y's
@@ -543,35 +561,27 @@ class _FamilyReader:
       DEFAULT_FAMILY_LIMIT has at most one irrational monomial among its
       multipliers, so each sum has at most two terms and the same float in
       any order.
-
-    Vertices are numbered in sorted order, so sorting numbers sorts
-    vertices.
     """
 
     def __init__(self, scheme: WeightScheme) -> None:
-        self.scheme = scheme
-        family = scheme.family
-        walks = family.walks
+        self.scheme, family = scheme, scheme.family
         self.T = T = family.T
         self.scale = prefix_class_size(family, 0)
         b = len(_alphabet(family.kind, family.m))
         self.blocks = [b ** (T + 1 - k) for k in range(T + 2)]
-        self.verts = sorted({p for x in walks for p in x.point_set})
-        vid = {v: i for i, v in enumerate(self.verts)}
-        self.sets = [frozenset(vid[p] for p in x.point_set) for x in walks]
-        self.roles = [{vid[p]: j + b for p, (j, b) in x.role.items()} for x in walks]
-        ends: dict = {}
-        self.ends = [ends.setdefault(x.endpoint, len(ends)) for x in walks]
-        self.xs = range(len(walks))
-        self.orbit = None
+        self.verts, self.ends, self.placed = family.verts, family.ends, family.placed
+        # per walk, its vertex numbers -> roles, and its set of vertex numbers
+        self.roles = [dict(map(divmod, keys, repeat(T + 2))) for keys in self.placed]
+        self.sets = [rx.keys() for rx in self.roles]
+        self.xs, self.orbit = range(len(family)), None
         if family.kind == HYPERCUBE_KIND:
-            self._find_orbits(vid)
+            self._find_orbits()
 
-    def _find_orbits(self, vid: dict) -> None:
+    def _find_orbits(self) -> None:
         """Each walk's representative and the vertex permutation that takes
         the walk to it.  The representative is the walk's steps relabeled in
         first-occurrence order, its orbit's least, read as a base-m index."""
-        m, T = self.scheme.family.m, self.scheme.family.T
+        m, T, vid = self.scheme.family.m, self.T, {v: i for i, v in enumerate(self.verts)}
         perms: dict[tuple, list[int]] = {}
         self.orbit = []
         for steps in product(range(m), repeat=T + 1):
@@ -597,27 +607,25 @@ class _FamilyReader:
         The keys are floats, inf where the walk has no tally; the values are
         None there.  An orbit image's top is its representative's, and its
         keys and values are its representative's objects, permuted."""
-        T, sets, roles, ends = self.T, self.sets, self.roles, self.ends
-        n, size = len(sets), len(self.verts)
+        T, placed, roles, ends = self.T, self.placed, self.roles, self.ends
         # w at k times `scale` is units[k] = b^k
         blocks, units = self.blocks, self.blocks[::-1]
         # a key packs (k, role, x holds) into 2 * (k * R + role) + holds, and
         # a walk's (position, role) pairs are packed as p * R + role
-        R = T + 2
-        placed = [[p * R + r for p, r in rx.items()] for rx in roles]
-        tallied = {}
+        R, size, tallied = T + 2, len(self.verts), {}
         # per k, the counts of the two ranges around x's depth-(k + 1) block,
         # per endpoint; x rises, so they are dropped when x leaves the block
         shared: list[dict] = [{} for _ in range(T + 1)]
         bordered: list = [None] * (T + 1)
         for x in self.xs:
-            sx, rx, ex = sets[x], roles[x], ends[x]
+            rx, ex = roles[x], ends[x]
+            # x's vertices with 2 * role + 1, roles ascending, so those past k are a suffix
+            own, rs = [(p, 2 * r + 1) for p, r in rx.items()], list(rx.values())
             # the partners diverging from x at k fill the part of x's depth-k
             # block below its depth-(k + 1) block and the part above it; in
             # increasing index order: every part below, then every part above
             starts = [x - x % block for block in blocks]
-            below = [(k, starts[k], starts[k + 1]) for k in range(T + 1)]
-            above = [
+            ranges = [(k, starts[k], starts[k + 1]) for k in range(T + 1)] + [
                 (k, starts[k + 1] + blocks[k + 1], starts[k] + blocks[k])
                 for k in reversed(range(T + 1))
             ]
@@ -626,31 +634,34 @@ class _FamilyReader:
                     bordered[k], shared[k] = starts[k + 1], {}
             cells: dict[int, dict] = {}
             top = 0
-            for k, lo, hi in below + above:
+            for k, lo, hi in ranges:
+                base = 2 * k * R
                 got = shared[k].get((lo, ex))
                 if got is None:
                     kept = [y for y in range(lo, hi) if ends[y] != ex]
                     # Counter keeps first occurrence, so keys arrive in the
                     # order a pair-by-pair scan over increasing y meets them
                     held = Counter(chain.from_iterable(map(placed.__getitem__, kept)))
-                    got = shared[k][lo, ex] = (
-                        len(kept),
-                        Counter(chain.from_iterable(map(sets.__getitem__, kept))),
-                        [(pair // R, 2 * (k * R + pair % R), n_y) for pair, n_y in held.items()],
-                    )
+                    hits: dict[int, int] = {}
+                    y_held = []
+                    for pair, n_y in held.items():
+                        p, r = divmod(pair, R)
+                        if r > k:  # a vertex of role <= k is on the shared prefix
+                            hits[p] = hits.get(p, 0) + n_y
+                            y_held.append((p, base + 2 * r, n_y))
+                    got = shared[k][lo, ex] = (len(kept), hits, y_held)
                 n_kept, hits, y_held = got
                 if not n_kept:
                     continue
                 top += n_kept * units[k]
-                base = 2 * k * R + 1
-                for p in sx:
+                for p, r in own[bisect_right(rs, k):]:
                     count = n_kept - hits.get(p, 0)
                     if count:
                         cell = cells.setdefault(p, {})
-                        key = base + 2 * rx[p]
+                        key = base + r
                         cell[key] = cell.get(key, 0) + count
                 for p, key, count in y_held:
-                    if p not in sx:
+                    if p not in rx:
                         cell = cells.setdefault(p, {})
                         cell[key] = cell.get(key, 0) + count
             keys, values = [inf] * size, [None] * size
@@ -658,19 +669,13 @@ class _FamilyReader:
                 keys[p], values[p] = key, value
             tallied[x] = (top, keys, values)
         if self.orbit is None:
-            rows = [tallied[x] for x in range(n)]
-        else:
-            rows = []
-            for y, (rep, perm) in enumerate(self.orbit):
-                if y == rep:
-                    rows.append(tallied[y])
-                    continue
-                # a permutation lists every vertex, two or more, so the
-                # getter returns a tuple
-                get = itemgetter(*perm)
-                top, keys, values = tallied[rep]
-                rows.append((top, get(keys), get(values)))
-        return rows
+            return list(tallied.values())
+        # a permutation lists every vertex, two or more, so its getter
+        # returns a tuple
+        images = ((y, tallied[rep], itemgetter(*perm)) for y, (rep, perm) in enumerate(self.orbit))
+        return [
+            row if y in tallied else (row[0], get(row[1]), get(row[2])) for y, row, get in images
+        ]
 
     def shortlist(self, rows: list, combine) -> list:
         """The candidates (x, y, pos, x's top, x's value at pos, y's top,
@@ -750,15 +755,10 @@ class _FamilyReader:
 
 def _reader(scheme: WeightScheme) -> _FamilyReader:
     """The reader of a stock scheme: a WeightScheme itself, which holds
-    its own family's relation, over walks in enumerate_paths' product
-    order, which `_FamilyReader` reads from walk indices.  Any other scheme
-    is refused with ValueError."""
+    its own family's relation.  Any other scheme is refused with
+    ValueError."""
     if type(scheme) is not WeightScheme:
         raise ValueError("only WeightScheme's own schemes are evaluated")
-    family = scheme.family
-    steps = product(_alphabet(family.kind, family.m), repeat=family.T + 1)
-    if [x.steps for x in family.walks] != list(steps):
-        raise ValueError("the family's walks are not in enumerate_paths order")
     return _FamilyReader(scheme)
 
 

@@ -161,13 +161,13 @@ class WalkInstance:
 # ---------------------------------------------------------------------------
 
 
-def _clock_walk(start: Vertex, steps, step, clocks) -> list[Vertex]:
-    """A walk with clock: for each tick t, the walk part before step(w, t,
-    steps[t]) and after it, each followed by clock point t, read from
-    `clocks` as the steps are."""
+def _clock_walk(start: Vertex, steps, step, clocks, tick: int = 0) -> list[Vertex]:
+    """A walk with clock: for each step s, at tick t counted from `tick`,
+    the walk part before step(w, t, s) and after it, each followed by the
+    tick's clock point, read from `clocks` as the steps are."""
     points = []
     w = start
-    for t, (s, clock) in enumerate(zip(steps, clocks)):
+    for t, (s, clock) in enumerate(zip(steps, clocks), tick):
         points.append(w + clock)
         w = step(w, t, s)
         points.append(w + clock)

@@ -396,7 +396,9 @@ def grid2d_quantum(oracle: ValueOracle, seed: int, mode: str = "exact") -> Solve
     the job.
 
     The error budgets are fixed: eps = 1/(2 log2 n), eps1 = eps2 = eps3 =
-    eps/4 and eps4 = eps/(4 log2(4/eps)).
+    eps/4 and eps4 = eps/(4 log2(4/eps)).  A side whose first round would
+    sample more than DEFAULT_TRAJECTORY_LIMIT vertices (n above about 74000)
+    is refused with BudgetExceeded before any round.
     """
     shape = oracle.shape
     if shape.l != 2:
@@ -411,6 +413,13 @@ def grid2d_quantum(oracle: ValueOracle, seed: int, mode: str = "exact") -> Solve
     eps = 1 / (2 * math.log2(n))  # GridShape guarantees n >= 2
     eps1 = eps2 = eps3 = eps / 4
     eps4 = eps / (4 * math.log2(4 / eps))
+    # the first round samples ceil(4n log2(1/eps1)) vertices of the whole
+    # grid, counted in integers: a side may pass any float
+    num, den = math.log2(1 / eps1).as_integer_ratio()
+    if -(-4 * n * num // den) > DEFAULT_TRAJECTORY_LIMIT:
+        raise BudgetExceeded(
+            f"first-round sample count exceeds the limit {DEFAULT_TRAJECTORY_LIMIT}"
+        )
 
     region = RegionState(n=n)
     radius = n

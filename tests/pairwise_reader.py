@@ -1,16 +1,30 @@
 """A pair-by-pair reader of adversary weight schemes, for tests.
 
-The library evaluators read only build_scheme's schemes, from the walks
-(`lslab.adversary._FamilyReader`).  This reader assumes nothing about the
-scheme: it reads `relation.pairs`, the `w` table and `uv` pair by pair, so
-it serves hand-built schemes and families listed in any order.  Tests drive
-the library evaluators with it by monkeypatching `lslab.adversary._reader`
-(see the `pairwise` fixture in `test_adversary.py`).
+The library evaluators read only build_scheme's schemes, from the integer
+tables of `enumerate_paths`' families (`lslab.adversary._FamilyReader`).
+This reader assumes nothing about the scheme: it reads `relation.pairs`, the
+`w` table and `uv` pair by pair, so it serves hand-built schemes and
+families listed in any order (`ListedFamily`).  Tests drive the library
+evaluators with it by monkeypatching `lslab.adversary._reader` (see the
+`pairwise` fixture in `test_adversary.py`).
 """
 
 from math import lcm
 
 from lslab.adversary import _SHORTLIST_TOL, differing_positions
+
+
+class ListedFamily:
+    """A family given by its walks, `WalkRecord`s listed in any order: what
+    schemes, relations and this reader read of a family."""
+
+    def __init__(self, kind: str, m: int, T: int, side: int, walks=()) -> None:
+        self.kind, self.m, self.T, self.side = kind, m, T, side
+        self.walks = tuple(walks)
+        self.ends = [walk.endpoint for walk in self.walks]
+
+    def __len__(self) -> int:
+        return len(self.walks)
 
 
 class Relation:

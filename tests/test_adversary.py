@@ -4,7 +4,7 @@ import hashlib
 import math
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 from operator import mul
 
 import pytest
@@ -18,9 +18,9 @@ from lslab.adversary import (
     QUANTUM_GRID,
     QUANTUM_HYPERCUBE,
     RANDOMIZED,
-    PathFamily,
     Surd,
     SurdSum,
+    WalkRecord,
     WeightScheme,
     _FamilyReader,
     build_scheme,
@@ -33,8 +33,9 @@ from lslab.adversary import (
     relational_adversary_value,
     scheme_is_valid,
 )
-from lslab.instances import _replay_hypercube
-from pairwise_reader import PairwiseReader, TableScheme
+from lslab.grid import _snake_path
+from lslab.instances import _clock_walk, _hypercube_step, _replay_hypercube
+from pairwise_reader import ListedFamily, PairwiseReader, TableScheme
 
 
 @pytest.fixture
@@ -229,9 +230,8 @@ def test_evaluators_refuse_scheme_subclasses(kind, evaluate):
 
 
 def reordered(fam, order):
-    """The family with its walks listed in `order`."""
-    walks = tuple(fam.walks[i] for i in order)
-    return PathFamily(kind=fam.kind, m=fam.m, T=fam.T, side=fam.side, walks=walks)
+    """The family's walks listed in `order`, as a test-side family."""
+    return ListedFamily(fam.kind, fam.m, fam.T, fam.side, [fam.walks[i] for i in order])
 
 
 def naive_marginals(fam, rel, weight):
@@ -636,7 +636,7 @@ def test_u_sums_invariant_under_coordinate_permutations():
 def irrational_monomials(m, T):
     """The irrational monomials among the quantum hypercube multipliers and
     their reciprocals for survivals s = 1..T+1."""
-    fam = PathFamily(kind=HYPERCUBE_KIND, m=m, T=T, side=2, walks=())
+    fam = ListedFamily(HYPERCUBE_KIND, m, T, side=2)
     scheme = WeightScheme(QUANTUM_HYPERCUBE, fam, endpoint_relation(fam))
     return {term.mono for s in range(1, T + 2) for term in scheme.multiplier_pair(s)} - {()}
 
@@ -703,6 +703,88 @@ TALLY_FAMILIES = REFERENCE_FAMILIES + LARGER_REFERENCE_FAMILIES + [
     (GRID_KIND, 1, 7),
     (GRID_KIND, 3, 5),
 ]
+
+
+def per_walk_records(fam):
+    """The family's walks laid out one step sequence at a time, one
+    `_clock_walk` each, with roles at first occurrence: the records the
+    tables stand for."""
+    m, T, side = fam.m, fam.T, fam.side
+    if fam.kind == HYPERCUBE_KIND:
+        start, step, alphabet = (1,) * m, _hypercube_step, range(m)
+        clocks = _snake_path(2, T.bit_length())
+    else:
+        start, alphabet = (side // 2,) * m, (-1, 1)
+        clocks = [(t + 1,) for t in range(T + 1)]
+
+        def step(w, t, sign):
+            dim = t % m
+            c = w[dim] + sign
+            return w[:dim] + (c,) + w[dim + 1 :] if 1 <= c <= side else w
+
+    records = []
+    for steps in product(alphabet, repeat=T + 1):
+        points = tuple(_clock_walk(start, steps, step, clocks))
+        role = {}
+        for idx, p in enumerate(points):
+            role.setdefault(p, (idx // 2, idx % 2))
+        records.append(WalkRecord(steps, points, frozenset(points), points[-1], role))
+    return records
+
+
+@pytest.mark.parametrize("fam_args", TALLY_FAMILIES, ids=lambda a: f"{a[0]}-m{a[1]}-T{a[2]}")
+def test_tables_and_walks_match_per_walk_records(fam_args):
+    fam = enumerate_paths(*fam_args)
+    expect = per_walk_records(fam)
+    assert len(fam.walks) == len(expect) == len(fam)
+    for got, want in zip(fam.walks, expect):
+        for field in ("steps", "points", "point_set", "endpoint", "role"):
+            assert getattr(got, field) == getattr(want, field), field
+        assert list(got.role) == list(want.role)
+    # the tables: sorted vertices, 2(T+1) vertex numbers per walk, the
+    # endpoint's number, and p * (T + 2) + role at each first occurrence
+    assert fam.verts == tuple(sorted({p for x in expect for p in x.points}))
+    vid = {v: i for i, v in enumerate(fam.verts)}
+    assert list(fam.ids) == [vid[p] for x in expect for p in x.points]
+    assert fam.ends == [vid[x.endpoint] for x in expect]
+    R = fam.T + 2
+    assert fam.placed == [
+        tuple(vid[p] * R + j + b for p, (j, b) in x.role.items()) for x in expect
+    ]
+
+
+def test_enumeration_and_evaluators_build_no_walk_record(monkeypatch):
+    built = []
+
+    class Counted(WalkRecord):
+        def __init__(self, *args):
+            built.append(args[0])
+            super().__init__(*args)
+
+    monkeypatch.setattr(adversary, "WalkRecord", Counted)
+    # the benchmark's two families
+    for fam_args, kind in [((HYPERCUBE_KIND, 3, 3), QUANTUM_HYPERCUBE),
+                           ((GRID_KIND, 2, 5), QUANTUM_GRID)]:
+        fam = enumerate_paths(*fam_args)
+        rel = endpoint_relation(fam)
+        assert len(rel)
+        relational_adversary_value(build_scheme(RANDOMIZED, fam, rel))
+        quantum_adversary_value(build_scheme(kind, fam, rel))
+        assert built == []
+        # reading the walks builds them, through the counted class
+        assert len(fam.walks) == len(built) == len(fam)
+        built.clear()
+
+
+def test_tables_of_65536_walks_are_flat():
+    # the family limit's half on hypercube m=2 T=15; sizes only, not time
+    fam = enumerate_paths(HYPERCUBE_KIND, 2, 15)
+    assert len(fam) == len(fam.ends) == len(fam.placed) == 65536
+    assert len(fam.ids) == 65536 * 32
+    assert fam.ids.itemsize <= 4
+    # no hypercube step stands still, so each walk places all 32 points
+    assert {len(keys) for keys in fam.placed} == {32}
+    assert len(fam.verts) == len(set(fam.ids)) == max(fam.ids) + 1
 
 
 def quantum_reader_rows(fam, monkeypatch):
@@ -897,9 +979,8 @@ def test_evaluators_keep_pinned_outputs_on_tie_heavy_families(fam_args):
     ids=lambda a: f"{a[0]}-m{a[1]}-T{a[2]}",
 )
 def test_evaluators_exact_on_shuffled_walks(fam_args, monkeypatch):
-    # the range tally holds only for walks in enumeration order, and the
-    # library refuses a family listed in any other order; read pair by pair,
-    # the shuffled walks give the library's values on the walks in order
+    # the range tally reads a family in product order; read pair by pair,
+    # the walks shuffled give the library's values on the walks in order
     fam = enumerate_paths(*fam_args)
     order = list(range(len(fam)))
     random.Random(sum(fam_args[1:])).shuffle(order)
@@ -910,9 +991,6 @@ def test_evaluators_exact_on_shuffled_walks(fam_args, monkeypatch):
          build_scheme(RANDOMIZED, family, endpoint_relation(family)))
         for family in (fam, shuffled)
     )
-    for evaluate, scheme in ((quantum_adversary_value, q_out), (relational_adversary_value, r_out)):
-        with pytest.raises(ValueError, match="enumerate_paths order"):
-            evaluate(scheme)
     quantum, relational = quantum_adversary_value(q_in), relational_adversary_value(r_in)
     monkeypatch.setattr(adversary, "_reader", PairwiseReader)
     assert quantum.radicand_equals(quantum_adversary_value(q_out))

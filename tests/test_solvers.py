@@ -374,6 +374,27 @@ class TestGrid2dQuantum:
         assert result.outcome == "success"
         assert peak < 2_800_000
 
+    @pytest.mark.parametrize("n, refused", [
+        (4096, False),  # about 108k first-round samples
+        (74000, False),
+        (75000, True),
+        (10**310, True),  # past every float: math.sqrt(n) overflowed in the round loop
+    ], ids=["n4096", "n74000", "n75000", "n1e310"])
+    def test_first_round_sample_budget(self, n, refused):
+        # a side whose first round would sample more than the trajectory
+        # limit is refused before any round; an allowed side reaches its
+        # first value read
+        class Reached(Exception):
+            pass
+
+        def read(v):
+            raise Reached
+
+        oracle = ValueOracle(GridShape(n, 2), read)
+        with pytest.raises(BudgetExceeded if refused else Reached):
+            grid2d_quantum(oracle, seed=0)
+        assert oracle.ledger.classical_queries == oracle.ledger.charged_quantum_queries == 0
+
     def test_requires_two_dims(self):
         inst = gen_hypercube_instance(5, 2, seed=0)
         with pytest.raises(ValueError):
