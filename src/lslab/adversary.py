@@ -27,7 +27,9 @@ A family is a set of integer tables in product order, where a walk's index
 spells its steps (`PathFamily`).  The evaluators take only build_scheme's
 schemes over endpoint_relation of their own family, refuse any other scheme
 with ValueError, and read the tables, never an O(N^2) pair table (see
-`_FamilyReader`).  The scan goes vertex by vertex: a candidate's float key
+`_FamilyReader`), whose tally numbers the family's distinct tallies per walk
+and vertex.  Each evaluator maps every distinct tally once, to an integer
+sum of w or of u.  The scan goes vertex by vertex: a candidate's float key
 is a product (quantum) or maximum (randomized) of one number per walk and
 vertex.  The witness is the first minimal candidate in relation order for
 the relational bound; the float-smallest, then first, exact tie for the
@@ -529,11 +531,11 @@ class _FamilyReader:
     per-pair table and no `WalkRecord` is built or read.
 
     The evaluators read it through `scale` (w times it is a power of b),
-    `rows(reduce)` (each walk's row sum of w times `scale`, and its tally,
-    counts per term key in first-seen order, reduced per position to a scan
-    key and a value), `shortlist` (the candidates whose keys come within
-    _SHORTLIST_TOL of the least, in relation order), and `weight`, `terms`
-    and `vertex`, which decode keys and positions.
+    `tally()` (each walk's row sum of w times `scale` and, per vertex, the
+    number of its tally, counts per term key), `keys` (the scan keys, by
+    tally number), `shortlist` (the candidates whose keys come within
+    _SHORTLIST_TOL of the least, in relation order), and `units`, `terms`
+    and `witness`, which decode keys and candidates.
 
     - w(x, y) is the divergence weight of k = diverge_index(x, y).  With b
       steps per tick, `scale` is b^k / w and the walks sharing x's first k
@@ -546,21 +548,23 @@ class _FamilyReader:
       in the order a scan over increasing y meets them; x holds pos for the
       walks missing it.  The counts of a range are shared by the x of one
       block and endpoint, and the number of its walks that end elsewhere,
-      times w at k, adds to x's row sum.
+      times w at k, adds to x's row sum.  x's roles are decoded from its
+      placed keys while x is tallied.
     - The reader is one-sided.  Since v(x, y, pos) == u(y, x, pos), and the
       pairs (., y) meet y in the order of the pairs (y, .), y's u tally is
       its v tally, term for term in the same order; w is symmetric, so y's
-      row sum is its column sum.
+      row sum is its column sum.  So a candidate (x, y, p) reads x's row on
+      its u side and y's row on its v side.
     - On hypercube families, permuting the m flip coordinates maps the
       family onto itself and preserves w, u and v (Hoyer-Lee-Spalek's
       automorphism principle), so the tally runs over orbit representatives
       only, each walk's steps relabeled in first-occurrence order, the
-      orbit's lowest index (see `_find_orbits`), and any walk's row is its
-      representative's row with the vertices permuted.  The walk's own sums
-      hold the same terms in another order; every hypercube family within
-      DEFAULT_FAMILY_LIMIT has at most one irrational monomial among its
-      multipliers, so each sum has at most two terms and the same float in
-      any order.
+      orbit's lowest index (see `_find_orbits`), and any walk's tally
+      numbers are its representative's with the vertices permuted.  The
+      walk's own sums hold the same terms in another order; every
+      hypercube family within DEFAULT_FAMILY_LIMIT has at most one
+      irrational monomial among its multipliers, so each sum has at most
+      two terms and the same float in any order.
     """
 
     def __init__(self, scheme: WeightScheme) -> None:
@@ -569,18 +573,20 @@ class _FamilyReader:
         self.scale = prefix_class_size(family, 0)
         b = len(_alphabet(family.kind, family.m))
         self.blocks = [b ** (T + 1 - k) for k in range(T + 2)]
+        # w times `scale` at each term key: b^k at the keys of divergence k
+        self.units = [unit for unit in self.blocks[::-1][: T + 1] for _ in range(2 * (T + 2))]
         self.verts, self.ends, self.placed = family.verts, family.ends, family.placed
-        # per walk, its vertex numbers -> roles, and its set of vertex numbers
-        self.roles = [dict(map(divmod, keys, repeat(T + 2))) for keys in self.placed]
-        self.sets = [rx.keys() for rx in self.roles]
-        self.xs, self.orbit = range(len(family)), None
+        # per walk, its orbit's representative and the vertex permutation
+        # that takes the walk to it; without orbits, each walk is its own
+        self.orbit = [(x, None) for x in range(len(family))]
         if family.kind == HYPERCUBE_KIND:
             self._find_orbits()
+        self.xs = [y for y, (rep, _) in enumerate(self.orbit) if y == rep]
 
     def _find_orbits(self) -> None:
-        """Each walk's representative and the vertex permutation that takes
-        the walk to it.  The representative is the walk's steps relabeled in
-        first-occurrence order, its orbit's least, read as a base-m index."""
+        """The orbits on a hypercube family.  A walk's representative is its
+        steps relabeled in first-occurrence order, its orbit's least, read
+        as a base-m index."""
         m, T, vid = self.scheme.family.m, self.T, {v: i for i, v in enumerate(self.verts)}
         perms: dict[tuple, list[int]] = {}
         self.orbit = []
@@ -598,27 +604,28 @@ class _FamilyReader:
                 image = itemgetter(*order, *range(m, len(self.verts[0])))
                 perm = perms[used] = list(map(vid.__getitem__, map(image, self.verts)))
             self.orbit.append((rep, perm))
-        self.xs = [y for y, (rep, _) in enumerate(self.orbit) if y == rep]
 
-    def rows(self, reduce) -> list:
-        """Per walk, (top, keys, values): its row sum of w times `scale`,
-        and its scan keys and values over vertex numbers, where reduce(top,
-        cells) maps the walk's tallied positions to (scan key, value) pairs.
-        The keys are floats, inf where the walk has no tally; the values are
-        None there.  An orbit image's top is its representative's, and its
-        keys and values are its representative's objects, permuted."""
-        T, placed, roles, ends = self.T, self.placed, self.roles, self.ends
-        # w at k times `scale` is units[k] = b^k
-        blocks, units = self.blocks, self.blocks[::-1]
+    def tally(self) -> tuple[list, list, list]:
+        """(tops, numbers, tallies): per walk, its row sum of w times
+        `scale` and, per vertex number, the number of its tally there; the
+        distinct tallies, each ((key, count), ...) in first-seen order,
+        numbered as the walks meet them, 0 the empty tally.  An orbit
+        image's top is its representative's, its numbers are permuted."""
+        T, placed, ends = self.T, self.placed, self.ends
+        # w at k times `scale` is powers[k] = b^k
+        blocks, powers = self.blocks, self.blocks[::-1]
         # a key packs (k, role, x holds) into 2 * (k * R + role) + holds, and
         # a walk's (position, role) pairs are packed as p * R + role
-        R, size, tallied = T + 2, len(self.verts), {}
+        R, size, tops, rows = T + 2, len(self.verts), {}, {}
+        numbered: dict[tuple, int] = {(): 0}
+        terms: dict[tuple, tuple] = {}  # each distinct (key, count), kept once
         # per k, the counts of the two ranges around x's depth-(k + 1) block,
         # per endpoint; x rises, so they are dropped when x leaves the block
         shared: list[dict] = [{} for _ in range(T + 1)]
         bordered: list = [None] * (T + 1)
         for x in self.xs:
-            rx, ex = roles[x], ends[x]
+            # x's vertex numbers -> roles, in order of first occurrence
+            rx, ex = dict(map(divmod, placed[x], repeat(R))), ends[x]
             # x's vertices with 2 * role + 1, roles ascending, so those past k are a suffix
             own, rs = [(p, 2 * r + 1) for p, r in rx.items()], list(rx.values())
             # the partners diverging from x at k fill the part of x's depth-k
@@ -653,7 +660,7 @@ class _FamilyReader:
                 n_kept, hits, y_held = got
                 if not n_kept:
                     continue
-                top += n_kept * units[k]
+                top += n_kept * powers[k]
                 for p, r in own[bisect_right(rs, k):]:
                     count = n_kept - hits.get(p, 0)
                     if count:
@@ -664,25 +671,39 @@ class _FamilyReader:
                     if p not in rx:
                         cell = cells.setdefault(p, {})
                         cell[key] = cell.get(key, 0) + count
-            keys, values = [inf] * size, [None] * size
-            for p, (key, value) in reduce(top, cells).items():
-                keys[p], values[p] = key, value
-            tallied[x] = (top, keys, values)
-        if self.orbit is None:
-            return list(tallied.values())
-        # a permutation lists every vertex, two or more, so its getter
-        # returns a tuple
-        images = ((y, tallied[rep], itemgetter(*perm)) for y, (rep, perm) in enumerate(self.orbit))
+            row = [0] * size
+            for p, cell in cells.items():
+                tally = tuple(cell.items())
+                number = numbered.get(tally)
+                if number is None:
+                    number = numbered[tuple(map(terms.setdefault, tally, tally))] = len(numbered)
+                row[p] = number
+            tops[x], rows[x] = top, row
+        return [tops[rep] for rep, _ in self.orbit], self._spread(rows), list(numbered)
+
+    def keys(self, tops: list, numbers: list, divisors: list) -> list:
+        """Per walk, tops[x] / divisors[i] at each vertex of tally number i,
+        inf at 0; an orbit image's keys are its representative's, permuted."""
+        keys = {}
+        for x in self.xs:
+            top = tops[x]
+            keys[x] = [top / divisors[i] if i else inf for i in numbers[x]]
+        return self._spread(keys)
+
+    def _spread(self, rows: dict) -> list:
+        """Per walk, its orbit representative's row in `rows`, permuted."""
+        # a permutation lists every vertex, two or more: its getter returns a tuple
         return [
-            row if y in tallied else (row[0], get(row[1]), get(row[2])) for y, row, get in images
+            rows[y] if y == rep else itemgetter(*perm)(rows[rep])
+            for y, (rep, perm) in enumerate(self.orbit)
         ]
 
-    def shortlist(self, rows: list, combine) -> list:
-        """The candidates (x, y, pos, x's top, x's value at pos, y's top,
-        y's value at pos) whose key combine(x's key at pos, y's key at pos)
-        lies within a relative _SHORTLIST_TOL of the least key, in relation
-        order.  `rows` is what `rows` returned; `combine` is nondecreasing
-        in each argument.
+    def shortlist(self, keys: list, combine) -> list:
+        """The candidates (x, y, p) whose key combine(keys[x][p],
+        keys[y][p]) lies within a relative _SHORTLIST_TOL of the least key,
+        in relation order.  `keys` holds a float per walk and vertex number,
+        inf where the walk has no tally; `combine` is nondecreasing in each
+        argument.
 
         Per vertex p, a candidate pairs a walk holding p with one missing
         it, ending elsewhere, in either order.  The first pass takes, per
@@ -693,7 +714,7 @@ class _FamilyReader:
         Both read the keys a vertex at a time, the walks grouped by
         endpoint.
         """
-        ends, n = self.ends, len(self.ends)
+        ends, n, R = self.ends, len(self.ends), self.T + 2
         # the walks grouped by endpoint; endpoint e fills order[lo[e]:hi[e]]
         order = sorted(range(n), key=ends.__getitem__)
         at = [0] * n
@@ -703,10 +724,10 @@ class _FamilyReader:
             lo.setdefault(ends[z], i)
             hi[ends[z]] = i + 1
         held_at: list[list[int]] = [[] for _ in self.verts]
-        for z, sz in enumerate(self.sets):
-            for p in sz:
-                held_at[p].append(at[z])
-        keys = [rows[z][1] for z in order]
+        for z, placed in enumerate(self.placed):
+            for key in placed:
+                held_at[key // R].append(at[z])
+        keys = [keys[z] for z in order]
         least = []  # per vertex: its least key, least held key, least missed key
         for column, spots in zip(zip(*keys), held_at):
             col = list(column)
@@ -736,21 +757,19 @@ class _FamilyReader:
                     if ends[h] != ends[m] and combine(col[i], col[j]) <= limit:
                         out += [(h, m, p), (m, h, p)]
         out.sort()
-        return [(x, y, p, rows[x][0], rows[x][2][p], rows[y][0], rows[y][2][p]) for x, y, p in out]
+        return out
 
     def decode(self, key: int) -> tuple[int, int, bool]:
-        """The (k, s, x holds) that `rows` packed into a key."""
+        """The (k, s, x holds) that `tally` packed into a key."""
         k, role = divmod(key >> 1, self.T + 2)
         return k, role - k, bool(key & 1)
 
-    def weight(self, key) -> Fraction:
-        return self.scheme.divergence_weights[self.decode(key)[0]]
+    def terms(self, key: int) -> tuple:
+        k, s, x_holds = self.decode(key)
+        return (self.scheme.divergence_weights[k], *self.scheme.uv_at(k, s, x_holds))
 
-    def terms(self, key) -> tuple:
-        return (self.weight(key), *self.scheme.uv_at(*self.decode(key)))
-
-    def vertex(self, pos: int) -> Vertex:
-        return self.verts[pos]
+    def witness(self, x: int, y: int, p: int) -> "BoundWitness":
+        return BoundWitness(x, y, self.verts[p])
 
 
 def _reader(scheme: WeightScheme) -> _FamilyReader:
@@ -814,46 +833,30 @@ def relational_adversary_value(scheme: WeightScheme) -> RelationalBound:
     max(w_x / w_{x,i}, w_y / w_{y,i}).
 
     The randomized scheme (u = v = w) is the intended input.  The weights
-    are scaled to integers.  A float scan of the keys row_z / w_{z,i}
-    shortlists the candidates within a relative 1e-9 of the least, which
-    holds every exact minimum; among them candidates compare by
-    cross-multiplication, and the witness is the first minimal candidate in
-    relation and position order.
+    are scaled to integers, and each distinct tally is summed once.  A float
+    scan of the keys row_z / w_{z,i} shortlists the candidates within a
+    relative 1e-9 of the least, which holds every exact minimum; among them
+    candidates compare by cross-multiplication, and the witness is the first
+    minimal candidate in relation and position order.
     """
     reader = _reader(scheme)
     if not len(scheme.relation):
         raise ValueError("empty relation")
-    scale = reader.scale
-    scaled: dict = {}  # key -> its weight times scale
-
-    def reduce(top: int, cells: dict) -> dict:
-        # the scaled sum of w over the tallied pairs, after the scan key
-        out = {}
-        for pos, cell in cells.items():
-            total = 0
-            for key, count in cell.items():
-                term = scaled.get(key)
-                if term is None:
-                    w = reader.weight(key)
-                    term = scaled[key] = w.numerator * (scale // w.denominator)
-                total += count * term
-            out[pos] = (top / total, total)
-        return out
-
+    tops, numbers, tallies = reader.tally()
+    # each distinct tally's scaled sum of w over its pairs
+    units = reader.units
+    totals = [sum([count * units[key] for key, count in tally]) for tally in tallies]
     best_num, best_den = 1, 0  # +infinity
     witness = None
-    for ix, iy, pos, x_all, x_at, y_all, y_at in reader.shortlist(reader.rows(reduce), max):
+    for x, y, p in reader.shortlist(reader.keys(tops, numbers, totals), max):
+        x_all, x_at, y_all, y_at = tops[x], totals[numbers[x][p]], tops[y], totals[numbers[y][p]]
         # max(x_all / x_at, y_all / y_at)
         num, den = (x_all, x_at) if x_all * y_at >= y_all * x_at else (y_all, y_at)
         if num * best_den < best_num * den:
             best_num, best_den = num, den
-            witness = (ix, iy, pos)
+            witness = (x, y, p)
     assert witness is not None
-    ix, iy, pos = witness
-    return RelationalBound(
-        value=Fraction(best_num, best_den),
-        witness=BoundWitness(ix, iy, reader.vertex(pos)),
-    )
+    return RelationalBound(value=Fraction(best_num, best_den), witness=reader.witness(*witness))
 
 
 @dataclass(frozen=True)
@@ -959,6 +962,38 @@ def _compare(lhs: SurdSum, rhs: SurdSum) -> int:
     raise ArithmeticError(f"cannot separate {lhs} from {rhs}")
 
 
+def _u_sums(reader, tallies: list, monomials: _Monomials) -> list:
+    """Each tally's u sum as (float, den, nums): its terms' coefficients
+    added as integers over the lcm of their denominators and reduced by the
+    gcd, monomials in the order the tally meets them, so that equal sums
+    share one value object.  Each distinct term key passes the u*v >= w^2
+    gate once; a scheme that fails it is refused with ValueError."""
+    terms: dict = {}  # key -> (monomial number, coefficient) of its u
+    by_form: dict = {}
+    out = []
+    for tally in tallies:
+        parts = []
+        for key, count in tally:
+            term = terms.get(key)
+            if term is None:
+                w, u, other = reader.terms(key)
+                if not _uv_valid(w, u, other):
+                    raise ValueError("scheme violates u*v >= w^2")
+                term = terms[key] = (monomials.number(u.mono), u.coef)
+            parts.append((term, count))
+        den = lcm(*(coef.denominator for (_, coef), _ in parts))
+        nums: dict[int, int] = {}
+        for (mono, coef), count in parts:
+            nums[mono] = nums.get(mono, 0) + count * coef.numerator * (den // coef.denominator)
+        common = gcd(den, *nums.values())
+        form = (den // common, *((mono, num // common) for mono, num in nums.items()))
+        hit = by_form.get(form)
+        if hit is None:
+            hit = by_form[form] = (monomials.value(den, nums.items()), form[0], form[1:])
+        out.append(hit)
+    return out
+
+
 def quantum_adversary_value(scheme: WeightScheme) -> QuantumBound:
     """Exact-radicand evaluation of the quantum bound.
 
@@ -980,54 +1015,17 @@ def quantum_adversary_value(scheme: WeightScheme) -> QuantumBound:
     if not len(scheme.relation):
         raise ValueError("empty relation")
     scale = reader.scale
+    tops, numbers, tallies = reader.tally()
     monomials = _Monomials()
-    # key -> (monomial number, coefficient numerator, denominator) of its term
-    terms: dict = {}
-    by_tally: dict = {}
-    by_form: dict = {}
-
-    def reduce(top: int, cells: dict) -> dict:
-        """Each position's (scan key, tally value).  The value is (float,
-        den, nums): the sum's coefficients added as integers over the lcm of
-        their denominators and reduced by the gcd, so equal sums, their
-        monomials in the same order, share one value object.  The key is
-        top / scale over the float."""
-        out = {}
-        top /= scale
-        for pos, cell in cells.items():
-            tally = tuple(cell.items())
-            hit = by_tally.get(tally)
-            if hit is None:
-                parts = []
-                for key, count in tally:
-                    term = terms.get(key)
-                    if term is None:
-                        w, u, other = reader.terms(key)
-                        if not _uv_valid(w, u, other):
-                            raise ValueError("scheme violates u*v >= w^2")
-                        term = terms[key] = (
-                            monomials.number(u.mono), u.coef.numerator, u.coef.denominator
-                        )
-                    parts.append((term, count))
-                den = lcm(*(term[2] for term, _ in parts))
-                nums: dict[int, int] = {}
-                for (mono, num, d), count in parts:
-                    nums[mono] = nums.get(mono, 0) + count * num * (den // d)
-                common = gcd(den, *nums.values())
-                form = (den // common, *((mono, num // common) for mono, num in nums.items()))
-                hit = by_form.get(form)
-                if hit is None:
-                    hit = by_form[form] = (monomials.value(den, nums.items()), form[0], form[1:])
-                by_tally[tally] = hit
-            out[pos] = (top / hit[0], hit)
-        return out
-
+    values = _u_sums(reader, tallies, monomials)
+    # the scan key is top / scale over the float of the walk's u sum
+    keys = reader.keys([top / scale for top in tops], numbers, [value[0] for value in values])
     # candidates with the same scaled numerator and the same u and v values
     # have the same radicand and float key, so only the first can win
     seen = set()
     win = None
-    for ix, iy, pos, x_top, u, y_top, v in reader.shortlist(reader.rows(reduce), mul):
-        top = x_top * y_top
+    for x, y, p in reader.shortlist(keys, mul):
+        top, u, v = tops[x] * tops[y], values[numbers[x][p]], values[numbers[y][p]]
         if (top, id(u), id(v)) in seen:
             continue
         seen.add((top, id(u), id(v)))
@@ -1044,12 +1042,12 @@ def quantum_adversary_value(scheme: WeightScheme) -> QuantumBound:
                 order = _compare(lhs, rhs)
             if order > 0 or (order == 0 and not key < win[3]):
                 continue
-        win = (top, den, nums, key, BoundWitness(ix, iy, reader.vertex(pos)))
+        win = (top, den, nums, key, (x, y, p))
     assert win is not None
     top, den, nums, key, witness = win
     return QuantumBound(
         radicand_num=SurdSum.of(Fraction(top, scale * scale)),
         radicand_den=monomials.surd_sum(den, nums.items()),
         value=key**0.5,
-        witness=witness,
+        witness=reader.witness(*witness),
     )

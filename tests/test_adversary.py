@@ -3,6 +3,7 @@
 import hashlib
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations, product
 from operator import mul
@@ -664,31 +665,36 @@ def test_hypercube_multipliers_carry_at_most_one_irrational_monomial():
 # ---------------------------------------------------------------------------
 
 
+def placed_roles(fam):
+    """Per walk, its vertex numbers -> roles, decoded from `placed`."""
+    return [dict(divmod(key, fam.T + 2) for key in keys) for keys in fam.placed]
+
+
 def pairwise_tally(reader):
     """The u tally of a `_FamilyReader`, pair by pair over increasing y, as
-    `rows` made it before it read divergence ranges: each walk's row maps a
-    vertex number to {(k, s, x holds): count}, keys in first-seen order."""
-    walks, sets, roles, ends = reader.scheme.family.walks, reader.sets, reader.roles, reader.ends
+    the reader counted it before it read divergence ranges: each walk's row
+    maps a vertex number to {(k, s, x holds): count}, keys in first-seen
+    order."""
+    fam = reader.scheme.family
+    walks, ends, roles = fam.walks, fam.ends, placed_roles(fam)
     tallied = {}
     for x in reader.xs:
-        sx, rx, ex = sets[x], roles[x], ends[x]
+        rx, ex = roles[x], ends[x]
         cells = {}
         for y in range(len(walks)):
             if ends[y] == ex:
                 continue
             k = diverge_index(walks[x], walks[y])
-            sy, ry = sets[y], roles[y]
-            for p in sx - sy:
+            ry = roles[y]
+            for p in rx.keys() - ry.keys():
                 cell = cells.setdefault(p, {})
                 key = (k, rx[p] - k, True)
                 cell[key] = cell.get(key, 0) + 1
-            for p in sy - sx:
+            for p in ry.keys() - rx.keys():
                 cell = cells.setdefault(p, {})
                 key = (k, ry[p] - k, False)
                 cell[key] = cell.get(key, 0) + 1
         tallied[x] = cells
-    if reader.orbit is None:
-        return [tallied[x] for x in range(len(walks))]
     return [
         tallied[y] if y == rep else {
             q: tallied[rep][p] for q, p in enumerate(perm) if p in tallied[rep]
@@ -787,55 +793,59 @@ def test_tables_of_65536_walks_are_flat():
     assert len(fam.verts) == len(set(fam.ids)) == max(fam.ids) + 1
 
 
-def quantum_reader_rows(fam, monkeypatch):
-    """The stock quantum scheme's reader and the u rows that
-    quantum_adversary_value reduced from it, each tallied position's sum as
-    (SurdSum, float) and None elsewhere.  Every scan key is checked to be
-    the walk's row sum over the float."""
+def quantum_reader_tally(fam, monkeypatch):
+    """The stock quantum scheme's reader, the tally (tops, numbers,
+    tallies) that quantum_adversary_value read from it, and each distinct
+    tally's u sum as the evaluator mapped it, as (SurdSum, float).  Every
+    scan key is checked to be the walk's row sum over the float of its u
+    sum, inf where the walk has no tally."""
     kind = QUANTUM_HYPERCUBE if fam.kind == HYPERCUBE_KIND else QUANTUM_GRID
     scheme = build_scheme(kind, fam, endpoint_relation(fam))
     seen = {}
-    rows = _FamilyReader.rows
-    init = adversary._Monomials.__init__
+    tally, shortlist, u_sums = _FamilyReader.tally, _FamilyReader.shortlist, adversary._u_sums
 
-    def spy(self, reduce):
+    def spy_tally(self):
         seen["reader"] = self
-        seen["rows"] = rows(self, reduce)
-        return seen["rows"]
+        seen["tally"] = tally(self)
+        return seen["tally"]
 
-    def spy_init(self):
-        init(self)
-        seen["monomials"] = self
+    def spy_u_sums(reader, tallies, monomials):
+        seen["monomials"] = monomials
+        seen["values"] = u_sums(reader, tallies, monomials)
+        return seen["values"]
 
-    monkeypatch.setattr(_FamilyReader, "rows", spy)
-    monkeypatch.setattr(adversary._Monomials, "__init__", spy_init)
+    def spy_shortlist(self, keys, combine):
+        seen["keys"] = keys
+        return shortlist(self, keys, combine)
+
+    monkeypatch.setattr(_FamilyReader, "tally", spy_tally)
+    monkeypatch.setattr(adversary, "_u_sums", spy_u_sums)
+    monkeypatch.setattr(_FamilyReader, "shortlist", spy_shortlist)
     quantum_adversary_value(scheme)
-    reader, monomials = seen["reader"], seen["monomials"]
-    scale = reader.scale
-    decoded = []
-    for top, keys, values in seen["rows"]:
-        decoded.append([])
-        for key, hit in zip(keys, values):
-            if hit is None:
-                assert key == math.inf
-                decoded[-1].append(None)
-                continue
-            value, den, nums = hit
-            assert key == top / scale / value
-            decoded[-1].append((monomials.surd_sum(den, nums), value))
-    return scheme, reader, decoded
+    reader, monomials, values = seen["reader"], seen["monomials"], seen["values"]
+    tops, numbers, tallies = seen["tally"]
+    assert len(values) == len(tallies)
+    assert len(seen["keys"]) == len(tops) == len(numbers)
+    for top, row, keys in zip(tops, numbers, seen["keys"]):
+        assert len(keys) == len(row) == len(reader.verts)
+        for key, i in zip(keys, row):
+            assert key == (top / reader.scale / values[i][0] if i else math.inf)
+    sums = [(monomials.surd_sum(den, nums), value) for value, den, nums in values]
+    return scheme, reader, seen["tally"], sums
 
 
 @pytest.mark.parametrize("fam_args", TALLY_FAMILIES, ids=lambda a: f"{a[0]}-m{a[1]}-T{a[2]}")
 def test_range_tally_matches_pairwise_tally(fam_args, monkeypatch):
     fam = enumerate_paths(*fam_args)
-    scheme, reader, reduced = quantum_reader_rows(fam, monkeypatch)
+    scheme, reader, (tops, numbers, tallies), reduced = quantum_reader_tally(fam, monkeypatch)
     expect = pairwise_tally(reader)
-    got = reader.rows(lambda top, cells: {p: (0.0, cell) for p, cell in cells.items()})
-    assert len(got) == len(expect) == len(fam)
+    assert len(tops) == len(numbers) == len(expect) == len(fam)
+    # each distinct tally listed once, number 0 the empty one, every one used
+    assert tallies[0] == () and len(set(tallies)) == len(tallies)
+    assert {i for row in numbers for i in row} == set(range(len(tallies)))
     walks, w = fam.walks, scheme.divergence_weights
     sums = {}
-    for x, ((top, _, row), cells) in enumerate(zip(got, expect)):
+    for x, (top, row, cells) in enumerate(zip(tops, numbers, expect)):
         # the row sum of w times scale over the partners that end elsewhere,
         # pair by pair on every walk, orbit images included
         assert top == sum(
@@ -844,9 +854,9 @@ def test_range_tally_matches_pairwise_tally(fam_args, monkeypatch):
             if y.endpoint != walks[x].endpoint
         ), x
         decoded = {
-            p: [(reader.decode(key), count) for key, count in cell.items()]
-            for p, cell in enumerate(row)
-            if cell is not None
+            p: [(reader.decode(key), count) for key, count in tallies[i]]
+            for p, i in enumerate(row)
+            if i
         }
         # same cells, same counts, keys in the same order
         assert decoded == {p: list(cell.items()) for p, cell in cells.items()}, x
@@ -859,16 +869,52 @@ def test_range_tally_matches_pairwise_tally(fam_args, monkeypatch):
                     term = scheme.uv_at(*key)[0]
                     total.add(Surd(term.coef * count, term.mono))
                 sums[tally] = (list(total._terms.items()), float(total))
-            value, key = reduced[x][p]
+            value, key = reduced[row[p]]
             assert (list(value._terms.items()), key) == sums[tally], (x, p)
 
 
-def pairwise_shortlist(reader, rows, combine):
+@pytest.mark.parametrize("evaluate", [relational_adversary_value, quantum_adversary_value],
+                         ids=["relational", "quantum"])
+@pytest.mark.parametrize(
+    "fam_args", [(HYPERCUBE_KIND, 3, 3), (GRID_KIND, 2, 5), (GRID_KIND, 1, 7)],
+    ids=lambda a: f"{a[0]}-m{a[1]}-T{a[2]}",
+)
+def test_evaluators_map_each_distinct_tally_once(fam_args, evaluate, monkeypatch):
+    # the tally is read as data: each distinct tally is iterated once, by the
+    # evaluator's mapping, however many walks and vertices share it
+    fam = enumerate_paths(*fam_args)
+    reads, seen = Counter(), {}
+
+    class Read(tuple):
+        def __iter__(self):
+            reads[id(self)] += 1
+            return super().__iter__()
+
+    tally = _FamilyReader.tally
+
+    def spy(self):
+        tops, numbers, tallies = tally(self)
+        seen["numbers"], seen["tallies"] = numbers, [Read(t) for t in tallies]
+        return tops, numbers, seen["tallies"]
+
+    monkeypatch.setattr(_FamilyReader, "tally", spy)
+    kind = RANDOMIZED
+    if evaluate is quantum_adversary_value:
+        kind = QUANTUM_HYPERCUBE if fam.kind == HYPERCUBE_KIND else QUANTUM_GRID
+    evaluate(build_scheme(kind, fam, endpoint_relation(fam)))
+    tallies = seen["tallies"]
+    assert reads == {id(t): 1 for t in tallies}
+    # fewer distinct tallies than tallied walks and vertices
+    assert len(tallies) < sum(1 for row in seen["numbers"] for i in row if i)
+
+
+def pairwise_shortlist(reader, keys, combine):
     """Every candidate of the endpoint relation within _SHORTLIST_TOL of
     the least key, pair by pair in relation order."""
-    sets, ends, n = reader.sets, reader.ends, len(reader.ends)
+    sets = [rx.keys() for rx in placed_roles(reader.scheme.family)]
+    ends, n = reader.ends, len(reader.ends)
     listed = [
-        (combine(rows[x][1][p], rows[y][1][p]), x, y, p)
+        (combine(keys[x][p], keys[y][p]), x, y, p)
         for x in range(n)
         for y in range(n)
         if ends[x] != ends[y]
@@ -898,15 +944,14 @@ def test_vertex_scan_lists_the_pairwise_shortlist(fam_args, evaluate, monkeypatc
     seen = {}
     shortlist = _FamilyReader.shortlist
 
-    def spy(self, rows, combine):
-        seen.update(reader=self, rows=rows, combine=combine)
-        seen["got"] = shortlist(self, rows, combine)
+    def spy(self, keys, combine):
+        seen.update(reader=self, keys=keys, combine=combine)
+        seen["got"] = shortlist(self, keys, combine)
         return seen["got"]
 
     monkeypatch.setattr(_FamilyReader, "shortlist", spy)
     evaluate(build_scheme(kind, fam, endpoint_relation(fam)))
-    got = [candidate[:3] for candidate in seen["got"]]
-    assert got == pairwise_shortlist(seen["reader"], seen["rows"], seen["combine"])
+    assert seen["got"] == pairwise_shortlist(seen["reader"], seen["keys"], seen["combine"])
 
 
 @pytest.mark.parametrize("combine", [mul, max], ids=["product", "max"])
@@ -923,12 +968,8 @@ def test_vertex_scan_on_random_keys(fam_args, combine):
     reader = adversary._reader(build_scheme(RANDOMIZED, fam, endpoint_relation(fam)))
     rng = random.Random(sum(fam_args[1:]))
     for top in [3, 1000] * 15:
-        rows = [
-            (0, [rng.randint(1, top) for _ in reader.verts], [None] * len(reader.verts))
-            for _ in fam.walks
-        ]
-        got = [candidate[:3] for candidate in reader.shortlist(rows, combine)]
-        assert got == pairwise_shortlist(reader, rows, combine)
+        keys = [[rng.randint(1, top) for _ in reader.verts] for _ in fam.walks]
+        assert reader.shortlist(keys, combine) == pairwise_shortlist(reader, keys, combine)
 
 
 #: the evaluators' outputs on tie-heavy families, as the pair-by-pair scan
