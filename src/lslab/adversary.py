@@ -28,12 +28,13 @@ spells its steps (`PathFamily`).  The evaluators take only build_scheme's
 schemes over endpoint_relation of their own family, refuse any other scheme
 with ValueError, and read the tables, never an O(N^2) pair table (see
 `_FamilyReader`), whose tally numbers the family's distinct tallies per walk
-and vertex.  Each evaluator maps every distinct tally once, to an integer
-sum of w or of u.  The scan goes vertex by vertex: a candidate's float key
-is a product (quantum) or maximum (randomized) of one number per walk and
-vertex.  The witness is the first minimal candidate in relation order for
-the relational bound; the float-smallest, then first, exact tie for the
-quantum bound.
+and vertex.  Each evaluator maps every distinct tally once: the relational
+one to an integer sum of w, the quantum one to a float sum of u, whose
+exact form it builds for the shortlisted tallies only.  The scan goes vertex
+by vertex: a candidate's float key is a product (quantum) or maximum
+(randomized) of one number per walk and vertex.  The witness is the first
+minimal candidate in relation order for the relational bound; the
+float-smallest, then first, exact tie for the quantum bound.
 
 Enumeration and evaluation are single-threaded, and the scans are pure.
 """
@@ -47,10 +48,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, product, repeat
-from math import ceil, gcd, inf, lcm
+from math import ceil, inf, lcm
 from operator import itemgetter, mul
 
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, stated_size
 from .grid import Vertex, _snake_path
 from .instances import _clock_walk, _hypercube_step
 
@@ -195,8 +196,9 @@ class SurdSum:
         return not self._terms
 
     def __float__(self) -> float:
-        # left to right: from CPython 3.12 on, builtin sum() compensates,
-        # which moves the last ulp and with it the witness tie-break
+        # the one float of an exact sum: the quantum witness tie-break and
+        # QuantumBound.value read it.  Left to right: from CPython 3.12 on,
+        # builtin sum() compensates, which moves the last ulp
         value = 0.0
         for mono, coef in self._terms.items():
             value += float(Surd(coef, mono))
@@ -288,8 +290,8 @@ def enumerate_paths(kind: str, m: int, T: int, side: int | None = None) -> PathF
     if m < 1:
         raise ValueError(f"walk dimensions need m >= 1, got m={m}")
     alphabet = _alphabet(kind, m)
-    count = len(alphabet) ** (T + 1)
-    if count > DEFAULT_FAMILY_LIMIT:
+    count = stated_size(len(alphabet), T + 1, DEFAULT_FAMILY_LIMIT)
+    if count:
         raise BudgetExceeded(f"{count} walks exceed the family limit {DEFAULT_FAMILY_LIMIT}")
     if kind == HYPERCUBE_KIND:
         if side is not None:
@@ -903,12 +905,11 @@ class _Monomials:
     exact sums in integer form: numerators `nums`, pairs (monomial number,
     num), over a common denominator `den`.  Monomials are canonical, with
     exponents in (0, 1), so a product of two folds whole powers of primes
-    into an integer coefficient."""
+    into an integer coefficient.  A sum's float is its `surd_sum`'s."""
 
     def __init__(self) -> None:
         self.listed: list[Monomial] = []
         self.numbers: dict[Monomial, int] = {}
-        self.factors: list[list[float]] = []  # what Surd.__float__ multiplies by
         self.products: dict[tuple[int, int], tuple[int, int]] = {}
 
     def number(self, mono: Monomial) -> int:
@@ -916,18 +917,7 @@ class _Monomials:
         if got is None:
             got = self.numbers[mono] = len(self.listed)
             self.listed.append(mono)
-            self.factors.append([prime ** float(e) for prime, e in mono])
         return got
-
-    def value(self, den: int, nums) -> float:
-        """The sum's float as SurdSum.__float__ gives it, terms left to right."""
-        total = 0.0
-        for mono, num in nums:
-            term = num / den
-            for factor in self.factors[mono]:
-                term *= factor
-            total += term
-        return total
 
     def times(self, a, b) -> dict[int, int]:
         """The numerators of the product of two sums over the product of
@@ -962,54 +952,33 @@ def _compare(lhs: SurdSum, rhs: SurdSum) -> int:
     raise ArithmeticError(f"cannot separate {lhs} from {rhs}")
 
 
-def _u_sums(reader, tallies: list, monomials: _Monomials) -> list:
-    """Each tally's u sum as (float, den, nums): its terms' coefficients
-    added as integers over the lcm of their denominators and reduced by the
-    gcd, monomials in the order the tally meets them, so that equal sums
-    share one value object.  Each distinct term key passes the u*v >= w^2
-    gate once; a scheme that fails it is refused with ValueError."""
-    terms: dict = {}  # key -> (monomial number, coefficient) of its u
-    by_form: dict = {}
-    out = []
-    for tally in tallies:
-        parts = []
-        for key, count in tally:
-            term = terms.get(key)
-            if term is None:
-                w, u, other = reader.terms(key)
-                if not _uv_valid(w, u, other):
-                    raise ValueError("scheme violates u*v >= w^2")
-                term = terms[key] = (monomials.number(u.mono), u.coef)
-            parts.append((term, count))
-        den = lcm(*(coef.denominator for (_, coef), _ in parts))
-        nums: dict[int, int] = {}
-        for (mono, coef), count in parts:
-            nums[mono] = nums.get(mono, 0) + count * coef.numerator * (den // coef.denominator)
-        common = gcd(den, *nums.values())
-        form = (den // common, *((mono, num // common) for mono, num in nums.items()))
-        hit = by_form.get(form)
-        if hit is None:
-            hit = by_form[form] = (monomials.value(den, nums.items()), form[0], form[1:])
-        out.append(hit)
-    return out
+def _u_form(tally: tuple, parts: dict) -> tuple:
+    """A tally's u sum in integer form (den, ((monomial number, num), ...)),
+    over the lcm of its coefficients' denominators, monomials in the order
+    the tally meets them; `parts` maps a key to u's (float, number, coef)."""
+    terms = [(*parts[key][1:], count) for key, count in tally]
+    den = lcm(*(coef.denominator for _, coef, _ in terms))
+    nums: dict[int, int] = {}
+    for mono, coef, count in terms:
+        nums[mono] = nums.get(mono, 0) + count * coef.numerator * (den // coef.denominator)
+    return den, tuple(nums.items())
 
 
 def quantum_adversary_value(scheme: WeightScheme) -> QuantumBound:
     """Exact-radicand evaluation of the quantum bound.
 
     Refuses schemes that fail the u*v >= w^2 validity gate, checked once
-    per distinct (w, u, v) term that the tally meets.  u is tallied per
-    (walk, position) and summed once per distinct tally, its terms in the
-    order the pairs meet them, as integer numerators over a common
-    denominator.  A float scan shortlists the candidates within a relative
-    1e-9 of the float minimum; among them the radicand is minimized exactly,
-    so the returned radicand is the certified minimum.  When several
-    candidates share it exactly, the witness is the one with the smallest
-    float(num) / float(den), the first in relation and position order among
-    equal floats.  Exact arithmetic runs on the shortlist only, in integers:
+    per distinct term key that the tally meets.  Each distinct tally of u
+    maps once to the float sum of count * float(u), which only builds the
+    scan keys; the scan shortlists the candidates within a relative 1e-9
+    of the float minimum, among which the radicand is minimized exactly.
+    Exact arithmetic runs on the shortlist only, in integers: a tally's u
+    sum is put in integer form (`_u_form`) when a candidate first reads it,
     a candidate's denominator u_sum * v_sum is multiplied out term by term,
-    and two candidates compare by their cross products, scaled to integer
-    coefficients; decimals settle the order only when those differ.
+    and two candidates compare by their cross products; decimals settle the
+    order only when those differ.  Among exact ties the witness has the
+    smallest float(num) / float(den) (SurdSum's float), then comes first in
+    relation and position order.
     """
     reader = _reader(scheme)
     if not len(scheme.relation):
@@ -1017,20 +986,36 @@ def quantum_adversary_value(scheme: WeightScheme) -> QuantumBound:
     scale = reader.scale
     tops, numbers, tallies = reader.tally()
     monomials = _Monomials()
-    values = _u_sums(reader, tallies, monomials)
+    parts: dict = {}  # term key -> u's (float, monomial number, coefficient)
+    sums = []
+    for tally in tallies:
+        total = 0.0
+        for key, count in tally:
+            part = parts.get(key)
+            if part is None:
+                w, u, v = reader.terms(key)
+                if not _uv_valid(w, u, v):
+                    raise ValueError("scheme violates u*v >= w^2")
+                part = parts[key] = (float(u), monomials.number(u.mono), u.coef)
+            total += count * part[0]
+        sums.append(total)
     # the scan key is top / scale over the float of the walk's u sum
-    keys = reader.keys([top / scale for top in tops], numbers, [value[0] for value in values])
-    # candidates with the same scaled numerator and the same u and v values
+    keys = reader.keys([top / scale for top in tops], numbers, sums)
+    forms: dict = {}  # tally number -> its u sum's integer form
+    # candidates with the same scaled numerator and the same u and v tallies
     # have the same radicand and float key, so only the first can win
-    seen = set()
-    win = None
+    seen, win = set(), None
     for x, y, p in reader.shortlist(keys, mul):
-        top, u, v = tops[x] * tops[y], values[numbers[x][p]], values[numbers[y][p]]
-        if (top, id(u), id(v)) in seen:
+        top, i, j = tops[x] * tops[y], numbers[x][p], numbers[y][p]
+        if (top, i, j) in seen:
             continue
-        seen.add((top, id(u), id(v)))
-        den, nums = u[1] * v[1], monomials.times(u[2], v[2])
-        key = top / (scale * scale) / monomials.value(den, nums.items())
+        seen.add((top, i, j))
+        (u_den, u_nums), (v_den, v_nums) = (
+            forms.get(n) or forms.setdefault(n, _u_form(tallies[n], parts)) for n in (i, j)
+        )
+        den, nums = u_den * v_den, monomials.times(u_nums, v_nums)
+        radicand_den = monomials.surd_sum(den, nums.items())
+        key = top / (scale * scale) / float(radicand_den)
         if win is not None:
             # top / den against the winner's, cross-multiplied over both dens
             win_top, win_den, win_nums = win[:3]
@@ -1042,12 +1027,12 @@ def quantum_adversary_value(scheme: WeightScheme) -> QuantumBound:
                 order = _compare(lhs, rhs)
             if order > 0 or (order == 0 and not key < win[3]):
                 continue
-        win = (top, den, nums, key, (x, y, p))
+        win = (top, den, nums, key, radicand_den, (x, y, p))
     assert win is not None
-    top, den, nums, key, witness = win
+    top, _, _, key, radicand_den, witness = win
     return QuantumBound(
         radicand_num=SurdSum.of(Fraction(top, scale * scale)),
-        radicand_den=monomials.surd_sum(den, nums.items()),
+        radicand_den=radicand_den,
         value=key**0.5,
         witness=reader.witness(*witness),
     )

@@ -27,7 +27,7 @@ from itertools import product
 from operator import sub
 from typing import Iterator
 
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, stated_size
 
 Vertex = tuple[int, ...]
 
@@ -79,9 +79,10 @@ class GridShape:
     def iter_vertices(self) -> Iterator[Vertex]:
         """Every vertex, the last coordinate running fastest; BudgetExceeded
         for shapes with more than DEFAULT_SCAN_LIMIT vertices."""
-        if self.vertex_count > DEFAULT_SCAN_LIMIT:
+        count = stated_size(self.k, self.l, DEFAULT_SCAN_LIMIT)
+        if count:
             raise BudgetExceeded(
-                f"[{self.k}]^{self.l} has {self.vertex_count} vertices, "
+                f"[{self.k}]^{self.l} has {count} vertices, "
                 f"over the scan limit {DEFAULT_SCAN_LIMIT}"
             )
         return product(range(1, self.k + 1), repeat=self.l)

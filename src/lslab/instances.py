@@ -49,7 +49,7 @@ from functools import cached_property, partial
 from operator import getitem, mul
 from typing import Callable, Mapping, NamedTuple
 
-from .errors import BudgetExceeded, ConfigError, InstanceFormatError
+from .errors import BudgetExceeded, ConfigError, InstanceFormatError, stated_size
 from .grid import GridShape, Vertex, _distance_maps, _snake_path, snake_successor
 
 #: Generators refuse trajectories longer than this.
@@ -69,9 +69,17 @@ class BlockLayout:
     beta: int  # blocks per axis, floor(n^(1-r))
     nprime: int  # alpha * beta, the trimmed grid side
     sweep: int  # in-block clock length, n' - 2*alpha
-    block_count: int  # beta^(d-1)
-    iterations: int  # L = sweep * block_count
     stride: int  # value gap per tick, 4*alpha + 2
+
+    @cached_property
+    def block_count(self) -> int:
+        """beta^(d-1), built on first read: the budget check needs only d."""
+        return self.beta ** (self.d - 1)
+
+    @cached_property
+    def iterations(self) -> int:
+        """L = sweep * block_count."""
+        return self.sweep * self.block_count
 
     @property
     def shape(self) -> GridShape:
@@ -106,16 +114,8 @@ def block_layout(n: int, d: int, r: float) -> BlockLayout:
     sweep = nprime - 2 * alpha
     if sweep < 1:
         raise ValueError(f"no in-block clock room: n'={nprime}, alpha={alpha}")
-    block_count = beta ** (d - 1)
     return BlockLayout(
-        d=d,
-        alpha=alpha,
-        beta=beta,
-        nprime=nprime,
-        sweep=sweep,
-        block_count=block_count,
-        iterations=sweep * block_count,
-        stride=4 * alpha + 2,
+        d=d, alpha=alpha, beta=beta, nprime=nprime, sweep=sweep, stride=4 * alpha + 2
     )
 
 
@@ -229,8 +229,9 @@ def _replay_hypercube(n: int, m: int, steps: tuple[int, ...], seed: int | None) 
     )
 
 
-def _check_trajectory(points: int, about: str = "") -> None:
-    if points > DEFAULT_TRAJECTORY_LIMIT:
+def _check_trajectory(base: int, exp: int, factor: int = 1, about: str = "") -> None:
+    points = stated_size(base, exp, DEFAULT_TRAJECTORY_LIMIT, factor)  # factor * base^exp
+    if points:
         raise BudgetExceeded(
             f"trajectory of {about}{points} points exceeds {DEFAULT_TRAJECTORY_LIMIT}"
         )
@@ -241,7 +242,7 @@ def _hypercube_shape(n: int, m: int) -> GridShape:
     the trajectory budget bounds; ValueError for sizes no instance has."""
     if not 1 <= m < n:
         raise ValueError(f"walk dimensions must satisfy 1 <= m < n, got m={m}, n={n}")
-    _check_trajectory(2 << (n - m))
+    _check_trajectory(2, n - m + 1)
     return GridShape(2, n)
 
 
@@ -285,7 +286,7 @@ def _grid_shape(n: int, d: int, m: int) -> GridShape:
         raise ValueError(f"walk dimensions must satisfy 1 <= m < d, got m={m}, d={d}")
     if n < 2:
         raise ValueError(f"side length must be >= 2, got n={n}")
-    _check_trajectory(2 * n ** (d - m))
+    _check_trajectory(n, d - m, 2)
     return GridShape(n, d)
 
 
@@ -394,7 +395,7 @@ def _block_sizes(n: int, d: int, r: float) -> BlockLayout:
     """The block layout of a grid-blocks instance; ValueError for sizes no
     instance has."""
     lay = block_layout(n, d, r)
-    _check_trajectory(4 * lay.iterations, "about ")
+    _check_trajectory(lay.beta, d - 1, 4 * lay.sweep, "about ")
     return lay
 
 

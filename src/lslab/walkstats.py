@@ -24,7 +24,7 @@ from fractions import Fraction
 from itertools import product
 from math import comb
 
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, stated_size
 
 #: Hard cap on m^t / 2^t for the raw enumeration helpers, and on the 2^m
 #: parity tally and the n^2 (t_max + 1) line-walk table.
@@ -109,8 +109,9 @@ def parity_prob_table(
 
 def parity_prob_enumerated(m: int, t: int, bits: tuple[int, ...]) -> Fraction:
     """Rawest possible check: literally iterate the m^t placement sequences."""
-    if m**t > DEFAULT_ENUM_LIMIT:
-        raise BudgetExceeded(f"m^t = {m**t} exceeds enumeration limit {DEFAULT_ENUM_LIMIT}")
+    size = stated_size(m, t, DEFAULT_ENUM_LIMIT)
+    if size:
+        raise BudgetExceeded(f"m^t = {size} exceeds enumeration limit {DEFAULT_ENUM_LIMIT}")
     hits = 0
     for seq in product(range(m), repeat=t):
         occ = [0] * m
@@ -228,10 +229,9 @@ def line_walk_table(n: int, t_max: int) -> LineWalkTable:
         raise ValueError("the short walk needs at least two points")
     if t_max < 0:
         raise ValueError("negative horizon")
-    if n * n * (t_max + 1) > DEFAULT_ENUM_LIMIT:
-        raise BudgetExceeded(
-            f"n^2 (t_max + 1) = {n * n * (t_max + 1)} exceeds table limit {DEFAULT_ENUM_LIMIT}"
-        )
+    size = stated_size(n, 2, DEFAULT_ENUM_LIMIT, t_max + 1)
+    if size:
+        raise BudgetExceeded(f"n^2 (t_max + 1) = {size} exceeds table limit {DEFAULT_ENUM_LIMIT}")
     layer = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     layers = [tuple(map(tuple, layer))]
     for _ in range(t_max):
@@ -311,8 +311,9 @@ def line_walk_endpoint_counts(n: int, t: int, i: int) -> list[int]:
         raise ValueError("line point out of range")
     if t < 0:
         raise ValueError("negative step count")
-    if (1 << t) > DEFAULT_ENUM_LIMIT:
-        raise BudgetExceeded(f"2^t = {1 << t} exceeds enumeration limit {DEFAULT_ENUM_LIMIT}")
+    size = stated_size(2, t, DEFAULT_ENUM_LIMIT)
+    if size:
+        raise BudgetExceeded(f"2^t = {size} exceeds enumeration limit {DEFAULT_ENUM_LIMIT}")
     lo, hi = max(1, i - t), min(n, i + t)
     window = range(lo, hi + 1)
     # move tables over the window's offsets, clamped to the window: at 1 and

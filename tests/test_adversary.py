@@ -3,6 +3,7 @@
 import hashlib
 import math
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations, product
@@ -583,6 +584,17 @@ def test_enumerate_refusals(args, kwargs, error, match):
         enumerate_paths(*args, **kwargs)
 
 
+def test_enumerate_refuses_huge_families_from_the_exponent():
+    # 2^20001 has over 6000 digits, past CPython's int-to-str limit, and
+    # 3^10000001 takes seconds to build: both are refused from the exponent
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match=r"^2\^20001 walks exceed the family limit 131072$"):
+        enumerate_paths(GRID_KIND, 1, 20000)
+    with pytest.raises(BudgetExceeded, match=r"^3\^10000001 walks exceed the family limit"):
+        enumerate_paths(HYPERCUBE_KIND, 3, 10**7)
+    assert time.perf_counter() - start < 0.5
+
+
 @pytest.mark.parametrize("m", [2, 3])
 def test_hypercube_walks_are_generator_trajectories(m):
     fam = enumerate_paths(HYPERCUBE_KIND, m, 3)
@@ -796,48 +808,56 @@ def test_tables_of_65536_walks_are_flat():
 def quantum_reader_tally(fam, monkeypatch):
     """The stock quantum scheme's reader, the tally (tops, numbers,
     tallies) that quantum_adversary_value read from it, and each distinct
-    tally's u sum as the evaluator mapped it, as (SurdSum, float).  Every
-    scan key is checked to be the walk's row sum over the float of its u
-    sum, inf where the walk has no tally."""
+    tally's scan float as the evaluator mapped it: the divisors it handed
+    `_FamilyReader.keys`.  Every scan key is checked to be the walk's row
+    sum over its tally's divisor, inf where the walk has no tally."""
     kind = QUANTUM_HYPERCUBE if fam.kind == HYPERCUBE_KIND else QUANTUM_GRID
     scheme = build_scheme(kind, fam, endpoint_relation(fam))
     seen = {}
-    tally, shortlist, u_sums = _FamilyReader.tally, _FamilyReader.shortlist, adversary._u_sums
+    tally, keys = _FamilyReader.tally, _FamilyReader.keys
 
     def spy_tally(self):
         seen["reader"] = self
         seen["tally"] = tally(self)
         return seen["tally"]
 
-    def spy_u_sums(reader, tallies, monomials):
-        seen["monomials"] = monomials
-        seen["values"] = u_sums(reader, tallies, monomials)
-        return seen["values"]
-
-    def spy_shortlist(self, keys, combine):
-        seen["keys"] = keys
-        return shortlist(self, keys, combine)
+    def spy_keys(self, tops, numbers, divisors):
+        seen["divisors"] = divisors
+        seen["keys"] = keys(self, tops, numbers, divisors)
+        return seen["keys"]
 
     monkeypatch.setattr(_FamilyReader, "tally", spy_tally)
-    monkeypatch.setattr(adversary, "_u_sums", spy_u_sums)
-    monkeypatch.setattr(_FamilyReader, "shortlist", spy_shortlist)
+    monkeypatch.setattr(_FamilyReader, "keys", spy_keys)
     quantum_adversary_value(scheme)
-    reader, monomials, values = seen["reader"], seen["monomials"], seen["values"]
+    reader, divisors = seen["reader"], seen["divisors"]
     tops, numbers, tallies = seen["tally"]
-    assert len(values) == len(tallies)
+    assert len(divisors) == len(tallies)
     assert len(seen["keys"]) == len(tops) == len(numbers)
     for top, row, keys in zip(tops, numbers, seen["keys"]):
         assert len(keys) == len(row) == len(reader.verts)
         for key, i in zip(keys, row):
-            assert key == (top / reader.scale / values[i][0] if i else math.inf)
-    sums = [(monomials.surd_sum(den, nums), value) for value, den, nums in values]
-    return scheme, reader, seen["tally"], sums
+            assert key == (top / reader.scale / divisors[i] if i else math.inf)
+    return scheme, reader, seen["tally"], divisors
+
+
+def exact_u_sums(reader, tallies):
+    """Every distinct tally's u sum as `adversary._u_form` builds it, mapped
+    through a fresh `_Monomials` to its SurdSum: the exact form the
+    evaluator builds for the shortlisted tallies, here for all of them."""
+    monomials, parts = adversary._Monomials(), {}
+    for tally in tallies:
+        for key, _ in tally:
+            if key not in parts:
+                u = reader.terms(key)[1]
+                parts[key] = (float(u), monomials.number(u.mono), u.coef)
+    return [monomials.surd_sum(*adversary._u_form(tally, parts)) for tally in tallies]
 
 
 @pytest.mark.parametrize("fam_args", TALLY_FAMILIES, ids=lambda a: f"{a[0]}-m{a[1]}-T{a[2]}")
 def test_range_tally_matches_pairwise_tally(fam_args, monkeypatch):
     fam = enumerate_paths(*fam_args)
-    scheme, reader, (tops, numbers, tallies), reduced = quantum_reader_tally(fam, monkeypatch)
+    scheme, reader, (tops, numbers, tallies), divisors = quantum_reader_tally(fam, monkeypatch)
+    exact = exact_u_sums(reader, tallies)
     expect = pairwise_tally(reader)
     assert len(tops) == len(numbers) == len(expect) == len(fam)
     # each distinct tally listed once, number 0 the empty one, every one used
@@ -861,16 +881,20 @@ def test_range_tally_matches_pairwise_tally(fam_args, monkeypatch):
         # same cells, same counts, keys in the same order
         assert decoded == {p: list(cell.items()) for p, cell in cells.items()}, x
         for p, cell in cells.items():
-            # the sum of Fraction-coefficient terms in tally order, and its float
+            # the sum of Fraction-coefficient terms in tally order, its
+            # float, and the sum of count * float(u) in tally order
             tally = tuple(cell.items())
             if tally not in sums:
-                total = SurdSum()
+                total, scan = SurdSum(), 0.0
                 for key, count in tally:
                     term = scheme.uv_at(*key)[0]
                     total.add(Surd(term.coef * count, term.mono))
-                sums[tally] = (list(total._terms.items()), float(total))
-            value, key = reduced[row[p]]
-            assert (list(value._terms.items()), key) == sums[tally], (x, p)
+                    scan += count * float(term)
+                sums[tally] = (list(total._terms.items()), float(total), scan)
+            terms, value, scan = sums[tally]
+            assert list(exact[row[p]]._terms.items()) == terms, (x, p)
+            assert divisors[row[p]] == scan, (x, p)
+            assert math.isclose(scan, value, rel_tol=1e-12), (x, p)
 
 
 @pytest.mark.parametrize("evaluate", [relational_adversary_value, quantum_adversary_value],
@@ -881,7 +905,9 @@ def test_range_tally_matches_pairwise_tally(fam_args, monkeypatch):
 )
 def test_evaluators_map_each_distinct_tally_once(fam_args, evaluate, monkeypatch):
     # the tally is read as data: each distinct tally is iterated once, by the
-    # evaluator's mapping, however many walks and vertices share it
+    # evaluator's mapping, however many walks and vertices share it; the
+    # quantum evaluator reads the tallies of its shortlisted candidates once
+    # more, for their exact forms, however many candidates share them
     fam = enumerate_paths(*fam_args)
     reads, seen = Counter(), {}
 
@@ -890,22 +916,32 @@ def test_evaluators_map_each_distinct_tally_once(fam_args, evaluate, monkeypatch
             reads[id(self)] += 1
             return super().__iter__()
 
-    tally = _FamilyReader.tally
+    tally, shortlist = _FamilyReader.tally, _FamilyReader.shortlist
 
     def spy(self):
         tops, numbers, tallies = tally(self)
         seen["numbers"], seen["tallies"] = numbers, [Read(t) for t in tallies]
         return tops, numbers, seen["tallies"]
 
+    def spy_shortlist(self, keys, combine):
+        seen["shortlist"] = shortlist(self, keys, combine)
+        return seen["shortlist"]
+
     monkeypatch.setattr(_FamilyReader, "tally", spy)
+    monkeypatch.setattr(_FamilyReader, "shortlist", spy_shortlist)
     kind = RANDOMIZED
     if evaluate is quantum_adversary_value:
         kind = QUANTUM_HYPERCUBE if fam.kind == HYPERCUBE_KIND else QUANTUM_GRID
     evaluate(build_scheme(kind, fam, endpoint_relation(fam)))
-    tallies = seen["tallies"]
-    assert reads == {id(t): 1 for t in tallies}
+    tallies, numbers, used = seen["tallies"], seen["numbers"], Counter()
+    if evaluate is quantum_adversary_value:
+        # per tally, the shortlisted candidates that read it; some read one
+        # tally twice over, so a per-candidate re-read would show
+        used = Counter(numbers[z][p] for x, y, p in seen["shortlist"] for z in (x, y))
+        assert max(used.values()) > 1
+    assert reads == {id(t): 1 + (i in used) for i, t in enumerate(tallies)}
     # fewer distinct tallies than tallied walks and vertices
-    assert len(tallies) < sum(1 for row in seen["numbers"] for i in row if i)
+    assert len(tallies) < sum(1 for row in numbers for i in row if i)
 
 
 def pairwise_shortlist(reader, keys, combine):
@@ -1012,6 +1048,8 @@ def test_evaluators_keep_pinned_outputs_on_tie_heavy_families(fam_args):
         (r_w.x_index, r_w.y_index, r_w.position),
     )
     assert got == TIE_HEAVY_PINS[fam_args]
+    # the reported float is SurdSum's float of the pinned radicand
+    assert quantum.value == (float(quantum.radicand_num) / float(quantum.radicand_den)) ** 0.5
 
 
 @pytest.mark.parametrize(

@@ -233,6 +233,27 @@ class TestCli:
         assert needle in err
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["adversary", "--kind", "grid", "--m", "1", "--T", "20000"],
+             "2^20001 walks exceed the family limit 131072"),
+            (["gen", "--family", "hypercube-walk", "--n", "20000", "--m", "1"],
+             "trajectory of 2^20000 points exceeds 2097152"),
+        ],
+        ids=["adversary", "gen"],
+    )
+    def test_sizes_past_4300_digits_exit_2(self, capsys, tmp_path, argv, message):
+        # refused with the size stated as a power, not the interpreter's
+        # int-to-str error
+        if argv[0] == "gen":
+            argv = argv + ["--out", str(tmp_path / "refused.json")]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {message}\n"
+        assert not (tmp_path / "refused.json").exists()
+
     def test_adversary_command(self, capsys):
         assert (
             main(

@@ -14,6 +14,7 @@ import pytest
 
 import lslab
 from lslab.bench import _smooth_oracle
+from lslab.errors import BudgetExceeded
 from lslab.grid import (
     DEFAULT_SCAN_LIMIT,
     GridShape,
@@ -40,6 +41,7 @@ from lslab.instances import (
 )
 from lslab.oracles import MembershipOracle, ValueOracle, simulate_value_via_membership
 from lslab.solvers import RegionState
+from lslab.walkstats import line_walk_endpoint_counts, line_walk_table, parity_prob_enumerated
 
 SMALL = (
     gen_hypercube_instance(6, 3, seed=1),
@@ -329,6 +331,37 @@ def test_off_path_reads_on_a_wide_grid():
             simulate_value_via_membership(meta, membership, spelled),
         ):
             assert got == expected and type(got) is int
+
+
+@pytest.mark.parametrize(
+    "refuse, message",
+    [
+        (lambda: gen_hypercube_instance(20000, 1, seed=0),
+         "trajectory of 2^20000 points exceeds 2097152"),
+        (lambda: gen_grid_instance(5, 20000, 1, seed=0),
+         "trajectory of 2 * 5^19999 points exceeds 2097152"),
+        (lambda: gen_block_instance(9, 10**7, 0.5, seed=0),
+         "trajectory of about 12 * 3^9999999 points exceeds 2097152"),
+        (lambda: GridShape(2, 20000).iter_vertices(),
+         "[2]^20000 has 2^20000 vertices, over the scan limit 65536"),
+        (lambda: verify_instance(gen_hypercube_instance(20000, 19998, seed=0)),
+         "[2]^20000 has 2^20000 vertices, over the scan limit 65536"),
+        (lambda: parity_prob_enumerated(10, 20000, (0,) * 10),
+         "m^t = 10^20000 exceeds enumeration limit 4194304"),
+        (lambda: line_walk_endpoint_counts(3, 20000, 1),
+         "2^t = 2^20000 exceeds enumeration limit 4194304"),
+        (lambda: line_walk_table(10**2200, 0),
+         f"n^2 (t_max + 1) = {10**2200}^2 exceeds table limit 4194304"),
+    ],
+    ids=["hypercube-walk", "grid-walk", "grid-blocks", "iter-vertices", "verify",
+         "parity-enumerated", "line-endpoints", "line-table"],
+)
+def test_refusals_past_4300_digits_state_the_size_as_a_power(refuse, message):
+    # each size has over 4300 digits, which CPython refuses to print, and
+    # each is decided from its exponent without being built
+    with pytest.raises(BudgetExceeded) as refused:
+        refuse()
+    assert str(refused.value) == message
 
 
 def test_import_does_not_load_numpy():
