@@ -31,10 +31,11 @@ with ValueError, and read the tables, never an O(N^2) pair table (see
 and vertex.  Each evaluator maps every distinct tally once: the relational
 one to an integer sum of w, the quantum one to a float sum of u, whose
 exact form it builds for the shortlisted tallies only.  The scan goes vertex
-by vertex: a candidate's float key is a product (quantum) or maximum
-(randomized) of one number per walk and vertex.  The witness is the first
-minimal candidate in relation order for the relational bound; the
-float-smallest, then first, exact tie for the quantum bound.
+by vertex: a walk's float key there is its row sum over its tally's value,
+and a candidate's is a product (quantum) or maximum (randomized) of two
+walks' keys.  The witness is the first minimal candidate in relation order
+for the relational bound; the float-smallest, then first, exact tie for
+the quantum bound.
 
 Enumeration and evaluation are single-threaded, and the scans are pure.
 """
@@ -534,10 +535,10 @@ class _FamilyReader:
 
     The evaluators read it through `scale` (w times it is a power of b),
     `tally()` (each walk's row sum of w times `scale` and, per vertex, the
-    number of its tally, counts per term key), `keys` (the scan keys, by
-    tally number), `shortlist` (the candidates whose keys come within
+    number of its tally, counts per term key), `shortlist` (the candidates
+    whose scan keys, row sums over their tallies' values, come within
     _SHORTLIST_TOL of the least, in relation order), and `units`, `terms`
-    and `witness`, which decode keys and candidates.
+    and `witness`, which decode term keys and candidates.
 
     - w(x, y) is the divergence weight of k = diverge_index(x, y).  With b
       steps per tick, `scale` is b^k / w and the walks sharing x's first k
@@ -588,23 +589,21 @@ class _FamilyReader:
     def _find_orbits(self) -> None:
         """The orbits on a hypercube family.  A walk's representative is its
         steps relabeled in first-occurrence order, its orbit's least, read
-        as a base-m index."""
+        as a base-m index; one vertex permutation is built per relabeling
+        order, the walk's labels in first occurrence, then the rest."""
         m, T, vid = self.scheme.family.m, self.T, {v: i for i, v in enumerate(self.verts)}
+        columns = list(zip(*self.verts))  # per coordinate, clock ones last
         perms: dict[tuple, list[int]] = {}
         self.orbit = []
         for steps in product(range(m), repeat=T + 1):
-            used = tuple(dict.fromkeys(steps))
-            label = dict(zip(used, range(m)))
+            order = tuple(dict.fromkeys((*steps, *range(m))))
             rep = 0
             for s in steps:
-                rep = rep * m + label[s]
-            perm = perms.get(used)
+                rep = rep * m + order.index(s)
+            perm = perms.get(order)
             if perm is None:
-                # the walk's used labels in that order, then its unused ones;
-                # the clock adds a coordinate, so `image` returns a tuple
-                order = used + tuple(i for i in range(m) if i not in label)
-                image = itemgetter(*order, *range(m, len(self.verts[0])))
-                perm = perms[used] = list(map(vid.__getitem__, map(image, self.verts)))
+                image = zip(*map(columns.__getitem__, order), *columns[m:])
+                perm = perms[order] = list(map(vid.__getitem__, image))
             self.orbit.append((rep, perm))
 
     def tally(self) -> tuple[list, list, list]:
@@ -681,31 +680,20 @@ class _FamilyReader:
                     number = numbered[tuple(map(terms.setdefault, tally, tally))] = len(numbered)
                 row[p] = number
             tops[x], rows[x] = top, row
-        return [tops[rep] for rep, _ in self.orbit], self._spread(rows), list(numbered)
-
-    def keys(self, tops: list, numbers: list, divisors: list) -> list:
-        """Per walk, tops[x] / divisors[i] at each vertex of tally number i,
-        inf at 0; an orbit image's keys are its representative's, permuted."""
-        keys = {}
-        for x in self.xs:
-            top = tops[x]
-            keys[x] = [top / divisors[i] if i else inf for i in numbers[x]]
-        return self._spread(keys)
-
-    def _spread(self, rows: dict) -> list:
-        """Per walk, its orbit representative's row in `rows`, permuted."""
-        # a permutation lists every vertex, two or more: its getter returns a tuple
-        return [
+        # an orbit image's row is its representative's, permuted; a
+        # permutation lists every vertex, two or more: its getter returns a tuple
+        numbers = [
             rows[y] if y == rep else itemgetter(*perm)(rows[rep])
             for y, (rep, perm) in enumerate(self.orbit)
         ]
+        return [tops[rep] for rep, _ in self.orbit], numbers, list(numbered)
 
-    def shortlist(self, keys: list, combine) -> list:
-        """The candidates (x, y, p) whose key combine(keys[x][p],
-        keys[y][p]) lies within a relative _SHORTLIST_TOL of the least key,
-        in relation order.  `keys` holds a float per walk and vertex number,
-        inf where the walk has no tally; `combine` is nondecreasing in each
-        argument.
+    def shortlist(self, tops: list, numbers: list, divisors: list, combine) -> list:
+        """The candidates (x, y, p) whose key combine(key(x, p), key(y, p))
+        lies within a relative _SHORTLIST_TOL of the least key, in relation
+        order.  A walk z's key at p is tops[z] / divisors[i] for its tally
+        number i = numbers[z][p], and inf at 0, where z has no tally;
+        `combine` is nondecreasing in each argument.
 
         Per vertex p, a candidate pairs a walk holding p with one missing
         it, ending elsewhere, in either order.  The first pass takes, per
@@ -713,7 +701,7 @@ class _FamilyReader:
         endpoint, the least among the other endpoints, which gives p's
         least key.  Every vertex has a holder.  The second pass lists the
         candidates at the vertices within reach of the overall least key.
-        Both read the keys a vertex at a time, the walks grouped by
+        Both compute the keys a vertex at a time, the walks grouped by
         endpoint.
         """
         ends, n, R = self.ends, len(self.ends), self.T + 2
@@ -729,10 +717,14 @@ class _FamilyReader:
         for z, placed in enumerate(self.placed):
             for key in placed:
                 held_at[key // R].append(at[z])
-        keys = [keys[z] for z in order]
+        tops, rows = [tops[z] for z in order], [numbers[z] for z in order]
+
+        def column(nums) -> list:
+            return [top / divisors[i] if i else inf for top, i in zip(tops, nums)]
+
         least = []  # per vertex: its least key, least held key, least missed key
-        for column, spots in zip(zip(*keys), held_at):
-            col = list(column)
+        for nums, spots in zip(zip(*rows), held_at):
+            col = column(nums)
             held = [col[i] for i in spots]
             for i in spots:
                 col[i] = inf  # col keeps the walks that miss p
@@ -749,7 +741,7 @@ class _FamilyReader:
         for p, (key, h1, m1) in enumerate(least):
             if key > limit:
                 continue
-            col = [row[p] for row in keys]
+            col = column([row[p] for row in rows])
             held = set(held_at[p])
             near_held = [i for i in held if combine(col[i], m1) <= limit]
             near_missed = [i for i in range(n) if i not in held and combine(h1, col[i]) <= limit]
@@ -850,7 +842,7 @@ def relational_adversary_value(scheme: WeightScheme) -> RelationalBound:
     totals = [sum([count * units[key] for key, count in tally]) for tally in tallies]
     best_num, best_den = 1, 0  # +infinity
     witness = None
-    for x, y, p in reader.shortlist(reader.keys(tops, numbers, totals), max):
+    for x, y, p in reader.shortlist(tops, numbers, totals, max):
         x_all, x_at, y_all, y_at = tops[x], totals[numbers[x][p]], tops[y], totals[numbers[y][p]]
         # max(x_all / x_at, y_all / y_at)
         num, den = (x_all, x_at) if x_all * y_at >= y_all * x_at else (y_all, y_at)
@@ -999,13 +991,12 @@ def quantum_adversary_value(scheme: WeightScheme) -> QuantumBound:
                 part = parts[key] = (float(u), monomials.number(u.mono), u.coef)
             total += count * part[0]
         sums.append(total)
-    # the scan key is top / scale over the float of the walk's u sum
-    keys = reader.keys([top / scale for top in tops], numbers, sums)
     forms: dict = {}  # tally number -> its u sum's integer form
     # candidates with the same scaled numerator and the same u and v tallies
     # have the same radicand and float key, so only the first can win
     seen, win = set(), None
-    for x, y, p in reader.shortlist(keys, mul):
+    # the scan key is top / scale over the float of the walk's u sum
+    for x, y, p in reader.shortlist([top / scale for top in tops], numbers, sums, mul):
         top, i, j = tops[x] * tops[y], numbers[x][p], numbers[y][p]
         if (top, i, j) in seen:
             continue

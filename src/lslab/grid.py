@@ -27,7 +27,7 @@ from itertools import product
 from operator import sub
 from typing import Iterator
 
-from .errors import BudgetExceeded, stated_size
+from .errors import BudgetExceeded, spelled, stated_size
 
 Vertex = tuple[int, ...]
 
@@ -82,7 +82,7 @@ class GridShape:
         count = stated_size(self.k, self.l, DEFAULT_SCAN_LIMIT)
         if count:
             raise BudgetExceeded(
-                f"[{self.k}]^{self.l} has {count} vertices, "
+                f"[{spelled(self.k)}]^{spelled(self.l)} has {count} vertices, "
                 f"over the scan limit {DEFAULT_SCAN_LIMIT}"
             )
         return product(range(1, self.k + 1), repeat=self.l)

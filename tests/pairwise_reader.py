@@ -6,8 +6,9 @@ This reader assumes nothing about the scheme: it reads `relation.pairs`, the
 `w` table and `uv` pair by pair, so it serves hand-built schemes and
 families listed in any order (`ListedFamily`).  It has the library reader's
 interface: `tally()` numbers the distinct tallies per row and position,
-each evaluator maps each distinct tally once through `units` or `terms`,
-builds its scan keys with `keys`, and reads `shortlist` and `witness`.
+each evaluator maps each distinct tally once through `units` or `terms`
+and hands the row sums, the tally numbers and those values to `shortlist`,
+and reads `witness`.
 Tests drive the library evaluators with it by monkeypatching
 `lslab.adversary._reader` (see the `pairwise` fixture in
 `test_adversary.py`).
@@ -62,7 +63,9 @@ class PairwiseReader:
     sums of w times `scale`) of walks 0..n-1 first, then their v sides
     (column sums), and interns the tallies of both; `shortlist` lists every
     candidate within _SHORTLIST_TOL of the least key, in relation order,
-    pairing x's u row with y's v row, which `witness` maps back to y."""
+    pairing x's u row with y's v row, which `witness` maps back to y.  A
+    row's key at a position is its row sum over its tally's value there,
+    inf where it has no tally."""
 
     def __init__(self, scheme) -> None:
         self.scheme = scheme
@@ -96,12 +99,9 @@ class PairwiseReader:
                 row[p] = numbered.setdefault(tuple(cell.items()), len(numbered))
         return tops, numbers, list(numbered)
 
-    @staticmethod
-    def keys(tops, numbers, divisors) -> list:
-        return [[top / divisors[i] if i else inf for i in row] for top, row in zip(tops, numbers)]
-
-    def shortlist(self, keys, combine) -> list:
+    def shortlist(self, tops, numbers, divisors, combine) -> list:
         n, family = self.n, self.scheme.family
+        keys = [[top / divisors[i] if i else inf for i in row] for top, row in zip(tops, numbers)]
         listed = [
             (combine(keys[ix][p], keys[n + iy][p]), ix, n + iy, p)
             for ix, iy in self.scheme.relation.pairs

@@ -715,6 +715,30 @@ def pairwise_tally(reader):
     ]
 
 
+@pytest.mark.parametrize("m, T", [(2, 3), (3, 3), (4, 3), (5, 3), (2, 7)])
+def test_orbits_match_brute_force_relabelings(m, T):
+    # the reader's orbits against every permutation of the m step labels:
+    # a representative is the least index among the walk's relabelings, and
+    # its permutation reads each vertex's flip coordinates in the walk's
+    # relabeling order (its labels in first occurrence, then the rest),
+    # which takes the walk's points and roles onto its representative's
+    fam = enumerate_paths(HYPERCUBE_KIND, m, T)
+    reader = adversary._reader(build_scheme(QUANTUM_HYPERCUBE, fam, endpoint_relation(fam)))
+    verts, R = fam.verts, T + 2
+    assert len(reader.orbit) == len(fam)
+    for steps, placed, (rep, perm) in zip(product(range(m), repeat=T + 1), fam.placed,
+                                          reader.orbit):
+        assert rep == min(
+            sum(sigma[s] * m**i for i, s in enumerate(reversed(steps)))
+            for sigma in permutations(range(m))
+        ), steps
+        order = list(dict.fromkeys(steps)) + [i for i in range(m) if i not in steps]
+        assert len(perm) == len(verts)
+        for p, q in enumerate(perm):
+            assert verts[q] == tuple(verts[p][i] for i in order) + verts[p][m:], (steps, p)
+        assert sorted(perm[key // R] * R + key % R for key in placed) == sorted(fam.placed[rep])
+
+
 TALLY_FAMILIES = REFERENCE_FAMILIES + LARGER_REFERENCE_FAMILIES + [
     (HYPERCUBE_KIND, 4, 3),
     (HYPERCUBE_KIND, 2, 7),
@@ -809,33 +833,35 @@ def quantum_reader_tally(fam, monkeypatch):
     """The stock quantum scheme's reader, the tally (tops, numbers,
     tallies) that quantum_adversary_value read from it, and each distinct
     tally's scan float as the evaluator mapped it: the divisors it handed
-    `_FamilyReader.keys`.  Every scan key is checked to be the walk's row
-    sum over its tally's divisor, inf where the walk has no tally."""
+    `_FamilyReader.shortlist`.  Every scan key that the arguments define is
+    checked to be the walk's row sum over its tally's divisor, inf where
+    the walk has no tally."""
     kind = QUANTUM_HYPERCUBE if fam.kind == HYPERCUBE_KIND else QUANTUM_GRID
     scheme = build_scheme(kind, fam, endpoint_relation(fam))
     seen = {}
-    tally, keys = _FamilyReader.tally, _FamilyReader.keys
+    tally, shortlist = _FamilyReader.tally, _FamilyReader.shortlist
 
     def spy_tally(self):
         seen["reader"] = self
         seen["tally"] = tally(self)
         return seen["tally"]
 
-    def spy_keys(self, tops, numbers, divisors):
-        seen["divisors"] = divisors
-        seen["keys"] = keys(self, tops, numbers, divisors)
-        return seen["keys"]
+    def spy_shortlist(self, tops, numbers, divisors, combine):
+        seen["shortlist"] = (tops, numbers, divisors)
+        return shortlist(self, tops, numbers, divisors, combine)
 
     monkeypatch.setattr(_FamilyReader, "tally", spy_tally)
-    monkeypatch.setattr(_FamilyReader, "keys", spy_keys)
+    monkeypatch.setattr(_FamilyReader, "shortlist", spy_shortlist)
     quantum_adversary_value(scheme)
-    reader, divisors = seen["reader"], seen["divisors"]
+    reader, (scan_tops, scan_numbers, divisors) = seen["reader"], seen["shortlist"]
     tops, numbers, tallies = seen["tally"]
+    assert scan_numbers is numbers
     assert len(divisors) == len(tallies)
-    assert len(seen["keys"]) == len(tops) == len(numbers)
-    for top, row, keys in zip(tops, numbers, seen["keys"]):
-        assert len(keys) == len(row) == len(reader.verts)
-        for key, i in zip(keys, row):
+    assert len(scan_tops) == len(tops) == len(numbers)
+    for scan_top, top, row in zip(scan_tops, tops, numbers):
+        assert len(row) == len(reader.verts)
+        for i in row:
+            key = scan_top / divisors[i] if i else math.inf
             assert key == (top / reader.scale / divisors[i] if i else math.inf)
     return scheme, reader, seen["tally"], divisors
 
@@ -923,8 +949,8 @@ def test_evaluators_map_each_distinct_tally_once(fam_args, evaluate, monkeypatch
         seen["numbers"], seen["tallies"] = numbers, [Read(t) for t in tallies]
         return tops, numbers, seen["tallies"]
 
-    def spy_shortlist(self, keys, combine):
-        seen["shortlist"] = shortlist(self, keys, combine)
+    def spy_shortlist(self, tops, numbers, divisors, combine):
+        seen["shortlist"] = shortlist(self, tops, numbers, divisors, combine)
         return seen["shortlist"]
 
     monkeypatch.setattr(_FamilyReader, "tally", spy)
@@ -944,9 +970,11 @@ def test_evaluators_map_each_distinct_tally_once(fam_args, evaluate, monkeypatch
     assert len(tallies) < sum(1 for row in numbers for i in row if i)
 
 
-def pairwise_shortlist(reader, keys, combine):
+def pairwise_shortlist(reader, tops, numbers, divisors, combine):
     """Every candidate of the endpoint relation within _SHORTLIST_TOL of
-    the least key, pair by pair in relation order."""
+    the least key, pair by pair in relation order; a walk's key at a
+    vertex is its top over its tally's divisor there, inf at tally 0."""
+    keys = [[top / divisors[i] if i else math.inf for i in row] for top, row in zip(tops, numbers)]
     sets = [rx.keys() for rx in placed_roles(reader.scheme.family)]
     ends, n = reader.ends, len(reader.ends)
     listed = [
@@ -980,14 +1008,14 @@ def test_vertex_scan_lists_the_pairwise_shortlist(fam_args, evaluate, monkeypatc
     seen = {}
     shortlist = _FamilyReader.shortlist
 
-    def spy(self, keys, combine):
-        seen.update(reader=self, keys=keys, combine=combine)
-        seen["got"] = shortlist(self, keys, combine)
+    def spy(self, *args):
+        seen.update(reader=self, args=args)
+        seen["got"] = shortlist(self, *args)
         return seen["got"]
 
     monkeypatch.setattr(_FamilyReader, "shortlist", spy)
     evaluate(build_scheme(kind, fam, endpoint_relation(fam)))
-    assert seen["got"] == pairwise_shortlist(seen["reader"], seen["keys"], seen["combine"])
+    assert seen["got"] == pairwise_shortlist(seen["reader"], *seen["args"])
 
 
 @pytest.mark.parametrize("combine", [mul, max], ids=["product", "max"])
@@ -997,15 +1025,19 @@ def test_vertex_scan_lists_the_pairwise_shortlist(fam_args, evaluate, monkeypatc
     ids=lambda a: f"{a[0]}-m{a[1]}-T{a[2]}",
 )
 def test_vertex_scan_on_random_keys(fam_args, combine):
-    # keys drawn from 1..3 tie often; keys drawn from 1..1000 leave a few
-    # vertices whose least held and least missed keys come from walks with
-    # one endpoint and lie below every candidate's key
+    # tops and divisors drawn from 1..3 tie often; drawn from 1..1000 they
+    # leave a few vertices whose least held and least missed keys come from
+    # walks with one endpoint and lie below every candidate's key.  Tally
+    # number 0 (no tally, key inf) is drawn as often as each other number
     fam = enumerate_paths(*fam_args)
     reader = adversary._reader(build_scheme(RANDOMIZED, fam, endpoint_relation(fam)))
     rng = random.Random(sum(fam_args[1:]))
     for top in [3, 1000] * 15:
-        keys = [[rng.randint(1, top) for _ in reader.verts] for _ in fam.walks]
-        assert reader.shortlist(keys, combine) == pairwise_shortlist(reader, keys, combine)
+        tops = [rng.randint(1, top) for _ in fam.walks]
+        divisors = [0] + [rng.randint(1, top) for _ in range(6)]
+        numbers = [[rng.randrange(len(divisors)) for _ in reader.verts] for _ in fam.walks]
+        args = tops, numbers, divisors, combine
+        assert reader.shortlist(*args) == pairwise_shortlist(reader, *args)
 
 
 #: the evaluators' outputs on tie-heavy families, as the pair-by-pair scan

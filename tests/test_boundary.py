@@ -13,6 +13,7 @@ from operator import getitem
 import pytest
 
 import lslab
+from lslab.adversary import enumerate_paths
 from lslab.bench import _smooth_oracle
 from lslab.errors import BudgetExceeded
 from lslab.grid import (
@@ -352,13 +353,31 @@ def test_off_path_reads_on_a_wide_grid():
          "2^t = 2^20000 exceeds enumeration limit 4194304"),
         (lambda: line_walk_table(10**2200, 0),
          f"n^2 (t_max + 1) = {10**2200}^2 exceeds table limit 4194304"),
+        # a base, exponent or factor of 5001 digits is stated as a power of 2
+        (lambda: line_walk_table(10**5000, 0),
+         "n^2 (t_max + 1) = (about 2^16610)^2 exceeds table limit 4194304"),
+        (lambda: line_walk_table(3, 10**5000),
+         "n^2 (t_max + 1) = (about 2^16610) * 3^2 exceeds table limit 4194304"),
+        (lambda: line_walk_endpoint_counts(3, 10**5000, 1),
+         "2^t = 2^(about 2^16610) exceeds enumeration limit 4194304"),
+        (lambda: parity_prob_enumerated(2, 10**5000, (0, 0)),
+         "m^t = 2^(about 2^16610) exceeds enumeration limit 4194304"),
+        (lambda: enumerate_paths("grid", 1, 10**5000),
+         "2^(about 2^16610) walks exceed the family limit 131072"),
+        (lambda: GridShape(10**5000, 2).iter_vertices(),
+         "[(about 2^16610)]^2 has (about 2^16610)^2 vertices, over the scan limit 65536"),
+        (lambda: GridShape(2, 10**5000).iter_vertices(),
+         "[2]^(about 2^16610) has 2^(about 2^16610) vertices, over the scan limit 65536"),
     ],
     ids=["hypercube-walk", "grid-walk", "grid-blocks", "iter-vertices", "verify",
-         "parity-enumerated", "line-endpoints", "line-table"],
+         "parity-enumerated", "line-endpoints", "line-table", "line-table-huge-side",
+         "line-table-huge-horizon", "line-endpoints-huge-t", "parity-huge-t",
+         "family-huge-T", "iter-vertices-huge-side", "iter-vertices-huge-axes"],
 )
 def test_refusals_past_4300_digits_state_the_size_as_a_power(refuse, message):
     # each size has over 4300 digits, which CPython refuses to print, and
-    # each is decided from its exponent without being built
+    # each is decided from its exponent without being built; a number of
+    # over 4300 digits in the statement is itself stated as about 2^e
     with pytest.raises(BudgetExceeded) as refused:
         refuse()
     assert str(refused.value) == message
